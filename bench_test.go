@@ -7,11 +7,13 @@ package pegasus
 // b.ReportMetric; wall-clock ns/op measures the simulator itself.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"repro/internal/atm"
 	"repro/internal/core"
+	"repro/internal/devices"
 	"repro/internal/disk"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
@@ -213,6 +215,45 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 		}
 	}
 	s.Run()
+}
+
+// BenchmarkFrameSend measures one stream frame end to end on the batched
+// fast path, the way the load generator's sources send it: a 16-byte
+// stamped head by value over a borrowed payload, link -> switch (VCI
+// rewrite) -> link -> demux -> burst-aware sink, one frame period per
+// iteration. No cell is materialised and nothing is allocated, for the
+// 21-cell frames of the mesh runs and the 101-cell ones of the metro
+// runs alike (internal/loadgen's TestFrameSendAllocatesNothing pins the
+// same through the real source and sink).
+func BenchmarkFrameSend(b *testing.B) {
+	for _, frameBytes := range []int{960, 4800} {
+		b.Run(fmt.Sprintf("cells=%d", atm.CellsFor(frameBytes)), func(b *testing.B) {
+			s := sim.New()
+			sw := fabric.NewSwitch(s, "sw", 2, sim.Microsecond)
+			dm := devices.NewDemux()
+			dm.Register(2, nullSink{})
+			sw.AttachOutput(1, fabric.NewLink(s, fabric.Rate100M, sim.Microsecond, 0, dm))
+			in := fabric.NewLink(s, fabric.Rate100M, sim.Microsecond, 0, sw.In(0))
+			sw.Route(0, 1, 1, 2)
+			payload := make([]byte, frameBytes)
+			var head [16]byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				binary.BigEndian.PutUint64(head[:], uint64(s.Now()))
+				t, err := atm.NewTrain(1, devices.UUData, head[:], payload[len(head):])
+				if err != nil {
+					b.Fatal(err)
+				}
+				in.SendTrain(t)
+				s.RunFor(sim.Millisecond)
+			}
+			b.StopTimer()
+			if got, want := sw.Stats().Switched, int64(b.N*atm.CellsFor(frameBytes)); got != want || dm.Unrouted != 0 {
+				b.Fatalf("switched %d cells (%d unrouted at the sink), want %d", got, dm.Unrouted, want)
+			}
+		})
+	}
 }
 
 // BenchmarkCodecFrame measures the tile codec over a full 640x480 frame.
@@ -858,11 +899,11 @@ func multicastBenchSite(tb testing.TB, viewers int) (*core.Site, func()) {
 	period := sim.Second / 100
 	payload := make([]byte, 4800)
 	step := func() {
-		cells, err := atm.Segment(bc.VCI(), 3, payload)
+		t, err := atm.NewTrain(bc.VCI(), devices.UUData, nil, payload)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cam.ToSwitch.SendBurst(cells)
+		cam.ToSwitch.SendTrain(t)
 		site.Sim.RunFor(period)
 	}
 	return site, step

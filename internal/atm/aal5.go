@@ -28,29 +28,11 @@ var (
 // trailer; intermediate cells carry PTIUser0. uu is the CPCS user-to-user
 // byte, which Pegasus devices use as a small stream tag.
 func Segment(vci VCI, uu byte, payload []byte) ([]Cell, error) {
-	if len(payload) > MaxFrame {
-		return nil, ErrFrameTooLarge
+	t, err := NewTrain(vci, uu, nil, payload)
+	if err != nil {
+		return nil, err
 	}
-	// Pad so payload + trailer fills a whole number of cells.
-	total := len(payload) + trailerSize
-	ncells := (total + PayloadSize - 1) / PayloadSize
-	padded := make([]byte, ncells*PayloadSize)
-	copy(padded, payload)
-	tr := padded[len(padded)-trailerSize:]
-	tr[0] = uu
-	tr[1] = 0 // CPI
-	binary.BigEndian.PutUint16(tr[2:], uint16(len(payload)))
-	crc := crc32.ChecksumIEEE(padded[:len(padded)-4])
-	binary.BigEndian.PutUint32(tr[4:], crc)
-
-	cells := make([]Cell, ncells)
-	for i := range cells {
-		cells[i].VCI = vci
-		cells[i].PTI = PTIUser0
-		copy(cells[i].Payload[:], padded[i*PayloadSize:])
-	}
-	cells[ncells-1].PTI = PTIUser1
-	return cells, nil
+	return t.Cells(), nil
 }
 
 // Frame is a reassembled AAL5 CS-PDU.

@@ -108,18 +108,18 @@ func (d *Demux) HandleCell(c atm.Cell) {
 
 // HandleBurst dispatches a whole cell train with one lookup (an AAL5
 // burst is single-VCI by construction). Burst-aware handlers get the
-// train intact; others receive it cell by cell.
+// train intact; for others its cells are materialised here.
 func (d *Demux) HandleBurst(b fabric.Burst) {
-	h, ok := d.routes[b.Cells[0].VCI]
+	h, ok := d.routes[b.Train.VCI]
 	if !ok {
-		d.Unrouted += int64(len(b.Cells))
+		d.Unrouted += int64(b.Train.Len())
 		return
 	}
 	if bh, ok := h.(fabric.BurstHandler); ok {
 		bh.HandleBurst(b)
 		return
 	}
-	for _, c := range b.Cells {
+	for _, c := range b.Train.Cells() {
 		h.HandleCell(c)
 	}
 }

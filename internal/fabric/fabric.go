@@ -9,9 +9,17 @@
 // latency and jitter arguments. Per-cell timing is computed
 // arithmetically rather than with one simulator event per transition:
 // a cell costs one delivery event end to end per link, and a whole AAL5
-// cell train sent with SendBurst costs one delivery event per link
-// regardless of length — the batching that lets site-scale runs model
-// hundreds of concurrent streams.
+// cell train sent with SendTrain or SendBurst costs one delivery event
+// per link regardless of length — the batching that lets site-scale runs
+// model hundreds of concurrent streams.
+//
+// A train in flight is an atm.Train descriptor, not cells: links queue
+// and deliver it by value, a switch rewrites its VCI with one store and
+// fans it out by copying the descriptor, and nothing copies, pads or
+// checksums payload bytes. Cells are materialised (Train.Cells) only
+// where something looks at them — a cell-accurate link, a sink that
+// only implements Handler, the Recorder. The payload body a train
+// borrows is immutable while any copy of it is in flight.
 //
 // Burst semantics: a burst's cells arrive back to back at First,
 // First+Gap, First+2*Gap, ... and the delivery callback runs at the last
@@ -44,18 +52,13 @@ type HandlerFunc func(atm.Cell)
 // HandleCell calls f(c).
 func (f HandlerFunc) HandleCell(c atm.Cell) { f(c) }
 
-// Burst is an AAL5 cell train delivered as one unit. Cells[i] arrives at
-// First + i*Gap; the delivering event fires at the last cell's arrival.
+// Burst is an AAL5 cell train delivered as one unit. Cell i of Train
+// arrives at First + i*Gap; the delivering event fires at the last cell's
+// arrival. Train.VCI is the circuit on the delivering link.
 type Burst struct {
-	Cells []atm.Cell
+	Train atm.Train
 	First sim.Time
 	Gap   sim.Duration
-	// Shared marks a train whose backing array is also in flight to
-	// other sinks — how a switch fans one multicast train out to N
-	// same-VCI leaves without N copies. Receivers must treat Cells as
-	// read-only; a forwarding switch that needs a VCI rewrite copies
-	// first.
-	Shared bool
 }
 
 // BurstHandler is implemented by sinks that can consume a whole cell
@@ -87,11 +90,10 @@ type LinkStats struct {
 // first and gap are only meaningful for bursts: a single cell's arrival
 // time is its delivery event's fire time.
 type delivery struct {
-	cell   atm.Cell
-	burst  []atm.Cell // non-nil for a burst unit
-	first  sim.Time   // arrival time of the first cell at the sink
-	gap    sim.Duration
-	shared bool // burst backing array is shared with other deliveries
+	cell  atm.Cell
+	train atm.Train // non-empty for a burst unit
+	first sim.Time  // arrival time of the first cell at the sink
+	gap   sim.Duration
 }
 
 // Link is a unidirectional cell pipe with serialisation delay, propagation
@@ -190,8 +192,8 @@ func (l *Link) Send(c atm.Cell) {
 }
 
 // slot extends the flight ring by one entry and returns it for the
-// caller to fill. Recycled entries always have a nil burst pointer
-// (cleared at delivery), so a single-cell unit only writes the cell.
+// caller to fill. Recycled entries always have an empty train (cleared
+// at delivery), so a single-cell unit only writes the cell.
 func (l *Link) slot() *delivery {
 	if len(l.flight) < cap(l.flight) {
 		l.flight = l.flight[:len(l.flight)+1]
@@ -201,18 +203,26 @@ func (l *Link) slot() *delivery {
 	return &l.flight[len(l.flight)-1]
 }
 
-// SendBurst queues a whole AAL5 cell train (one Segment result: uniform
-// VCI) as a single transmission unit costing one event. The link takes
-// ownership of the slice. On a cell-accurate link it degrades to Send
-// per cell.
+// SendTrain queues a whole AAL5 cell train as a single transmission unit
+// costing one event. The train's body is borrowed until the last sink
+// has seen it and must not be written meanwhile (see atm.Train). On a
+// cell-accurate link it degrades to Send per materialised cell.
 //
 // A capacity limit applies to the train all-or-nothing: the whole burst
 // is accepted while pending cells are within the limit (briefly
 // overshooting it by the train length) and dropped whole otherwise —
 // unlike the exact per-cell model, which drops exactly the overflow.
 // Bounded-queue overflow experiments should use cell-accurate mode.
+func (l *Link) SendTrain(t atm.Train) {
+	l.sendBurstShaped(t, l.sim.Now(), 0)
+}
+
+// SendBurst is SendTrain for already materialised cells on one circuit
+// (one Segment result, or several back to back). The slice is borrowed
+// like a train body: the sender must not write it again, and sinks see
+// it read-only — after a switch rewrote the circuit, as a copy.
 func (l *Link) SendBurst(cells []atm.Cell) {
-	l.sendBurstShaped(cells, l.sim.Now(), 0, false)
+	l.SendTrain(atm.WrapCells(cells))
 }
 
 // sendBurstShaped queues a cell train whose cells become available for
@@ -221,13 +231,12 @@ func (l *Link) SendBurst(cells []atm.Cell) {
 // may be in the past relative to the current instant (the train started
 // arriving before its last cell landed); the arithmetic keeps every
 // computed time consistent and every scheduled event in the future.
-// shared propagates the read-only multicast flag to the delivery.
-func (l *Link) sendBurstShaped(cells []atm.Cell, earliest sim.Time, gap sim.Duration, shared bool) {
-	n := len(cells)
-	if n == 0 {
+func (l *Link) sendBurstShaped(t atm.Train, earliest sim.Time, gap sim.Duration) {
+	if t.Len() == 0 {
 		return
 	}
 	if l.cellAccurate {
+		cells := t.Cells()
 		now := l.sim.Now()
 		if gap <= 0 && earliest <= now {
 			// Origin send: the whole train is available now.
@@ -250,7 +259,7 @@ func (l *Link) sendBurstShaped(cells []atm.Cell, earliest sim.Time, gap sim.Dura
 		}
 		return
 	}
-	if due, ok := l.queueBurst(cells, earliest, gap, shared); ok {
+	if due, ok := l.queueBurst(&t, earliest, gap); ok {
 		l.sim.Post(due, l.deliverF)
 	}
 }
@@ -264,8 +273,8 @@ func (l *Link) sendBurstShaped(cells []atm.Cell, earliest sim.Time, gap sim.Dura
 // a link's due times are strictly increasing, so FIFO ring order and
 // event order agree. Fast path only: the caller handles cell-accurate
 // links.
-func (l *Link) queueBurst(cells []atm.Cell, earliest sim.Time, gap sim.Duration, shared bool) (sim.Time, bool) {
-	n := len(cells)
+func (l *Link) queueBurst(t *atm.Train, earliest sim.Time, gap sim.Duration) (sim.Time, bool) {
+	n := t.Len()
 	if l.limit > 0 && l.pending > l.limit {
 		l.Stats.Dropped += int64(n)
 		return 0, false
@@ -284,7 +293,7 @@ func (l *Link) queueBurst(cells []atm.Cell, earliest sim.Time, gap sim.Duration,
 	l.freeAt = end
 	l.pending += n
 	d := l.slot()
-	d.burst, d.first, d.gap, d.shared = cells, firstEnd+l.prop, g, shared
+	d.train, d.first, d.gap = *t, firstEnd+l.prop, g
 	return end + l.prop, true
 }
 
@@ -294,16 +303,15 @@ func (l *Link) queueBurst(cells []atm.Cell, earliest sim.Time, gap sim.Duration,
 func (l *Link) deliverNext() {
 	d := &l.flight[l.head]
 	l.head++
-	if d.burst != nil {
-		n := len(d.burst)
+	if n := d.train.Len(); n > 0 {
 		l.pending -= n
 		l.Stats.Delivered += int64(n)
-		cells := d.burst
-		d.burst = nil // release for GC; payload bytes may stay behind
+		b := Burst{Train: d.train, First: d.first, Gap: d.gap}
+		d.train = atm.Train{} // marks the slot a single-cell one; drops the borrowed body
 		if l.bsink != nil {
-			l.bsink.HandleBurst(Burst{Cells: cells, First: d.first, Gap: d.gap, Shared: d.shared})
+			l.bsink.HandleBurst(b)
 		} else {
-			for _, c := range cells {
+			for _, c := range b.Train.Cells() {
 				l.sink.HandleCell(c)
 			}
 		}
@@ -318,9 +326,9 @@ func (l *Link) deliverNext() {
 	} else if l.head > 1024 && l.head*2 > len(l.flight) {
 		n := copy(l.flight, l.flight[l.head:])
 		// Clear vacated slots: slot() reuses them without zeroing and
-		// relies on burst pointers being nil.
+		// relies on their trains being empty.
 		for i := n; i < len(l.flight); i++ {
-			l.flight[i].burst = nil
+			l.flight[i].train = atm.Train{}
 		}
 		l.flight = l.flight[:n]
 		l.head = 0
@@ -445,7 +453,7 @@ type portIn struct {
 func (p *portIn) HandleCell(c atm.Cell) { p.sw.receive(p, &c) }
 
 // HandleBurst forwards an arriving cell train through the switch.
-func (p *portIn) HandleBurst(b Burst) { p.sw.receiveBurst(p, b) }
+func (p *portIn) HandleBurst(b Burst) { p.sw.receiveBurst(p, &b) }
 
 // In returns the handler for cells arriving on the given input port; wire
 // it as the sink of the link feeding this switch. The port runs on the
@@ -646,51 +654,31 @@ func (l *Link) sendCellEarliest(c *atm.Cell, earliest sim.Time) {
 	l.sim.Post(end+l.prop, l.deliverF)
 }
 
-func (sw *Switch) receiveBurst(p *portIn, b Burst) {
-	n := len(b.Cells)
-	leaves := p.lookup(routeKey{p.port, b.Cells[0].VCI})
+// receiveBurst forwards the train in b, which the caller has already
+// copied off the input link: every descriptor below is a value copy of
+// it, never a reference into another link's ring.
+func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
+	n := b.Train.Len()
+	leaves := p.lookup(routeKey{p.port, b.Train.VCI})
 	if leaves == nil {
 		p.stats.Unrouted += int64(n)
 		return
 	}
+	// Cut-through: the k-th cell clears the fabric at its own arrival +
+	// fabricDelay; the output link's pacing floor is the input spacing.
+	first := b.First + sw.fabricDelay
 	// Multicast fan-out coalescing: same-partition leaves whose copies
 	// mature at the same instant — idle symmetric output links, the
 	// steady-state CBR broadcast geometry — share one delivery event, so
 	// a cell train costs one event per switch, not one per viewer port.
-	// Leaves under differing contention keep their own exact events.
+	// Leaves under differing contention keep their own exact events. The
+	// group is a first link plus the rest, so a lone leaf (every unicast
+	// train) allocates nothing.
 	var (
 		coDue   sim.Time
-		coLinks []*Link
+		coFirst *Link
+		coRest  []*Link
 	)
-	flush := func() {
-		switch len(coLinks) {
-		case 0:
-		case 1:
-			p.sim.Post(coDue, coLinks[0].deliverF)
-		default:
-			group := append([]*Link(nil), coLinks...)
-			p.sim.Post(coDue, func() {
-				for _, l := range group {
-					l.deliverNext()
-				}
-			})
-		}
-		coLinks = coLinks[:0]
-	}
-	// Fan-out without fan-out copies: leaves that forward the train on
-	// the same VCI share its backing array by reference; only leaves
-	// that rewrite the VCI materialise a copy. sharers counts the
-	// reference-takers — more than one (or an already-shared incoming
-	// train) marks every shared delivery read-only, and then no rewrite
-	// may touch the original in place.
-	baseVCI := b.Cells[0].VCI
-	sharers := 0
-	for _, v := range leaves {
-		if v.vci == baseVCI {
-			sharers++
-		}
-	}
-	baseUsed := false
 	for _, v := range leaves {
 		out := sw.outputs[v.port]
 		if out == nil {
@@ -698,66 +686,61 @@ func (sw *Switch) receiveBurst(p *portIn, b Burst) {
 			continue
 		}
 		p.stats.Switched += int64(n)
-		cells := b.Cells
-		shared := false
-		switch {
-		case v.vci == baseVCI:
-			shared = b.Shared || sharers > 1
-		case !baseUsed && sharers == 0 && !b.Shared:
-			// Sole lineage: this rewrite leaf may mutate the train in
-			// place (the unicast forwarding path).
-		default:
-			cells = append([]atm.Cell(nil), b.Cells...)
-		}
-		if &cells[0] == &b.Cells[0] {
-			baseUsed = true
-		}
-		// Cut-through: the k-th cell clears the fabric at its own
-		// arrival + fabricDelay; the output link's pacing floor is the
-		// input spacing.
-		if out.sim == p.sim {
-			if v.vci != cells[0].VCI {
-				for j := range cells {
-					cells[j].VCI = v.vci
-				}
-			}
-			if out.cellAccurate {
-				out.sendBurstShaped(cells, b.First+sw.fabricDelay, b.Gap, shared)
-				continue
-			}
-			due, ok := out.queueBurst(cells, b.First+sw.fabricDelay, b.Gap, shared)
-			if !ok {
-				continue
-			}
-			if len(coLinks) > 0 && due != coDue {
-				flush()
-			}
-			coDue = due
-			coLinks = append(coLinks, out)
+		// The VCI rewrite is this one store; each leaf then takes its own
+		// copy of the descriptor (into its ring slot or cross closure).
+		b.Train.VCI = v.vci
+		if out.sim != p.sim {
+			sw.crossTrain(p, out, b.Train, first, b.Gap)
 			continue
 		}
-		// Cross-partition leaf. This delivery event fired at the last
-		// cell's arrival (now = First + (n-1)*Gap), and the replayed
-		// send's earliest completion is first cell + fabric + ct + last
-		// cell's pacing + prop ≥ now + fabric + ct + prop — the cluster
-		// lookahead — so the timestamp below is safe, and the closure
-		// schedules nothing before it. VCI rewrite moves inside the
-		// closure: the owning partition mutates the train (which the
-		// rules above guarantee it owns exclusively when a rewrite is
-		// due), not ours.
-		vci := v.vci
-		train := cells
-		sh := shared
-		p.sim.Cross(out.sim, p.sim.Now()+sw.fabricDelay+out.ct+out.prop, func() {
-			if vci != train[0].VCI {
-				for j := range train {
-					train[j].VCI = vci
-				}
-			}
-			out.sendBurstShaped(train, b.First+sw.fabricDelay, b.Gap, sh)
-		})
+		if out.cellAccurate {
+			out.sendBurstShaped(b.Train, first, b.Gap)
+			continue
+		}
+		due, ok := out.queueBurst(&b.Train, first, b.Gap)
+		if !ok {
+			continue
+		}
+		if coFirst != nil && due != coDue {
+			p.postDeliveries(coDue, coFirst, coRest)
+			coFirst, coRest = nil, nil
+		}
+		if coFirst == nil {
+			coFirst, coDue = out, due
+		} else {
+			coRest = append(coRest, out)
+		}
 	}
-	flush()
+	if coFirst != nil {
+		p.postDeliveries(coDue, coFirst, coRest)
+	}
+}
+
+// crossTrain forwards a train onto a link owned by another partition.
+// The calling delivery event fired at the last cell's arrival (now =
+// First + (n-1)*Gap), and the replayed send's earliest completion is
+// first cell + fabric + ct + last cell's pacing + prop ≥ now + fabric +
+// ct + prop — the cluster lookahead — so the timestamp is safe, and the
+// closure (which holds the train by value) schedules nothing before it.
+func (sw *Switch) crossTrain(p *portIn, out *Link, t atm.Train, first sim.Time, gap sim.Duration) {
+	p.sim.Cross(out.sim, p.sim.Now()+sw.fabricDelay+out.ct+out.prop, func() {
+		out.sendBurstShaped(t, first, gap)
+	})
+}
+
+// postDeliveries schedules the one event that delivers the trains queued
+// on first and rest, all due at the same instant.
+func (p *portIn) postDeliveries(due sim.Time, first *Link, rest []*Link) {
+	if len(rest) == 0 {
+		p.sim.Post(due, first.deliverF)
+		return
+	}
+	p.sim.Post(due, func() {
+		first.deliverNext()
+		for _, l := range rest {
+			l.deliverNext()
+		}
+	})
 }
 
 func (sw *Switch) checkPort(p int) {
@@ -788,7 +771,7 @@ func (r *Recorder) HandleCell(c atm.Cell) {
 // HandleBurst records every cell of the train with its arithmetic
 // arrival time.
 func (r *Recorder) HandleBurst(b Burst) {
-	for i, c := range b.Cells {
+	for i, c := range b.Train.Cells() {
 		r.Cells = append(r.Cells, c)
 		r.Times = append(r.Times, b.First+sim.Time(i)*b.Gap)
 	}

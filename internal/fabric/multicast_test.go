@@ -2,9 +2,10 @@ package fabric
 
 // Hardening for the switch-level multicast fan-out path: the
 // copy-on-prune / cache-invalidation regression, the leave-all leak
-// check, the single-output ≡ unicast equivalence, the shared-train
-// coalescing cost model, and a fuzzer over random route-table
-// mutation sequences (corpus in testdata/fuzz).
+// check, the single-output ≡ unicast equivalence, the per-leaf VCI
+// rewrite of one fanned-out train, the coalescing cost model, and a
+// fuzzer over random route-table mutation sequences (corpus in
+// testdata/fuzz).
 
 import (
 	"testing"
@@ -159,6 +160,71 @@ func TestSingleOutputTreeMatchesUnicast(t *testing.T) {
 		if uni.Cells[i] != tree.Cells[i] || uni.Times[i] != tree.Times[i] {
 			t.Fatalf("cell %d differs: unicast %+v@%v, tree %+v@%v",
 				i, uni.Cells[i], uni.Times[i], tree.Cells[i], tree.Times[i])
+		}
+	}
+}
+
+// TestMulticastLeavesSeeOwnVCI: one train fanned out to leaves that
+// keep, rewrite and re-rewrite the circuit reaches each leaf carrying
+// that leaf's VCI and the same payload — as a descriptor at burst-aware
+// sinks, as materialised cells at the recorders, through a second
+// switch too — and the sender's own cells are never written.
+func TestMulticastLeavesSeeOwnVCI(t *testing.T) {
+	const inVCI = atm.VCI(5)
+	payload := make([]byte, 300)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	sent, err := atm.Segment(inVCI, 3, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := append([]atm.Cell(nil), sent...)
+	lazy, err := atm.NewTrain(inVCI, 3, payload[:16], payload[16:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, train := range map[string]atm.Train{"lazy": lazy, "wrapped": atm.WrapCells(sent)} {
+		s := sim.New()
+		sw, in, recs := fanoutSwitch(s, 5)
+		// Port 4 feeds a second switch that rewrites again onto a
+		// burst-aware sink.
+		var far trainSink
+		sw2 := NewSwitch(s, "far", 2, 0)
+		sw2.AttachOutput(1, NewLink(s, Rate100M, 0, 0, &far))
+		sw.Output(4).SetSink(sw2.In(0))
+		sw2.Route(0, 52, 1, 99)
+		leafVCI := map[int]atm.VCI{1: inVCI, 2: 50, 3: 51, 4: 52}
+		for p := 1; p <= 4; p++ {
+			sw.Route(0, inVCI, p, leafVCI[p])
+		}
+		in.SendTrain(train)
+		s.Run()
+		for p := 1; p <= 3; p++ {
+			want, _ := atm.Segment(leafVCI[p], 3, payload)
+			if len(recs[p].Cells) != len(want) {
+				t.Fatalf("%s: port %d got %d cells, want %d", name, p, len(recs[p].Cells), len(want))
+			}
+			for i := range want {
+				if recs[p].Cells[i] != want[i] {
+					t.Fatalf("%s: port %d cell %d is not the train under VCI %d", name, p, i, leafVCI[p])
+				}
+			}
+		}
+		want, _ := atm.Segment(99, 3, payload)
+		got := far.last.Cells()
+		if far.trains != 1 || far.last.VCI != 99 || len(got) != len(want) {
+			t.Fatalf("%s: far sink saw %d trains, VCI %d, %d cells", name, far.trains, far.last.VCI, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: far sink cell %d is not the train under VCI 99", name, i)
+			}
+		}
+	}
+	for i := range sent {
+		if sent[i] != pristine[i] {
+			t.Fatalf("fan-out wrote to the sender's cell %d", i)
 		}
 	}
 }

@@ -135,8 +135,8 @@ func (ic *intervalCache) window(path string, off, n int64) ([]byte, bool) {
 
 // insert files one freshly fetched full-tier window into the wake
 // store. The slice is aliased, not copied — the wake IS the feeder's
-// buffer; readers copy on hit because playout stamps frame headers in
-// place.
+// buffer, and a hit aliases it again into the follower's: windows are
+// immutable once fetched (playout and the wire only read them).
 func (ic *intervalCache) insert(cm *CMStream, off int64, data []byte) {
 	if cm.frameBytes != cm.fullFrameBytes || int64(len(data)) != cm.roundBytes {
 		return

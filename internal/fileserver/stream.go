@@ -412,12 +412,11 @@ func (svc *CMService) fetch(cm *CMStream, b int, counted bool) {
 			// with no disk I/O at all — for a cache-served follower that
 			// is its whole service; a disk-backed stream just skips one
 			// read (its budget stays charged: admission promised the
-			// heads, the cache merely idles them). Copied because
-			// playout stamps frame headers into its buffer in place and
-			// the wake is shared.
+			// heads, the cache merely idles them). The buffer aliases the
+			// shared wake: playout only ever reads it.
 			cm.fetchOff = (off + n) % cm.size
 			buf.frameBytes = cm.frameBytes
-			buf.data = append([]byte(nil), data...)
+			buf.data = data
 			buf.ready = true
 			buf.fetching = false
 			svc.Stats.CacheHits++
@@ -596,7 +595,10 @@ func (cm *CMStream) FullFrameBytes() int { return cm.fullFrameBytes }
 // NextFrame returns the next frameBytes of the stream from the playout
 // buffer. It reports false — and counts an underrun — when the buffer
 // has no data, which admission control exists to prevent; playout then
-// skips the frame and resumes when read-ahead catches up.
+// skips the frame and resumes when read-ahead catches up. The frame is
+// read-only — its window may be shared with the RAM tier and with other
+// streams — and is never overwritten, so it may be held (sent on the
+// wire by reference) for as long as the caller likes.
 func (cm *CMStream) NextFrame() ([]byte, bool) {
 	if cm.released {
 		return nil, false

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -324,5 +325,83 @@ func TestCMBestEffortFillsSlack(t *testing.T) {
 	if svc.Stats.Underruns != 0 || svc.Stats.RoundOverruns != 0 {
 		t.Fatalf("best-effort traffic disturbed the guarantee: underruns=%d overruns=%d",
 			svc.Stats.Underruns, svc.Stats.RoundOverruns)
+	}
+}
+
+// TestCacheHitAliasesTheWake: a RAM-tier hit hands the follower the
+// wake window itself, not a copy of it. Two followers playing a
+// resident title read the very same bytes — the stored title's — and
+// rounds made of nothing but hits allocate far less than one window.
+func TestCacheHitAliasesTheWake(t *testing.T) {
+	const (
+		fb, perRound = 960, 20
+		window       = fb * perRound
+	)
+	s := sim.New()
+	sv := newServer(s, 128)
+	title := loadTitle(t, s, sv, "movie", 3*window)
+	svc := fileserver.NewCMService(sv, fileserver.CMConfig{Round: cmRound, CacheBytes: 256 << 10})
+	defer svc.Stop()
+
+	// round plays one round of frames from every stream, checking each
+	// against the stored title, and returns the first frame of each.
+	pos := map[*fileserver.CMStream]int{}
+	round := func(cms ...*fileserver.CMStream) [][]byte {
+		first := make([][]byte, len(cms))
+		for i, cm := range cms {
+			for j := 0; j < perRound; j++ {
+				frame, ok := cm.NextFrame()
+				if !ok {
+					t.Fatalf("stream %d underran at frame %d", i, j)
+				}
+				if !bytes.Equal(frame, title[pos[cm]:pos[cm]+fb]) {
+					t.Fatalf("stream %d: frame at title offset %d differs from the stored bytes", i, pos[cm])
+				}
+				pos[cm] = (pos[cm] + fb) % len(title)
+				if j == 0 {
+					first[i] = frame
+				}
+			}
+		}
+		s.RunFor(cmRound)
+		return first
+	}
+
+	lead, err := svc.Admit("movie", fb, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(cmRound)
+	for i := 0; i < 4; i++ { // once round the title: every window is now resident
+		round(lead)
+	}
+	lead.Release()
+	a, err := svc.AdmitCached("movie", fb, 100)
+	if err != nil {
+		t.Fatalf("AdmitCached on a resident title: %v", err)
+	}
+	b, err := svc.AdmitCached("movie", fb, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(cmRound)
+
+	const rounds = 12
+	hits0, reads0 := svc.Stats.CacheHits, svc.Stats.GuaranteedReads
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		if first := round(a, b); &first[0][0] != &first[1][0] {
+			t.Fatal("two followers at the same title offset hold different memory: a hit copied the window")
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	hits := svc.Stats.CacheHits - hits0
+	if hits != 2*rounds || svc.Stats.GuaranteedReads != reads0 {
+		t.Fatalf("%d cache hits and %d disk reads in %d follower rounds, want %d and 0",
+			hits, svc.Stats.GuaranteedReads-reads0, rounds, 2*rounds)
+	}
+	if perHit := (m1.TotalAlloc - m0.TotalAlloc) / uint64(hits); perHit > window/8 {
+		t.Fatalf("%d bytes allocated per cache hit; a %d-byte window is being copied", perHit, window)
 	}
 }

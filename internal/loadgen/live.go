@@ -18,13 +18,11 @@ package loadgen
 // -partitions N is deterministic per N.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/atm"
 	"repro/internal/core"
-	"repro/internal/devices"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -47,6 +45,7 @@ type liveSource struct {
 	period  sim.Duration
 	payload []byte
 	seq     uint32
+	tickF   func() // s.tick, bound once: a method value allocates per use
 
 	// vcis are the circuits to transmit on: the tree's single VCI, or
 	// one per live viewer in the unicast ablation.
@@ -61,30 +60,25 @@ type liveSource struct {
 }
 
 func (s *liveSource) start(phase sim.Duration) {
-	s.sim.After(phase, s.tick)
+	s.tickF = s.tick
+	s.sim.After(phase, s.tickF)
 }
 
 func (s *liveSource) tick() {
-	s.sim.After(s.period, s.tick)
-	binary.BigEndian.PutUint64(s.payload[0:], uint64(s.sim.Now()))
-	binary.BigEndian.PutUint32(s.payload[8:], s.seq)
-	binary.BigEndian.PutUint32(s.payload[12:], magic)
-	s.seq++
+	s.sim.After(s.period, s.tickF)
 	for _, vci := range s.vcis {
-		cells, err := atm.Segment(vci, devices.UUData, s.payload)
-		if err != nil {
-			panic("loadgen: live frame exceeds AAL5 limit")
-		}
-		s.out.SendBurst(cells)
+		t := stampedTrain(vci, s.payload, s.sim.Now(), s.seq)
+		s.out.SendTrain(t)
 		s.sent.Inc()
-		s.cells.Add(int64(len(cells)))
+		s.cells.Add(int64(t.Len()))
 		if s.viewers > 1 {
 			// The tree carries one copy; the switch manufactures the
 			// other viewers-1 for free. The unicast ablation never sets
 			// viewers, so its saved column is honestly zero.
-			s.saved.Add(int64(s.viewers-1) * int64(len(cells)))
+			s.saved.Add(int64(s.viewers-1) * int64(t.Len()))
 		}
 	}
+	s.seq++
 }
 
 // liveChannel is one on-air channel plus its encoder.

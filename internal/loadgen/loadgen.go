@@ -643,6 +643,23 @@ const (
 	magic      = 0x5045474c // "PEGL"
 )
 
+// stampedTrain describes one frame on the wire: the 16-byte header
+// (stamp, seq, magic) as the train's by-value head over payload's first
+// headerSize bytes, the rest of payload borrowed as its body. Nothing is
+// written into payload — it may be a window of the shared RAM tier — and
+// an earlier frame still in flight never sees this one's stamp.
+func stampedTrain(vci atm.VCI, payload []byte, now sim.Time, seq uint32) atm.Train {
+	var head [headerSize]byte
+	binary.BigEndian.PutUint64(head[0:], uint64(now))
+	binary.BigEndian.PutUint32(head[8:], seq)
+	binary.BigEndian.PutUint32(head[12:], magic)
+	t, err := atm.NewTrain(vci, devices.UUData, head[:], payload[headerSize:])
+	if err != nil {
+		panic("loadgen: frame exceeds AAL5 limit")
+	}
+	return t
+}
+
 // source is a CBR frame generator on one circuit. With cm set, each
 // frame's payload is pulled from the storage read-ahead buffer instead
 // of synthesized; an underrun skips the frame (counted by the service).
@@ -659,6 +676,7 @@ type source struct {
 	running bool
 	chained bool
 	ev      *sim.Event         // pending tick (nil between ticks)
+	tickF   func()             // s.tick, bound once: a method value allocates per use
 	sent    *telemetry.Counter // partition-owned frames-sent counter
 }
 
@@ -666,7 +684,8 @@ func (s *source) start(phase sim.Duration) {
 	s.running = true
 	if !s.chained {
 		s.chained = true
-		s.ev = s.sim.After(phase, s.tick)
+		s.tickF = s.tick
+		s.ev = s.sim.After(phase, s.tickF)
 	}
 }
 
@@ -696,22 +715,15 @@ func (s *source) tick() {
 	if s.cm != nil {
 		data, ok := s.cm.NextFrame()
 		if !ok {
-			s.ev = s.sim.After(s.period, s.tick)
+			s.ev = s.sim.After(s.period, s.tickF)
 			return
 		}
 		payload = data
 	}
-	binary.BigEndian.PutUint64(payload[0:], uint64(s.sim.Now()))
-	binary.BigEndian.PutUint32(payload[8:], s.seq)
-	binary.BigEndian.PutUint32(payload[12:], magic)
+	s.out.SendTrain(stampedTrain(s.vci, payload, s.sim.Now(), s.seq))
 	s.seq++
-	cells, err := atm.Segment(s.vci, devices.UUData, payload)
-	if err != nil {
-		panic("loadgen: frame exceeds AAL5 limit")
-	}
-	s.out.SendBurst(cells)
 	s.sent.Inc()
-	s.ev = s.sim.After(s.period, s.tick)
+	s.ev = s.sim.After(s.period, s.tickF)
 }
 
 // sink measures one stream leg at its receiving endpoint. It is
@@ -752,8 +764,8 @@ func (k *sink) frameDone(stamp sim.Time, ncells int) {
 
 // HandleBurst scores a whole frame delivered on the batched fast path.
 func (k *sink) HandleBurst(b fabric.Burst) {
-	stamp := sim.Time(binary.BigEndian.Uint64(b.Cells[0].Payload[0:]))
-	k.frameDone(stamp, len(b.Cells))
+	stamp := sim.Time(binary.BigEndian.Uint64(b.Train.Head()))
+	k.frameDone(stamp, b.Train.Len())
 }
 
 // HandleCell reassembles cell-accurate deliveries, scoring the frame

@@ -63,53 +63,96 @@ func (w *Welford) String() string {
 		w.n, w.Mean(), w.Std(), w.min, w.max)
 }
 
+// sampleChunk is the number of observations per storage block: 32 KB,
+// large enough that the block list stays short for millions of points,
+// small enough that an almost-empty Sample costs little.
+const sampleChunk = 4096
+
 // Sample retains every observation for exact quantile queries. It is meant
 // for experiment-sized data (up to a few million points).
+//
+// Observations are kept in arrival order as xs followed by chunks.
+// Adding fills fixed-size chunks, so growth never re-copies what is
+// already stored; the first read concatenates everything into xs once
+// (flat), and quantiles sort it there.
 type Sample struct {
 	xs     []float64
-	sorted bool
+	chunks [][]float64
+	n      int
+	sorted bool // no chunks, and xs is in ascending order
 }
 
 // Add appends an observation.
 func (s *Sample) Add(x float64) {
-	s.xs = append(s.xs, x)
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		s.chunks = append(s.chunks, make([]float64, 0, sampleChunk))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], x)
+	s.n++
 	s.sorted = false
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int { return s.n }
 
 // Merge appends every observation of o. Quantiles sort, so merge order
 // never affects results — how per-partition samples combine into one
-// scoreboard.
+// scoreboard. o is left untouched and may keep growing: its chunks are
+// append-only, so s shares them (clipped to their current length)
+// instead of copying.
 func (s *Sample) Merge(o *Sample) {
-	s.xs = append(s.xs, o.xs...)
+	if len(o.xs) > 0 {
+		// o sorts xs in place; take a copy so its order here is frozen.
+		s.chunks = append(s.chunks, append([]float64(nil), o.xs...))
+	}
+	for _, c := range o.chunks {
+		s.chunks = append(s.chunks, c[:len(c):len(c)])
+	}
+	s.n += o.n
 	s.sorted = false
+}
+
+// flat returns every observation as one slice, in arrival order since
+// the last sort, moving the chunks filled since the last read onto xs.
+func (s *Sample) flat() []float64 {
+	if len(s.chunks) > 0 {
+		if s.xs == nil {
+			s.xs = make([]float64, 0, s.n)
+		}
+		for _, c := range s.chunks {
+			s.xs = append(s.xs, c...)
+		}
+		s.chunks = nil
+	}
+	return s.xs
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear interpolation
 // between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
+	xs := s.flat()
+	if len(xs) == 0 {
 		return 0
 	}
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		sort.Float64s(xs)
 		s.sorted = true
 	}
 	if q <= 0 {
-		return s.xs[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		return s.xs[len(s.xs)-1]
+		return xs[len(xs)-1]
 	}
-	pos := q * float64(len(s.xs)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
-	if lo+1 >= len(s.xs) {
-		return s.xs[lo]
+	if lo+1 >= len(xs) {
+		return xs[lo]
 	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
+	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }
 
 // Median returns the 50th percentile.
@@ -117,23 +160,25 @@ func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	xs := s.flat()
+	if len(xs) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range s.xs {
+	for _, x := range xs {
 		sum += x
 	}
-	return sum / float64(len(s.xs))
+	return sum / float64(len(xs))
 }
 
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
+	xs := s.flat()
+	if len(xs) == 0 {
 		return 0
 	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
+	m := xs[0]
+	for _, x := range xs[1:] {
 		if x > m {
 			m = x
 		}
@@ -143,11 +188,12 @@ func (s *Sample) Max() float64 {
 
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
+	xs := s.flat()
+	if len(xs) == 0 {
 		return 0
 	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
+	m := xs[0]
+	for _, x := range xs[1:] {
 		if x < m {
 			m = x
 		}

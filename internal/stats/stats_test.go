@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +114,99 @@ func TestSampleEmpty(t *testing.T) {
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
+}
+
+// refSample is Sample as it was before chunked storage — one slice,
+// append, sort on read — the reference the chunked one must match
+// exactly, summation order included.
+type refSample struct{ xs []float64 }
+
+func (r *refSample) quantile(q float64) float64 {
+	sort.Float64s(r.xs)
+	pos := q * float64(len(r.xs)-1)
+	lo := int(pos)
+	if lo+1 >= len(r.xs) {
+		return r.xs[lo]
+	}
+	frac := pos - float64(lo)
+	return r.xs[lo]*(1-frac) + r.xs[lo+1]*frac
+}
+
+func (r *refSample) mean() float64 {
+	sum := 0.0
+	for _, x := range r.xs {
+		sum += x
+	}
+	return sum / float64(len(r.xs))
+}
+
+// TestSampleChunkedMatchesReference drives Sample across several chunk
+// boundaries, interleaving adds, merges and reads, and compares every
+// read with the single-slice reference bit for bit.
+func TestSampleChunkedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Sample
+	var ref refSample
+	compare := func(when string) {
+		t.Helper()
+		if s.N() != len(ref.xs) {
+			t.Fatalf("%s: N = %d, want %d", when, s.N(), len(ref.xs))
+		}
+		// Mean first: it sums in arrival order until a quantile sorts.
+		if got, want := s.Mean(), ref.mean(); got != want {
+			t.Fatalf("%s: Mean = %v, want %v", when, got, want)
+		}
+		for _, q := range []float64{0, 0.001, 0.5, 0.99, 1} {
+			if got, want := s.Quantile(q), ref.quantile(q); got != want {
+				t.Fatalf("%s: Q(%v) = %v, want %v", when, q, got, want)
+			}
+		}
+		if s.Max() != ref.xs[len(ref.xs)-1] || s.Min() != ref.xs[0] || s.Mean() != ref.mean() {
+			t.Fatalf("%s: Min/Max/Mean after sorting differ from the reference", when)
+		}
+	}
+	add := func(dst *Sample, n int) {
+		for i := 0; i < n; i++ {
+			x := rng.NormFloat64() * 1e6
+			dst.Add(x)
+			ref.xs = append(ref.xs, x)
+		}
+	}
+	add(&s, 1)
+	compare("one observation")
+	add(&s, sampleChunk-1)
+	compare("exactly one chunk")
+	add(&s, 2*sampleChunk+17)
+	compare("adds after a sorted read")
+
+	// Merge shares the other sample's blocks: it must leave that sample
+	// usable, and neither may see the other's later observations.
+	var o Sample
+	add(&o, sampleChunk+100)
+	s.Merge(&o)
+	oN := o.N()
+	compare("merged")
+	for i := 0; i < 50; i++ {
+		o.Add(-1e12) // lands in the chunk s shares, past what s clipped
+	}
+	add(&s, 50)
+	compare("both grew after the merge")
+	if o.N() != oN+50 || o.Min() != -1e12 || o.Quantile(0) != -1e12 {
+		t.Fatalf("merged-from sample: N = %d, Min = %v", o.N(), o.Min())
+	}
+	if s.Min() == -1e12 {
+		t.Fatal("merged-into sample sees observations added to the other afterwards")
+	}
+	// o's quantile read flattened and sorted it; with a fresh chunk on
+	// top, merging it takes both kinds of block. An empty one is a no-op.
+	for i := 0; i < 10; i++ {
+		o.Add(float64(i))
+	}
+	ref.xs = append(ref.xs, o.xs...)
+	ref.xs = append(ref.xs, o.chunks[0]...)
+	s.Merge(&Sample{})
+	s.Merge(&o)
+	compare("merged a sorted sample")
 }
 
 func TestHistogram(t *testing.T) {
