@@ -13,17 +13,19 @@ package core
 // per-branch cost is the new leaf's output-link budget.
 //
 // Join pressure follows the §3.3 ladder applied per subtree: when a
-// join would be refused on a link budget, the channel's tree drops a
-// quality tier (netsig.ModifyRate shrinks every live branch and the
-// uplink in place) instead of refusing, and leave-driven slack climbs
-// it back up — the congestion-adaptive feedback of Alaya et al.
-// (PAPERS.md) with the tree, not the session, as the adaptation unit.
+// join would be refused on a link budget, the channel's reservation
+// drops a quality tier (every live branch, the uplink, the CPU contract
+// and any trunk direction shrink in place) instead of refusing, and
+// leave-driven slack climbs it back up — the congestion-adaptive
+// feedback of Alaya et al. (PAPERS.md) with the tree, not the session,
+// as the adaptation unit.
 
 import (
 	"errors"
 	"fmt"
 
 	"repro/internal/atm"
+	"repro/internal/fabric"
 	"repro/internal/netsig"
 	"repro/internal/telemetry"
 )
@@ -59,45 +61,13 @@ type BroadcastSpec struct {
 	// the uplink is charged per viewer and the source must transmit one
 	// copy each. No subtree ladder applies — a refused join refuses.
 	Unicast bool
-}
-
-func (sp *BroadcastSpec) floorFrac() float64 {
-	if sp.MinRateFrac > 0 {
-		return sp.MinRateFrac
-	}
-	return DefaultMinRateFrac
-}
-
-func (sp *BroadcastSpec) rateAt(f float64) int64 {
-	r := int64(float64(sp.PeakRate)*f + 0.5)
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
-// cpuGeometryAt mirrors SessionSpec.cpuGeometryAt for the source-side
-// contract.
-func (sp *BroadcastSpec) cpuGeometryAt(f float64) (frameBytes, frameHz int) {
-	frameHz = sp.FrameHz
-	if frameHz <= 0 {
-		frameHz = DefaultCPUHz
-	}
-	if sp.FrameBytes > 0 {
-		fb := int(float64(sp.FrameBytes)*f + 0.5)
-		if fb < 1 {
-			fb = 1
-		}
-		if fb > sp.FrameBytes {
-			fb = sp.FrameBytes
-		}
-		return fb, frameHz
-	}
-	fb := int(sp.rateAt(f) / 8 / int64(frameHz))
-	if fb < 1 {
-		fb = 1
-	}
-	return fb, frameHz
+	// TrunkDown, when non-nil, is the inter-site trunk direction feeding
+	// InPort (a remote site's subtree): one more leg of the channel's
+	// reservation, held at the subtree's tier from open to Close.
+	// TrunkUp is the direction a home tree crosses on its way out; it is
+	// held only while AttachTrunk has the tree branched onto the trunk
+	// port. Nil everywhere outside a metro federation.
+	TrunkUp, TrunkDown *fabric.Budget
 }
 
 // BroadcastStats counts live-plane activity on a site.
@@ -118,19 +88,14 @@ type BroadcastStats struct {
 	JoinRefusedOther int64
 }
 
-// Broadcast is one live channel on the air: the multicast tree (or, in
-// the unicast ablation, the set of per-viewer circuits), the source's
-// CPU contract, and the viewer bookkeeping all travel together.
+// Broadcast is one live channel on the air: its reservation — the
+// multicast tree (nothing, in the unicast ablation), the source's CPU
+// contract and any trunk direction — plus the viewer bookkeeping and
+// the ablation's per-viewer circuits.
 type Broadcast struct {
-	site *Site
+	reservation
 	spec BroadcastSpec
 	id   int
-
-	circ *netsig.Circuit // the shared tree; nil in unicast mode
-	cpu  *StreamDomain
-
-	// factor is the tree's current quality tier, 1 = full.
-	factor float64
 
 	// viewers refcounts joined viewers per output port: only the first
 	// viewer on a port grows a branch, the rest share its cells.
@@ -141,8 +106,6 @@ type Broadcast struct {
 	// Close can tear their circuits down; tree viewers need no tracking
 	// (the tree teardown releases every branch at once).
 	uniJoins []*Join
-
-	closed bool
 }
 
 // Join is one viewer's handle on a broadcast. Leaving through it prunes
@@ -172,10 +135,10 @@ func (j *Join) Closed() bool { return j.done }
 
 // OpenBroadcast puts a live channel on the air: one uplink reservation
 // at the source (the switch does the fan-out, so the source's link is
-// crossed once regardless of viewers) plus, when the spec carries one,
-// the source's CPU contract — admitted atomically, a CPU refusal
-// releasing the uplink. Viewers join later; a fresh broadcast forwards
-// nowhere.
+// crossed once regardless of viewers) plus, when the spec carries them,
+// the source's CPU contract and the trunk direction feeding the tree —
+// admitted atomically, a refusal by any leg holding nothing. Viewers
+// join later; a fresh broadcast forwards nowhere.
 func (st *Site) OpenBroadcast(spec BroadcastSpec) (*Broadcast, error) {
 	if spec.PeakRate <= 0 {
 		return nil, errors.New("core: broadcasts need a positive PeakRate")
@@ -185,27 +148,21 @@ func (st *Site) OpenBroadcast(spec BroadcastSpec) (*Broadcast, error) {
 	if spec.Title == "" {
 		spec.Title = fmt.Sprintf("bcast%d", id)
 	}
-	b := &Broadcast{site: st, spec: spec, id: id, factor: 1, viewers: make(map[int]int)}
-	if !spec.Unicast {
-		circ, err := st.Signalling.EstablishTree(spec.InPort, spec.PeakRate)
-		if err != nil {
-			st.traceBcast(b, "broadcast-refused", err)
-			return nil, err
-		}
-		b.circ = circ
+	b := &Broadcast{spec: spec, id: id, viewers: make(map[int]int)}
+	b.reservation = reservation{
+		site:     st,
+		geometry: geometry{spec.PeakRate, spec.MinRateFrac, spec.FrameBytes, spec.FrameHz},
+		shape:    shapeTree, inPort: spec.InPort,
+		cpuSvc: spec.CPU, domain: fmt.Sprintf("bcast%d", id),
+		down:   trunkHold{budget: spec.TrunkDown},
+		factor: 1,
 	}
-	if spec.CPU != nil {
-		fb, hz := spec.cpuGeometryAt(1)
-		sd, err := spec.CPU.AdmitStream(fmt.Sprintf("bcast%d", id), fb, hz)
-		if err != nil {
-			if b.circ != nil {
-				_ = st.Signalling.TearDown(b.circ.ID)
-				b.circ = nil
-			}
-			st.traceBcast(b, "broadcast-refused", err)
-			return nil, err
-		}
-		b.cpu = sd
+	if spec.Unicast {
+		b.shape = shapeNone
+	}
+	if err := b.commit(1); err != nil {
+		st.traceBcast(b, "broadcast-refused", err)
+		return nil, err
 	}
 	st.broadcasts = append(st.broadcasts, b)
 	st.LiveStats.Broadcasts++
@@ -221,33 +178,6 @@ func (b *Broadcast) ID() int { return b.id }
 // Title reports the channel name.
 func (b *Broadcast) Title() string { return b.spec.Title }
 
-// VCI reports the tree's circuit number (0 for unicast-ablation
-// channels, whose viewers each carry their own VCI).
-func (b *Broadcast) VCI() atm.VCI {
-	if b.circ == nil {
-		return 0
-	}
-	return b.circ.VCI
-}
-
-// Circuit exposes the underlying multicast tree (nil for
-// unicast-ablation channels and closed broadcasts). The metro layer
-// grows the tree's trunk branch through it; other callers must not
-// tear it down behind the broadcast's back.
-func (b *Broadcast) Circuit() *netsig.Circuit { return b.circ }
-
-// Rate reports the tree's currently admitted rate per branch in bits/s.
-func (b *Broadcast) Rate() int64 { return b.spec.rateAt(b.factor) }
-
-// FullRate reports the full-quality rate the channel was opened for.
-func (b *Broadcast) FullRate() int64 { return b.spec.PeakRate }
-
-// Factor reports the current subtree quality tier in (0, 1].
-func (b *Broadcast) Factor() float64 { return b.factor }
-
-// Degraded reports whether the channel is below full quality.
-func (b *Broadcast) Degraded() bool { return !b.closed && b.factor < 1 }
-
 // Viewers reports the current viewer count (free riders included).
 func (b *Broadcast) Viewers() int { return b.nviewers }
 
@@ -255,8 +185,34 @@ func (b *Broadcast) Viewers() int { return b.nviewers }
 // channel — the fan-out the switch actually replicates to.
 func (b *Broadcast) Branches() int { return len(b.viewers) }
 
-// Closed reports whether the channel has been taken off the air.
-func (b *Broadcast) Closed() bool { return b.closed }
+// AttachTrunk branches the tree onto the site's trunk port and takes
+// the spec's TrunkUp direction at the tree's current tier — the single
+// copy a federation's remote sites share. From then on the direction
+// is an ordinary leg: tier moves reshape it, a climb it refuses is
+// rolled back, Close releases it. A refusal (ErrTrunk) holds nothing.
+func (b *Broadcast) AttachTrunk(port int) error {
+	if b.circ == nil {
+		return errors.New("core: no tree to branch onto the trunk (unicast or closed channel)")
+	}
+	m := b.site.Signalling
+	if err := m.JoinTree(b.circ.ID, port); err != nil {
+		return err
+	}
+	b.up.budget = b.spec.TrunkUp
+	if err := b.moveTrunk(b.Rate()); err != nil {
+		b.up.budget = nil
+		_ = m.LeaveTree(b.circ.ID, port)
+		return err
+	}
+	return nil
+}
+
+// DetachTrunk prunes the trunk branch and returns the TrunkUp hold.
+func (b *Broadcast) DetachTrunk(port int) error {
+	b.up.move(0)
+	b.up.budget = nil
+	return b.site.Signalling.LeaveTree(b.circ.ID, port)
+}
 
 // Join admits one viewer on the given switch port. The first viewer on
 // a port grows a tree branch (admission-controlled on that port's
@@ -273,9 +229,9 @@ func (b *Broadcast) Join(port int) (*Join, error) {
 		return nil, ErrBroadcastClosed
 	}
 	if b.spec.Unicast {
-		circ, err := st.Signalling.Establish(b.spec.InPort, []int{port}, b.spec.rateAt(b.factor), false)
+		circ, err := st.Signalling.Establish(b.spec.InPort, []int{port}, b.rateAt(b.factor), false)
 		if err != nil {
-			st.noteJoinRefusal(b, port, err)
+			st.noteJoinRefusal(b, err)
 			return nil, err
 		}
 		j := &Join{b: b, port: port, circ: circ}
@@ -288,7 +244,7 @@ func (b *Broadcast) Join(port int) (*Join, error) {
 	}
 	if b.viewers[port] == 0 {
 		if err := b.growBranch(port); err != nil {
-			st.noteJoinRefusal(b, port, err)
+			st.noteJoinRefusal(b, err)
 			return nil, err
 		}
 	}
@@ -304,68 +260,27 @@ func (b *Broadcast) Join(port int) (*Join, error) {
 // floor does not fit.
 func (b *Broadcast) growBranch(port int) error {
 	st := b.site
-	err := st.Signalling.JoinTree(b.circ.ID, port)
-	if err == nil || !isOverSubscription(err) {
-		return err
+	refusal := st.Signalling.JoinTree(b.circ.ID, port)
+	if refusal == nil || !isOverSubscription(refusal) {
+		return refusal
 	}
 	before := b.factor
-	floor := b.spec.floorFrac()
-	for _, rung := range append(qosLadder[:], 0) {
-		f := rung
-		if f < floor {
-			f = floor
-		}
-		if f >= b.factor {
-			continue
-		}
-		if lerr := b.setLevel(f); lerr != nil {
-			break // a shrink cannot refuse; bail on the unexpected
+	err := descend(func(rung float64) error {
+		if moved, _ := b.shrinkTo(rung); !moved {
+			return refusal // same tier, same answer
 		}
 		st.LiveStats.SubtreeDegraded++
 		st.traceTier(b, "subtree-degrade")
-		err = st.Signalling.JoinTree(b.circ.ID, port)
-		if err == nil {
-			return nil
-		}
-		if !isOverSubscription(err) {
-			break
-		}
-	}
+		refusal = st.Signalling.JoinTree(b.circ.ID, port)
+		return refusal
+	})
 	// Nothing fit even at the floor: give the viewers their quality
 	// back as far as the budgets allow.
-	if b.factor < before {
-		if rerr := b.setLevel(before); rerr == nil {
-			st.LiveStats.SubtreeRestored++
-			st.traceTier(b, "subtree-restore")
-		}
+	if err != nil && b.factor < before && b.climb(before) == nil {
+		st.LiveStats.SubtreeRestored++
+		st.traceTier(b, "subtree-restore")
 	}
 	return err
-}
-
-// setLevel moves the channel to quality tier f atomically: the tree's
-// rate renegotiates first (every branch plus the uplink, in place),
-// then the source's CPU contract; a refused CPU grow rolls the rate
-// back, so a failed restore leaves the channel exactly as it was.
-func (b *Broadcast) setLevel(f float64) error {
-	st := b.site
-	oldRate := b.circ.PeakRate
-	newRate := b.spec.rateAt(f)
-	if newRate != oldRate {
-		if err := st.Signalling.ModifyRate(b.circ.ID, newRate); err != nil {
-			return err
-		}
-	}
-	if b.cpu != nil {
-		fb, _ := b.spec.cpuGeometryAt(f)
-		if err := b.cpu.Reshape(fb); err != nil {
-			if newRate != oldRate {
-				_ = st.Signalling.ModifyRate(b.circ.ID, oldRate)
-			}
-			return err
-		}
-	}
-	b.factor = f
-	return nil
 }
 
 // Leave removes the viewer: the port's branch is pruned when this was
@@ -403,35 +318,19 @@ func (j *Join) Leave() error {
 	}
 	st.LiveStats.Leaves++
 	st.traceJoin(b, j.port, "leave")
-	b.tryRestore()
+	// The freed slack lets a degraded subtree take the highest tier the
+	// budgets now admit.
+	if b.Degraded() && b.climb(1) == nil {
+		st.LiveStats.SubtreeRestored++
+		st.traceTier(b, "subtree-restore")
+	}
 	return err
 }
 
-// tryRestore climbs a degraded subtree toward full quality: full
-// first, then the ladder rungs above the current tier, taking the
-// highest the budgets now admit.
-func (b *Broadcast) tryRestore() {
-	if b.closed || b.factor >= 1 {
-		return
-	}
-	st := b.site
-	for _, f := range append([]float64{1}, qosLadder[:]...) {
-		if f <= b.factor {
-			continue
-		}
-		if err := b.setLevel(f); err != nil {
-			continue
-		}
-		st.LiveStats.SubtreeRestored++
-		st.traceTier(b, "subtree-restore")
-		return
-	}
-}
-
-// Close takes the channel off the air: the tree (every branch plus the
-// uplink) or the ablation's per-viewer circuits tear down, the CPU
-// contract releases, and every outstanding Join handle is dead.
-// Idempotent; returns the first teardown error.
+// Close takes the channel off the air: the ablation's per-viewer
+// circuits tear down, the reservation (tree with every branch, CPU
+// contract, trunk directions) releases, and every outstanding Join
+// handle is dead. Idempotent; returns the first teardown error.
 func (b *Broadcast) Close() error {
 	if b.closed {
 		return nil
@@ -440,10 +339,6 @@ func (b *Broadcast) Close() error {
 	st.traceBcast(b, "broadcast-close", nil)
 	b.closed = true
 	var err error
-	if b.circ != nil {
-		err = st.Signalling.TearDown(b.circ.ID)
-		b.circ = nil
-	}
 	for _, j := range b.uniJoins {
 		if terr := st.Signalling.TearDown(j.circ.ID); terr != nil && err == nil {
 			err = terr
@@ -452,9 +347,8 @@ func (b *Broadcast) Close() error {
 		j.done = true
 	}
 	b.uniJoins = nil
-	if b.cpu != nil {
-		b.cpu.Release()
-		b.cpu = nil
+	if rerr := b.release(); err == nil {
+		err = rerr
 	}
 	b.viewers = map[int]int{}
 	b.nviewers = 0
@@ -477,85 +371,47 @@ func (st *Site) Broadcasts() []*Broadcast {
 
 // noteJoinRefusal attributes a refused join to its admission leg and
 // records the trace event. Global context only.
-func (st *Site) noteJoinRefusal(b *Broadcast, port int, err error) {
+func (st *Site) noteJoinRefusal(b *Broadcast, err error) {
 	st.LiveStats.JoinRefused++
-	leg, over := RefusalLeg(err)
-	if over {
+	if leg, over := RefusalLeg(err); over {
 		st.LiveStats.JoinRefusedLeg[leg]++
 	} else {
 		st.LiveStats.JoinRefusedOther++
 	}
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	ev := telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   "join-refused",
-		Session: int64(b.id),
-		Node:    b.spec.Title,
-		Err:     err.Error(),
-		RateBPS: b.Rate(),
-	}
-	if over {
-		ev.Leg = leg.String()
-	} else {
-		ev.Leg = "other"
-	}
-	tr.Record(tr.GlobalShard(), ev)
+	st.trace(func() telemetry.Event {
+		ev := b.event("join-refused", b.Rate())
+		ev.Factor, ev.Leg, ev.Err = 0, refusalLeg(err), err.Error()
+		return ev
+	})
 }
 
-// traceBcast records a channel lifecycle event. Global context only.
+// event is the trace record every channel event starts from.
+func (b *Broadcast) event(name string, rate int64) telemetry.Event {
+	return telemetry.Event{Event: name, Session: int64(b.id), Node: b.spec.Title,
+		Factor: b.factor, RateBPS: rate}
+}
+
+// traceBcast records a channel lifecycle event.
 func (st *Site) traceBcast(b *Broadcast, event string, err error) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	ev := telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   event,
-		Session: int64(b.id),
-		Node:    b.spec.Title,
-		Factor:  b.factor,
-		RateBPS: b.spec.PeakRate,
-	}
-	if err != nil {
-		ev.Err = err.Error()
-		if leg, over := RefusalLeg(err); over {
-			ev.Leg = leg.String()
+	st.trace(func() telemetry.Event {
+		ev := b.event(event, b.PeakRate)
+		if err != nil {
+			ev.Err = err.Error()
+			if leg, over := RefusalLeg(err); over {
+				ev.Leg = leg.String()
+			}
 		}
-	}
-	tr.Record(tr.GlobalShard(), ev)
+		return ev
+	})
 }
 
-// traceJoin records a viewer join/leave. Global context only.
+// traceJoin records a viewer join/leave; the rate column carries the
+// viewer's port.
 func (st *Site) traceJoin(b *Broadcast, port int, event string) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   event,
-		Session: int64(b.id),
-		Node:    b.spec.Title,
-		Factor:  b.factor,
-		RateBPS: int64(port),
-	})
+	st.trace(func() telemetry.Event { return b.event(event, int64(port)) })
 }
 
-// traceTier records a subtree tier change. Global context only.
+// traceTier records a subtree tier change.
 func (st *Site) traceTier(b *Broadcast, event string) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   event,
-		Session: int64(b.id),
-		Node:    b.spec.Title,
-		Factor:  b.factor,
-		RateBPS: b.Rate(),
-	})
+	st.trace(func() telemetry.Event { return b.event(event, b.Rate()) })
 }

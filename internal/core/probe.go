@@ -4,9 +4,8 @@ import "errors"
 
 // ErrTrunk refuses a cross-site admission on the inter-site trunk
 // budget: both end sites had room but the edge→core→edge path did
-// not. It lives in core (not the metro package) so RefusalLeg can map
-// it onto LegTrunk without an import cycle; the metro layer wraps it
-// with the refusing trunk's detail.
+// not. The reservation's trunk leg wraps it with the refusing
+// direction's detail; RefusalLeg maps it onto LegTrunk.
 var ErrTrunk = errors.New("core: inter-site trunk capacity exceeded")
 
 // This file is the site's admission *probe* surface: one API that
@@ -42,10 +41,10 @@ const (
 	// cache-servable stream *skips* LegDisk; a cache miss alone never
 	// refuses anything.
 	LegCache
-	// LegTrunk is the inter-site trunk uplink of a metro federation:
-	// the extra admission leg a session spilled to a neighbor site must
-	// pass. Site-local probes never exercise it; the metro layer fills
-	// it in on composed cross-site reports.
+	// LegTrunk is the inter-site trunk of a metro federation: the
+	// directions a cross-site flow's spec names (TrunkUp, TrunkDown),
+	// probed and committed like every other leg. Site-local specs carry
+	// neither and never exercise it.
 	LegTrunk
 
 	numLegs
@@ -98,7 +97,7 @@ type AdmissionReport struct {
 	// stream rides the RAM tier and charges no disk round budget.
 	CacheServed bool
 	// FirstRefusal is the first refusing leg in conjunction order
-	// (link, uplink, disk, cpu); meaningful only when OK is false.
+	// (link, uplink, disk, cpu, trunk); meaningful only when OK is false.
 	FirstRefusal Leg
 	// Legs holds every leg's report, indexed by Leg.
 	Legs [numLegs]LegReport
@@ -138,86 +137,14 @@ func headroomFrac(free, capacity int64) float64 {
 }
 
 // Probe evaluates the admission conjunction for spec at full quality
-// without holding anything: the same budget checks OpenSession runs,
-// leg by leg. Probe inspects only the resource legs the spec exercises
-// — spec validation (a missing out-port list, a title that is not a
+// without holding anything: each leg's check beside, and in the order
+// of, the commit OpenSession runs (reservation.go). Probe inspects only
+// the resource legs the spec exercises — spec validation (a missing out-port list, a title that is not a
 // whole number of rounds) stays with OpenSession, so a spec built only
 // to measure a node's load (no OutPorts) probes the node-local legs
 // alone. For Guaranteed specs the verdict is exact: Probe(spec).OK iff
 // OpenSession(spec) would succeed at full quality right now.
 func (st *Site) Probe(spec SessionSpec) AdmissionReport {
-	var r AdmissionReport
-	for l := Leg(0); l < numLegs; l++ {
-		r.Legs[l] = LegReport{Leg: l, OK: true, Headroom: 1}
-	}
-	m := st.Signalling
-	rate := spec.PeakRate
-
-	if len(spec.OutPorts) > 0 {
-		lr := &r.Legs[LegLink]
-		lr.Present = true
-		for _, p := range spec.OutPorts {
-			free := m.Capacity(p) - m.Committed(p)
-			if h := headroomFrac(free, m.Capacity(p)); h < lr.Headroom {
-				lr.Headroom = h
-			}
-			if rate > free {
-				lr.OK = false
-			}
-		}
-	}
-	if m.UplinkAdmission() && rate > 0 {
-		ur := &r.Legs[LegUplink]
-		ur.Present = true
-		free := m.UplinkCapacity(spec.InPort) - m.CommittedUplink(spec.InPort)
-		ur.Headroom = headroomFrac(free, m.UplinkCapacity(spec.InPort))
-		ur.OK = rate <= free
-	}
-	if spec.CM != nil {
-		dr := &r.Legs[LegDisk]
-		dr.Present = true
-		free := int64(spec.CM.Capacity() - spec.CM.Committed())
-		dr.Headroom = headroomFrac(free, int64(spec.CM.Capacity()))
-		cost, err := spec.CM.StreamCost(spec.FrameBytes, spec.FrameHz)
-		dr.OK = err == nil && int64(cost) <= free
-
-		if spec.CM.CacheEnabled() {
-			cr := &r.Legs[LegCache]
-			cr.Present = true
-			cr.Headroom = headroomFrac(spec.CM.CacheCapacity()-spec.CM.CachePinned(),
-				spec.CM.CacheCapacity())
-			cr.OK = spec.CM.CanServeCached(spec.Title, spec.FrameBytes, spec.FrameHz)
-			r.CacheServed = cr.OK
-		}
-	}
-	if spec.CPU != nil {
-		cr := &r.Legs[LegCPU]
-		cr.Present = true
-		cr.Headroom = 1 - spec.CPU.CommittedFrac()
-		if cr.Headroom < 0 {
-			cr.Headroom = 0
-		}
-		fb, hz := spec.cpuGeometryAt(1)
-		cr.OK = spec.CPU.CanServe(fb, hz)
-	}
-
-	// The verdict: every present veto leg must admit, with a
-	// cache-servable stream excusing the disk leg — exactly openAt's
-	// order, so FirstRefusal names the leg whose error OpenSession
-	// would surface.
-	r.OK = true
-	for _, l := range [...]Leg{LegLink, LegUplink, LegDisk, LegCPU} {
-		lr := r.Legs[l]
-		if !lr.Present || lr.OK {
-			continue
-		}
-		if l == LegDisk && r.CacheServed {
-			continue
-		}
-		if r.OK {
-			r.OK = false
-			r.FirstRefusal = l
-		}
-	}
-	return r
+	r := spec.reservation(st)
+	return r.probe()
 }

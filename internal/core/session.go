@@ -10,16 +10,13 @@ package core
 // scaled down proportionally when demand exceeds capacity. A Session
 // carries that negotiation through the stream's whole lifetime:
 //
-//   - OpenSession admits the link leg (netsig: every leaf's output
-//     link plus, when uplink budgeting is on, the sender's uplink), the
-//     disk leg (fileserver.CMService per-disk round time) and the CPU
-//     leg (NodeCPU: a per-stream protocol-processing domain under an
-//     EDF contract) as one atomic conjunction
-//     link ∧ uplink ∧ disk ∧ CPU — a refusal by any leg holds nothing;
+//   - OpenSession admits the stream's reservation (reservation.go): the
+//     conjunction link ∧ uplink ∧ disk ∧ CPU ∧ trunk, atomically — a
+//     refusal by any leg holds nothing;
 //   - Renegotiate/Degrade/Restore move an open session between quality
-//     tiers in place (netsig.ModifyRate + CMService.Reshape), shrink
-//     always succeeding, grow admission-controlled, and a refused grow
-//     never dropping the session;
+//     tiers in place, shrink always succeeding, grow
+//     admission-controlled, and a refused grow never dropping the
+//     session;
 //   - Adaptive-class sessions opt into the paper's policy: when an
 //     Adaptive open would be refused, the site scales the Adaptive
 //     sessions contending for the same links or disks down —
@@ -31,10 +28,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/atm"
+	"repro/internal/fabric"
 	"repro/internal/fileserver"
-	"repro/internal/netsig"
-	"repro/internal/sched"
 )
 
 // QoSClass is the service class a session is admitted under.
@@ -67,11 +62,6 @@ func (c QoSClass) String() string {
 	}
 	return fmt.Sprintf("qos(%d)", int(c))
 }
-
-// DefaultMinRateFrac is the degradation floor when SessionSpec leaves
-// MinRateFrac zero: a session is never scaled below a quarter of its
-// full rate.
-const DefaultMinRateFrac = 0.25
 
 // ErrSessionClosed reports a verb invoked on a closed session.
 var ErrSessionClosed = errors.New("core: session is closed")
@@ -118,60 +108,24 @@ type SessionSpec struct {
 	// bytes, so degrading a session frees processor time for real.
 	// BestEffort sessions must leave CPU nil.
 	CPU *NodeCPU
+
+	// TrunkUp and TrunkDown, when non-nil, are inter-site trunk
+	// directions the stream crosses: each is one more leg of the
+	// conjunction, committed at the session's rate, reshaped with every
+	// tier move and released on Close. Nil everywhere outside a metro
+	// federation.
+	TrunkUp, TrunkDown *fabric.Budget
 }
 
-// DefaultCPUHz is the CPU-contract frame rate assumed for link-only
-// sessions (no FrameHz in the spec): protocol processing is charged as
-// if the stream delivered DefaultCPUHz frames per second.
-const DefaultCPUHz = 100
-
-func (sp *SessionSpec) floorFrac() float64 {
-	if sp.MinRateFrac > 0 {
-		return sp.MinRateFrac
+// reservation describes the spec's flow to the admission machinery.
+func (sp *SessionSpec) reservation(st *Site) reservation {
+	return reservation{
+		site:     st,
+		geometry: geometry{sp.PeakRate, sp.MinRateFrac, sp.FrameBytes, sp.FrameHz},
+		inPort:   sp.InPort, outPorts: sp.OutPorts,
+		cmSvc: sp.CM, title: sp.Title, cpuSvc: sp.CPU,
+		up: trunkHold{budget: sp.TrunkUp}, down: trunkHold{budget: sp.TrunkDown},
 	}
-	return DefaultMinRateFrac
-}
-
-// rateAt is the admitted link rate at quality factor f. Rounded to
-// nearest so a factor derived from a requested rate (Renegotiate)
-// round-trips to exactly that rate.
-func (sp *SessionSpec) rateAt(f float64) int64 {
-	r := int64(float64(sp.PeakRate)*f + 0.5)
-	if r < 1 {
-		r = 1
-	}
-	return r
-}
-
-// frameBytesAt is the served frame size at quality factor f.
-func (sp *SessionSpec) frameBytesAt(f float64) int {
-	fb := int(float64(sp.FrameBytes)*f + 0.5)
-	if fb < 1 {
-		fb = 1
-	}
-	if fb > sp.FrameBytes {
-		fb = sp.FrameBytes
-	}
-	return fb
-}
-
-// cpuGeometryAt derives the CPU contract's frame geometry at quality
-// factor f: the served frame size and rate for disk-backed streams, or
-// a DefaultCPUHz equivalent carved from the admitted link rate for
-// link-only streams — either way, slice/period ∝ the session's rate.
-func (sp *SessionSpec) cpuGeometryAt(f float64) (frameBytes, frameHz int) {
-	frameHz = sp.FrameHz
-	if frameHz <= 0 {
-		frameHz = DefaultCPUHz
-	}
-	if sp.FrameBytes > 0 {
-		return sp.frameBytesAt(f), frameHz
-	}
-	fb := int(sp.rateAt(f) / 8 / int64(frameHz))
-	if fb < 1 {
-		fb = 1
-	}
-	return fb, frameHz
 }
 
 // SessionStats counts stream-plane activity on a site.
@@ -192,24 +146,15 @@ type SessionStats struct {
 	RefusedOther int64
 }
 
-// Session is one admitted end-to-end stream: the circuit, the disk
-// reservation (when disk-backed), the CPU domain (when CPU-admitted)
-// and the uplink charge are owned by the session and travel together
-// through renegotiation and teardown. It is the only public admission
-// handle the site hands out.
+// Session is one admitted end-to-end stream: its reservation — the
+// circuit, the disk hold (when disk-backed), the CPU domain (when
+// CPU-admitted) and any trunk directions — travels with it through
+// renegotiation and teardown. It is the only public admission handle
+// the site hands out.
 type Session struct {
-	site *Site
+	reservation
 	spec SessionSpec
 	id   int
-
-	circ *netsig.Circuit
-	cm   *fileserver.CMStream
-	cpu  *StreamDomain
-
-	// factor is the current quality level: 1 is full quality, lower is
-	// a degraded tier; never below spec.floorFrac() while open.
-	factor float64
-	closed bool
 }
 
 // ID is the session's site-unique identity (the circuit id it was
@@ -221,18 +166,6 @@ func (s *Session) Class() QoSClass { return s.spec.Class }
 
 // Spec returns a copy of the spec the session was opened with.
 func (s *Session) Spec() SessionSpec { return s.spec }
-
-// VCI reports the session's circuit number (0 when closed).
-func (s *Session) VCI() atm.VCI {
-	if s.circ == nil {
-		return 0
-	}
-	return s.circ.VCI
-}
-
-// Circuit exposes the underlying circuit (nil when closed). Callers
-// must not tear it down behind the session's back — Close does that.
-func (s *Session) Circuit() *netsig.Circuit { return s.circ }
 
 // CM exposes the disk reservation playout pulls frames from (nil for
 // link-only and closed sessions).
@@ -249,32 +182,6 @@ func (s *Session) CPU() *StreamDomain { return s.cpu }
 // wake evaporates, and this starts reporting false.
 func (s *Session) CacheServed() bool { return s.cm != nil && s.cm.CacheServed() }
 
-// Rate reports the currently admitted peak rate in bits/s (0 for
-// best-effort and closed sessions).
-func (s *Session) Rate() int64 {
-	if s.circ == nil {
-		return 0
-	}
-	return s.circ.PeakRate
-}
-
-// FullRate reports the full-quality rate the session was opened for.
-func (s *Session) FullRate() int64 { return s.spec.PeakRate }
-
-// Factor reports the current quality level in (0, 1].
-func (s *Session) Factor() float64 { return s.factor }
-
-// Degraded reports whether the session is currently below full quality.
-func (s *Session) Degraded() bool { return !s.closed && s.factor < 1 }
-
-// Closed reports whether the session has been torn down.
-func (s *Session) Closed() bool { return s.closed }
-
-// qosLadder is the shared tier ladder degradation and restoration walk:
-// every contending Adaptive session sits at the same rung, which is
-// what makes the scaling proportional.
-var qosLadder = [...]float64{0.75, 0.5, 0.25}
-
 // OpenSession is the site's one admission API: it admits the described
 // stream end to end and returns the session that owns every resource
 // the admission charged. Refusals hold nothing — in particular a disk
@@ -285,9 +192,10 @@ var qosLadder = [...]float64{0.75, 0.5, 0.25}
 // Refusal classification, for callers that retry or count: a link
 // refusal satisfies errors.Is(err, netsig.ErrAdmission), a disk
 // refusal errors.Is(err, fileserver.ErrOverCommit), a CPU refusal
-// errors.Is(err, sched.ErrOverCommit); anything else
-// (fileserver.ErrBadStream, ErrBadRound, a bad spec) is a
-// misconfiguration, not an over-subscription.
+// errors.Is(err, sched.ErrOverCommit), a trunk refusal
+// errors.Is(err, ErrTrunk); anything else (fileserver.ErrBadStream,
+// ErrBadRound, a bad spec) is a misconfiguration, not an
+// over-subscription.
 //
 // An Adaptive open that would be refused does not give up: the site
 // scales the Adaptive sessions contending for the same resources down
@@ -307,18 +215,6 @@ func (st *Site) OpenSession(spec SessionSpec) (*Session, error) {
 		if spec.PeakRate != 0 {
 			return nil, errors.New("core: best-effort sessions have no admitted rate; spec.PeakRate must be 0")
 		}
-		st.traceOpen(&spec)
-		circ, err := st.Signalling.Establish(spec.InPort, spec.OutPorts, 0, false)
-		if err != nil {
-			st.QoSStats.Refused++
-			st.noteRefusal(&spec, err)
-			return nil, err
-		}
-		s := &Session{site: st, spec: spec, id: circ.ID, circ: circ, factor: 1}
-		st.sessions = append(st.sessions, s)
-		st.QoSStats.Opened++
-		st.traceAdmitted(s)
-		return s, nil
 	case Guaranteed, Adaptive:
 		if spec.PeakRate <= 0 {
 			return nil, fmt.Errorf("core: %v sessions need a positive PeakRate", spec.Class)
@@ -329,82 +225,32 @@ func (st *Site) OpenSession(spec SessionSpec) (*Session, error) {
 
 	st.traceOpen(&spec)
 	s, err := st.openAt(spec, 1)
-	if err == nil {
-		st.traceAdmitted(s)
-		return s, nil
+	if err != nil && spec.Class == Adaptive && isOverSubscription(err) {
+		s, err = st.openDegrading(spec)
 	}
-	if spec.Class != Adaptive || !isOverSubscription(err) {
+	if err != nil {
 		st.QoSStats.Refused++
 		st.noteRefusal(&spec, err)
 		return nil, err
 	}
-	return st.openDegrading(spec, err)
+	st.traceAdmitted(s)
+	return s, nil
 }
 
-// isOverSubscription distinguishes budget refusals (which degradation
-// can cure) from misconfigurations (which it cannot).
-func isOverSubscription(err error) bool {
-	return errors.Is(err, netsig.ErrAdmission) ||
-		errors.Is(err, fileserver.ErrOverCommit) ||
-		errors.Is(err, sched.ErrOverCommit)
-}
-
-// openAt performs one end-to-end admission attempt at quality factor f:
-// link, then disk, then CPU, with full rollback so a refusal by any leg
-// holds nothing.
+// openAt performs one end-to-end admission attempt at quality factor f
+// (bounded by the spec's floor).
 func (st *Site) openAt(spec SessionSpec, f float64) (*Session, error) {
-	circ, err := st.Signalling.Establish(spec.InPort, spec.OutPorts, spec.rateAt(f), false)
-	if err != nil {
+	s := &Session{reservation: spec.reservation(st), spec: spec}
+	if err := s.commit(max(f, s.floorFrac())); err != nil {
 		return nil, err
 	}
-	var cmh *fileserver.CMStream
-	if spec.CM != nil {
-		// The RAM tier first: a full-quality stream trailing another
-		// viewer of the same title rides the leader's wake and skips
-		// the disk leg of the conjunction entirely (zero round budget).
-		// ErrNoWake falls through to ordinary disk admission; degraded
-		// tiers go straight to the disks (the wake is full-quality
-		// windows only).
-		sfb := spec.frameBytesAt(f)
-		cmh = nil
-		if sfb == spec.FrameBytes {
-			cmh, err = spec.CM.AdmitCached(spec.Title, spec.FrameBytes, spec.FrameHz)
-			if err != nil && !errors.Is(err, fileserver.ErrNoWake) {
-				_ = st.Signalling.TearDown(circ.ID)
-				return nil, err
-			}
-		}
-		if cmh == nil {
-			cmh, err = spec.CM.AdmitDegraded(spec.Title, spec.FrameBytes, sfb, spec.FrameHz)
-			if err != nil {
-				// Rollback: the link (and uplink) reservation must not
-				// outlive the admission that failed.
-				_ = st.Signalling.TearDown(circ.ID)
-				return nil, err
-			}
-		}
-	}
-	var sd *StreamDomain
-	if spec.CPU != nil {
-		fb, hz := spec.cpuGeometryAt(f)
-		sd, err = spec.CPU.AdmitStream(fmt.Sprintf("stream%d", circ.ID), fb, hz)
-		if err != nil {
-			// Rollback both earlier legs: a stream the CPU cannot carry
-			// must hold neither a circuit nor a disk reservation.
-			if cmh != nil {
-				cmh.Release()
-			}
-			_ = st.Signalling.TearDown(circ.ID)
-			return nil, err
-		}
-	}
-	s := &Session{site: st, spec: spec, id: circ.ID, circ: circ, cm: cmh, cpu: sd, factor: f}
+	s.id = s.circ.ID
 	st.sessions = append(st.sessions, s)
-	if cmh != nil {
-		st.cmSessions[cmh] = s
+	if s.cm != nil {
+		st.cmSessions[s.cm] = s
 	}
 	st.QoSStats.Opened++
-	if f < 1 {
+	if s.factor < 1 {
 		st.QoSStats.Degraded++
 	}
 	return s, nil
@@ -413,58 +259,35 @@ func (st *Site) openAt(spec SessionSpec, f float64) (*Session, error) {
 // openDegrading is the degrade-instead-of-refuse path: walk the tier
 // ladder, pulling every contending Adaptive session down to the shared
 // rung (bounded by its own floor) and retrying the newcomer at that
-// rung (bounded by its floor), until either an admission fits or every
-// contender — newcomer included — is at its floor. Degrade/restore
-// events are counted only for quality changes that outlive the call:
-// the transient bounce of a refused open is not an event.
-func (st *Site) openDegrading(spec SessionSpec, refusal error) (*Session, error) {
+// rung, until either an admission fits or every contender — newcomer
+// included — is at its floor. Degrade/restore events are counted only
+// for quality changes that outlive the call: the transient bounce of a
+// refused open is not an event.
+func (st *Site) openDegrading(spec SessionSpec) (s *Session, err error) {
 	peers := st.adaptivePeers(spec)
 	before := make([]float64, len(peers))
 	for i, p := range peers {
 		before[i] = p.factor
 	}
-	countResidual := func() {
-		for i, p := range peers {
-			if !p.closed && p.factor < before[i] {
-				st.QoSStats.Degraded++
-			}
-		}
-	}
-	floor := spec.floorFrac()
-	// The final 0 rung pulls every peer to its own floor (degradeTo
-	// clamps), covering peers whose floors sit below the ladder.
-	for _, rung := range append(qosLadder[:], 0) {
+	err = descend(func(rung float64) (err error) {
 		for _, p := range peers {
-			p.degradeTo(rung)
+			_, _ = p.shrinkTo(rung)
 		}
-		f := rung
-		if f < floor {
-			f = floor
-		}
-		s, err := st.openAt(spec, f)
-		if err == nil {
-			countResidual()
-			st.traceAdmitted(s)
-			return s, nil
-		}
-		if !isOverSubscription(err) {
-			refusal = err
-			break
-		}
-		refusal = err
-	}
-	// Nothing fit even at the floor: give the peers their quality back
-	// as far as the budgets allow — a refused newcomer must not leave
-	// the site permanently degraded.
+		s, err = st.openAt(spec, rung)
+		return err
+	})
 	for i, p := range peers {
+		// Nothing fit even at the floor: give the peers their quality
+		// back as far as the budgets allow — a refused newcomer must not
+		// leave the site permanently degraded.
+		if err != nil && !p.closed && p.factor < before[i] {
+			_ = p.climb(before[i])
+		}
 		if !p.closed && p.factor < before[i] {
-			_ = p.restoreTo(before[i])
+			st.QoSStats.Degraded++
 		}
 	}
-	countResidual()
-	st.QoSStats.Refused++
-	st.noteRefusal(&spec, refusal)
-	return nil, refusal
+	return s, err
 }
 
 // adaptivePeers returns the open Adaptive sessions contending with spec
@@ -518,54 +341,12 @@ func (st *Site) Sessions() []*Session {
 	return out
 }
 
-// setLevel moves the session to quality factor f atomically: the link
-// leg renegotiates first, then the disk leg, then the CPU leg; if a
-// later leg refuses a grow, the earlier grows are rolled back (shrinks,
-// which cannot fail), so a refused renegotiation leaves the session
-// exactly as it was. Shrinks cannot be refused by any leg.
-func (s *Session) setLevel(f float64) error {
-	if s.closed {
-		return ErrSessionClosed
-	}
-	oldRate := s.circ.PeakRate
-	newRate := s.spec.rateAt(f)
-	if newRate != oldRate {
-		if err := s.site.Signalling.ModifyRate(s.circ.ID, newRate); err != nil {
-			return err
-		}
-	}
-	oldFB := 0
-	if s.cm != nil {
-		oldFB = s.cm.FrameBytes()
-		if err := s.spec.CM.Reshape(s.cm, s.spec.frameBytesAt(f), s.spec.FrameHz); err != nil {
-			if newRate != oldRate {
-				_ = s.site.Signalling.ModifyRate(s.circ.ID, oldRate)
-			}
-			return err
-		}
-	}
-	if s.cpu != nil {
-		fb, _ := s.spec.cpuGeometryAt(f)
-		if err := s.cpu.Reshape(fb); err != nil {
-			if s.cm != nil {
-				_ = s.spec.CM.Reshape(s.cm, oldFB, s.spec.FrameHz)
-			}
-			if newRate != oldRate {
-				_ = s.site.Signalling.ModifyRate(s.circ.ID, oldRate)
-			}
-			return err
-		}
-	}
-	s.factor = f
-	return nil
-}
-
 // Renegotiate re-admits the session at newRate bits/s in place: no
 // teardown, no new VCI, no instant without the guarantee. Shrinking
 // always succeeds and frees the difference immediately; growing is
-// admission-controlled on links, disks and CPU (a refusal surfaces the
-// refusing leg's error — sched.ErrOverCommit for the processor) and
-// never drops the session — it stays open at its previous rate. The session
+// admission-controlled on every leg (a refusal surfaces the refusing
+// leg's error — sched.ErrOverCommit for the processor) and never drops
+// the session — it stays open at its previous rate. The session
 // renegotiates within [floor, PeakRate]: a shrink below the
 // MinRateFrac floor lands at the floor rate (and still succeeds), and
 // PeakRate — the stored tier, for disk-backed streams — is the
@@ -580,14 +361,11 @@ func (s *Session) Renegotiate(newRate int64) error {
 	if newRate <= 0 {
 		return fmt.Errorf("core: renegotiated rate must be positive, got %d", newRate)
 	}
-	if newRate > s.spec.PeakRate {
-		return fmt.Errorf("core: rate %d exceeds the session's full rate (%d); reopen for a bigger contract", newRate, s.spec.PeakRate)
+	if newRate > s.PeakRate {
+		return fmt.Errorf("core: rate %d exceeds the session's full rate (%d); reopen for a bigger contract", newRate, s.PeakRate)
 	}
 	wasDegraded := s.factor < 1
-	f := float64(newRate) / float64(s.spec.PeakRate)
-	if floor := s.spec.floorFrac(); f < floor {
-		f = floor
-	}
+	f := max(float64(newRate)/float64(s.PeakRate), s.floorFrac())
 	if err := s.setLevel(f); err != nil {
 		return err
 	}
@@ -601,8 +379,9 @@ func (s *Session) Renegotiate(newRate int64) error {
 }
 
 // Degrade drops the session's quality by the given factor in (0, 1),
-// bounded below by the session's MinRateFrac floor. Dropping a tier
-// can never fail: both halves shrink.
+// bounded below by the session's MinRateFrac floor. Every leg shrinks,
+// so only a cache-served stream (which must first fit on the disks)
+// can be refused.
 func (s *Session) Degrade(factor float64) error {
 	if s.closed {
 		return ErrSessionClosed
@@ -613,33 +392,12 @@ func (s *Session) Degrade(factor float64) error {
 	if factor <= 0 || factor >= 1 {
 		return fmt.Errorf("core: degrade factor must be in (0,1), got %g", factor)
 	}
-	nf := s.factor * factor
-	if floor := s.spec.floorFrac(); nf < floor {
-		nf = floor
+	moved, err := s.shrinkTo(s.factor * factor)
+	if moved {
+		s.site.QoSStats.Degraded++
+		s.site.traceVerb(s, "degrade")
 	}
-	if nf >= s.factor {
-		return nil // already at (or below) the floor
-	}
-	if err := s.setLevel(nf); err != nil {
-		return err
-	}
-	s.site.QoSStats.Degraded++
-	s.site.traceVerb(s, "degrade")
-	return nil
-}
-
-// degradeTo pulls an Adaptive session down to the shared rung f
-// (bounded by its own floor) during a make-room pass; a no-op when the
-// session already sits at or below the rung. It does not count an
-// event — the caller counts only changes that outlive the pass.
-func (s *Session) degradeTo(f float64) {
-	if floor := s.spec.floorFrac(); f < floor {
-		f = floor
-	}
-	if s.closed || f >= s.factor {
-		return
-	}
-	_ = s.setLevel(f)
+	return err
 }
 
 // Restore climbs a degraded session back toward full quality: full
@@ -653,7 +411,7 @@ func (s *Session) Restore() error {
 	if s.factor >= 1 {
 		return nil
 	}
-	if err := s.restoreTo(1); err != nil {
+	if err := s.climb(1); err != nil {
 		return err
 	}
 	s.site.QoSStats.Restored++
@@ -661,53 +419,19 @@ func (s *Session) Restore() error {
 	return nil
 }
 
-// restoreTo climbs toward target, trying target first and then every
-// ladder rung between target and the current tier. Pure mechanics; the
-// caller decides whether the climb counts as a restore event.
-func (s *Session) restoreTo(target float64) error {
-	steps := append([]float64{target}, qosLadder[:]...)
-	var firstErr error
-	for _, f := range steps {
-		if f > target || f <= s.factor {
-			continue
-		}
-		if err := s.setLevel(f); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return nil
-	}
-	return firstErr
-}
-
-// Close tears the session down end to end — circuit, uplink charge,
-// disk reservation and CPU domain all return to their budgets — and
-// then lets degraded Adaptive survivors climb back into the freed
-// room. Close is idempotent; it returns the teardown error of the
-// first close only.
+// Close tears the session down end to end — every leg returns to its
+// budget — and then lets degraded Adaptive survivors climb back into
+// the freed room. Close is idempotent; it returns the teardown error of
+// the first close only.
 func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
-	s.site.traceVerb(s, "close")
-	s.closed = true
-	var err error
-	if s.circ != nil {
-		err = s.site.Signalling.TearDown(s.circ.ID)
-		s.circ = nil
-	}
-	if s.cm != nil {
-		delete(s.site.cmSessions, s.cm)
-		s.cm.Release()
-		s.cm = nil
-	}
-	if s.cpu != nil {
-		s.cpu.Release()
-		s.cpu = nil
-	}
 	st := s.site
+	st.traceVerb(s, "close")
+	s.closed = true
+	delete(st.cmSessions, s.cm)
+	err := s.release()
 	for i, x := range st.sessions {
 		if x == s {
 			st.sessions = append(st.sessions[:i], st.sessions[i+1:]...)

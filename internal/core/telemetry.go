@@ -7,7 +7,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/fileserver"
 	"repro/internal/netsig"
@@ -58,9 +57,7 @@ func (st *Site) Trace() *telemetry.Tracer { return st.tracer }
 
 // registerSiteGauges wires the site-wide producers into the registry:
 // session verbs, refusals by leg, circuit counts, fabric throughput
-// and the event kernel itself. Cluster synchronisation gauges are
-// registered only for two or more partitions, so a 1-partition
-// cluster's metrics stay bit-identical to a serial run's.
+// and the event kernel itself.
 func (st *Site) registerSiteGauges() {
 	reg := st.Metrics
 	q := &st.QoSStats
@@ -92,30 +89,11 @@ func (st *Site) registerSiteGauges() {
 	site("net", "circuits_modified", func() float64 { return float64(m.Modified) })
 	sw := st.Switch
 	site("fabric", "cells_switched", func() float64 { return float64(sw.Stats().Switched) })
-	part := func(i int, p *sim.Sim) {
-		node := fmt.Sprintf("part%d", i)
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "events_fired"},
-			func() float64 { return float64(p.Fired()) })
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "inbox_depth"},
-			func() float64 { return float64(p.Pending()) })
-	}
-	if st.hosted {
-		// The kernel (and its per-partition gauges) belongs to the
-		// metro layer; registering them here per site would just
-		// re-register the same keys K times.
-		return
-	}
-	if st.clu == nil {
-		part(0, st.Sim)
-		return
-	}
-	for i := 0; i < st.clu.Parts(); i++ {
-		part(i, st.clu.Part(i))
-	}
-	if clu := st.clu; clu.Parts() > 1 {
-		site("sim", "windows", func() float64 { return float64(clu.Windows()) })
-		site("sim", "barrier_stalls", func() float64 { return float64(clu.BarrierStalls()) })
-		site("sim", "cross_delivered", func() float64 { return float64(clu.CrossDelivered()) })
+	if !st.hosted {
+		// A hosted site's kernel (and its gauges) belongs to the metro
+		// layer; registering them per site would just re-register the
+		// same keys K times.
+		reg.KernelGauges(node, st.Sim, st.clu)
 	}
 }
 
@@ -198,8 +176,8 @@ func (st *Site) sessionNode(spec *SessionSpec) string {
 	return ""
 }
 
-// legSamples lifts an admission report's present legs into trace form.
-func legSamples(rep AdmissionReport) []telemetry.LegSample {
+// LegSamples lifts the report's present legs into trace form.
+func (rep AdmissionReport) LegSamples() []telemetry.LegSample {
 	var out []telemetry.LegSample
 	for _, lr := range rep.Legs {
 		if !lr.Present {
@@ -210,45 +188,51 @@ func legSamples(rep AdmissionReport) []telemetry.LegSample {
 	return out
 }
 
-// traceOpen records a session-open attempt. Global context only.
-func (st *Site) traceOpen(spec *SessionSpec) {
+// trace records the event build returns on the global trace shard,
+// stamped with the site clock. build runs only while tracing is on, so
+// an untraced run pays one nil check per call site. Global context
+// only.
+func (st *Site) trace(build func() telemetry.Event) {
 	tr := st.tracer
 	if tr == nil {
 		return
 	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   "open",
-		Node:    st.sessionNode(spec),
-		Class:   spec.Class.String(),
-		RateBPS: spec.PeakRate,
+	ev := build()
+	ev.T = st.Clock.Now()
+	tr.Record(tr.GlobalShard(), ev)
+}
+
+// refusalLeg names err's admission leg for a trace event ("other" for
+// misconfigurations).
+func refusalLeg(err error) string {
+	if leg, over := RefusalLeg(err); over {
+		return leg.String()
+	}
+	return "other"
+}
+
+// traceOpen records a session-open attempt.
+func (st *Site) traceOpen(spec *SessionSpec) {
+	st.trace(func() telemetry.Event {
+		return telemetry.Event{Event: "open", Node: st.sessionNode(spec),
+			Class: spec.Class.String(), RateBPS: spec.PeakRate}
 	})
 }
 
 // traceAdmitted records a successful admission (and, for a stream
-// riding the RAM tier, the cache-served event), with per-leg
-// headrooms probed at event time. Global context only.
+// riding the RAM tier, the cache-served event), with the site's
+// per-leg headrooms probed at event time. The trunk is not this
+// site's to report: the federation's own "spilled" event carries it.
 func (st *Site) traceAdmitted(s *Session) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   "admitted",
-		Session: int64(s.id),
-		Node:    st.sessionNode(&s.spec),
-		Class:   s.spec.Class.String(),
-		Factor:  s.factor,
-		RateBPS: s.Rate(),
-		Legs:    legSamples(st.Probe(s.spec)),
+	st.trace(func() telemetry.Event {
+		rep := st.Probe(s.spec)
+		rep.Legs[LegTrunk].Present = false
+		return telemetry.Event{Event: "admitted", Session: int64(s.id), Node: st.sessionNode(&s.spec),
+			Class: s.spec.Class.String(), Factor: s.factor, RateBPS: s.Rate(), Legs: rep.LegSamples()}
 	})
 	if s.CacheServed() {
-		tr.Record(tr.GlobalShard(), telemetry.Event{
-			T:       st.Clock.Now(),
-			Event:   "cache-served",
-			Session: int64(s.id),
-			Node:    st.sessionNode(&s.spec),
+		st.trace(func() telemetry.Event {
+			return telemetry.Event{Event: "cache-served", Session: int64(s.id), Node: st.sessionNode(&s.spec)}
 		})
 	}
 }
@@ -258,46 +242,23 @@ func (st *Site) traceAdmitted(s *Session) {
 // — and records the trace event with per-leg headrooms. The caller has
 // already counted QoSStats.Refused. Global context only.
 func (st *Site) noteRefusal(spec *SessionSpec, err error) {
-	leg, over := RefusalLeg(err)
-	if over {
+	if leg, over := RefusalLeg(err); over {
 		st.QoSStats.RefusedLeg[leg]++
 	} else {
 		st.QoSStats.RefusedOther++
 	}
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	ev := telemetry.Event{
-		T:     st.Clock.Now(),
-		Event: "refused",
-		Node:  st.sessionNode(spec),
-		Class: spec.Class.String(),
-		Err:   err.Error(),
-		Legs:  legSamples(st.Probe(*spec)),
-	}
-	if over {
-		ev.Leg = leg.String()
-	} else {
-		ev.Leg = "other"
-	}
-	tr.Record(tr.GlobalShard(), ev)
+	st.trace(func() telemetry.Event {
+		return telemetry.Event{Event: "refused", Node: st.sessionNode(spec), Class: spec.Class.String(),
+			Leg: refusalLeg(err), Err: err.Error(), Legs: st.Probe(*spec).LegSamples()}
+	})
 }
 
 // traceVerb records a lifecycle verb (renegotiate, degrade, restore,
-// close) on an open session. Global context only.
+// close) on an open session.
 func (st *Site) traceVerb(s *Session, event string) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       st.Clock.Now(),
-		Event:   event,
-		Session: int64(s.id),
-		Node:    st.sessionNode(&s.spec),
-		Factor:  s.factor,
-		RateBPS: s.Rate(),
+	st.trace(func() telemetry.Event {
+		return telemetry.Event{Event: event, Session: int64(s.id), Node: st.sessionNode(&s.spec),
+			Factor: s.factor, RateBPS: s.Rate()}
 	})
 }
 

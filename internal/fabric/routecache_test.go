@@ -75,17 +75,17 @@ func TestTrunkBudget(t *testing.T) {
 	core := NewSwitch(s, "core", 1, 0)
 	tr := JoinTier(edge, 1, core, 0, s, Rate100M, 10*sim.Microsecond)
 
-	if !tr.CommitUp(60_000_000) || !tr.CommitDown(40_000_000) {
+	if !tr.UpBudget.Commit(60_000_000) || !tr.DownBudget.Commit(40_000_000) {
 		t.Fatal("commit within budget refused")
 	}
-	if tr.CommitUp(60_000_000) {
+	if tr.UpBudget.Commit(60_000_000) {
 		t.Fatal("up-direction over-commit accepted")
 	}
 	if got, want := tr.Headroom(), 0.4; got != want {
 		t.Fatalf("Headroom = %v, want %v", got, want)
 	}
-	tr.ReleaseUp(60_000_000)
-	tr.ReleaseDown(40_000_000)
+	tr.UpBudget.Release(60_000_000)
+	tr.DownBudget.Release(40_000_000)
 	if tr.CommittedUp() != 0 || tr.CommittedDown() != 0 {
 		t.Fatalf("release left committed %d/%d", tr.CommittedUp(), tr.CommittedDown())
 	}

@@ -6,14 +6,10 @@ import (
 )
 
 // Trunk is one edge switch's uplink into a core switch: a pair of
-// links (edge→core and core→edge) plus per-direction admission
-// budgets. It is the unit of the two-tier metro topology — every
-// inter-site path costs edge→core→edge, and the trunk budget is the
-// extra admission leg a spilled session must pass.
-//
-// The budget bookkeeping here is deliberately error-free (Commit
-// returns false when over-committed); callers that need a typed
-// refusal wrap it themselves (core.ErrTrunk in the metro layer).
+// links (edge→core and core→edge) plus one admission Budget per
+// direction. It is the unit of the two-tier metro topology — every
+// inter-site path costs edge→core→edge, and the trunk budgets are the
+// extra admission leg a cross-site flow must pass.
 type Trunk struct {
 	// Up carries cells from the edge switch into the core.
 	Up *Link
@@ -24,9 +20,52 @@ type Trunk struct {
 	// CorePort is the core switch port the trunk occupies.
 	CorePort int
 
-	capacity      int64 // per-direction bits/s admission budget
-	committedUp   int64
-	committedDown int64
+	// UpBudget and DownBudget are the per-direction bit-rate admission
+	// budgets. A flow crossing the trunk is handed the direction it
+	// crosses (core.SessionSpec.TrunkUp/TrunkDown) and commits, reshapes
+	// and releases it with its other legs.
+	UpBudget, DownBudget Budget
+}
+
+// Budget is one trunk direction's bit-rate admission budget. The
+// bookkeeping is deliberately error-free (Commit returns false when
+// over-committed); the holder wraps a typed refusal itself
+// (core.ErrTrunk).
+type Budget struct{ capacity, committed int64 }
+
+// Capacity is the budget's size in bits/s.
+func (b *Budget) Capacity() int64 { return b.capacity }
+
+// Committed is the bandwidth currently reserved against the budget.
+func (b *Budget) Committed() int64 { return b.committed }
+
+// Can reports whether rate more bits/s fit.
+func (b *Budget) Can(rate int64) bool { return b.committed+rate <= b.capacity }
+
+// Commit reserves rate more bits/s; false (holding nothing) when over
+// budget.
+func (b *Budget) Commit(rate int64) bool {
+	if !b.Can(rate) {
+		return false
+	}
+	b.committed += rate
+	return true
+}
+
+// Release returns rate bits/s to the budget.
+func (b *Budget) Release(rate int64) {
+	b.committed -= rate
+	if b.committed < 0 {
+		panic("fabric: trunk budget release underflow")
+	}
+}
+
+// Headroom is the free fraction of the budget in [0, 1].
+func (b *Budget) Headroom() float64 {
+	if b.capacity <= 0 || b.committed >= b.capacity {
+		return 0
+	}
+	return float64(b.capacity-b.committed) / float64(b.capacity)
 }
 
 // JoinTier wires an edge switch into a core switch over a new trunk:
@@ -38,7 +77,8 @@ type Trunk struct {
 // forwarding, whose latency (core fabric delay + trunk cell time +
 // prop) is therefore the cluster lookahead bound.
 func JoinTier(edge *Switch, edgePort int, core *Switch, corePort int, owner *sim.Sim, rate int64, prop sim.Duration) *Trunk {
-	t := &Trunk{EdgePort: edgePort, CorePort: corePort, capacity: rate}
+	t := &Trunk{EdgePort: edgePort, CorePort: corePort,
+		UpBudget: Budget{capacity: rate}, DownBudget: Budget{capacity: rate}}
 	t.Up = NewLink(owner, rate, prop, 0, core.BindIn(corePort, owner))
 	edge.AttachOutput(edgePort, t.Up)
 	t.Down = NewLink(owner, rate, prop, 0, edge.BindIn(edgePort, owner))
@@ -56,66 +96,16 @@ func TierLookahead(coreFabricDelay sim.Duration, rate int64, prop sim.Duration) 
 }
 
 // Capacity is the trunk's per-direction admission budget in bits/s.
-func (t *Trunk) Capacity() int64 { return t.capacity }
+func (t *Trunk) Capacity() int64 { return t.UpBudget.capacity }
 
 // CommittedUp is the edge→core bandwidth currently committed.
-func (t *Trunk) CommittedUp() int64 { return t.committedUp }
+func (t *Trunk) CommittedUp() int64 { return t.UpBudget.committed }
 
 // CommittedDown is the core→edge bandwidth currently committed.
-func (t *Trunk) CommittedDown() int64 { return t.committedDown }
-
-// CanUp reports whether rate more bits/s fit in the up direction.
-func (t *Trunk) CanUp(rate int64) bool { return t.committedUp+rate <= t.capacity }
-
-// CanDown reports whether rate more bits/s fit in the down direction.
-func (t *Trunk) CanDown(rate int64) bool { return t.committedDown+rate <= t.capacity }
-
-// CommitUp reserves rate bits/s edge→core; false when over budget.
-func (t *Trunk) CommitUp(rate int64) bool {
-	if !t.CanUp(rate) {
-		return false
-	}
-	t.committedUp += rate
-	return true
-}
-
-// CommitDown reserves rate bits/s core→edge; false when over budget.
-func (t *Trunk) CommitDown(rate int64) bool {
-	if !t.CanDown(rate) {
-		return false
-	}
-	t.committedDown += rate
-	return true
-}
-
-// ReleaseUp returns rate bits/s of edge→core budget.
-func (t *Trunk) ReleaseUp(rate int64) {
-	t.committedUp -= rate
-	if t.committedUp < 0 {
-		panic("fabric: trunk up-direction release underflow")
-	}
-}
-
-// ReleaseDown returns rate bits/s of core→edge budget.
-func (t *Trunk) ReleaseDown(rate int64) {
-	t.committedDown -= rate
-	if t.committedDown < 0 {
-		panic("fabric: trunk down-direction release underflow")
-	}
-}
+func (t *Trunk) CommittedDown() int64 { return t.DownBudget.committed }
 
 // Headroom is the trunk's remaining budget as a fraction of capacity,
 // taken over the tighter of the two directions.
 func (t *Trunk) Headroom() float64 {
-	if t.capacity <= 0 {
-		return 0
-	}
-	free := t.capacity - t.committedUp
-	if d := t.capacity - t.committedDown; d < free {
-		free = d
-	}
-	if free < 0 {
-		free = 0
-	}
-	return float64(free) / float64(t.capacity)
+	return min(t.UpBudget.Headroom(), t.DownBudget.Headroom())
 }

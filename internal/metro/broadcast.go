@@ -12,15 +12,17 @@ package metro
 // local branch: exactly the paper's one-event-per-train-per-switch
 // cost model, federated.
 //
-// Budgets: the home trunk's up direction is committed once per channel
-// (at the home tier's rate); each subscribed site's down direction is
-// committed at that site's subtree tier. A subtree that degrades under
-// local join pressure recommits its down leg at the lower tier — the
-// model is a layered stream whose enhancement cells the trunk ingress
-// drops, so a degraded site's links (trunk included) only carry the
-// degraded rate. A join refused because a trunk direction lacks
-// headroom surfaces core.ErrTrunk, the same leg taxonomy as spill
-// admission.
+// Budgets: each tree's spec names the trunk direction it crosses, so
+// the direction is one more leg of that tree's core reservation. The
+// home tree holds its trunk's up direction, once per channel, while
+// AttachTrunk has it branched onto the trunk port; each subscribed
+// site's subtree holds that site's down direction from open to close.
+// Either moves with its tree's tier — the model is a layered stream
+// whose enhancement cells the trunk ingress drops, so a degraded
+// site's links (trunk included) only carry the degraded rate — and a
+// tier climb the trunk cannot carry is refused like any other leg's.
+// A join refused because a trunk direction lacks headroom surfaces
+// core.ErrTrunk, the same leg taxonomy as spill admission.
 
 import (
 	"errors"
@@ -33,20 +35,13 @@ import (
 // ErrChannelClosed reports a verb on a closed metro channel.
 var ErrChannelClosed = errors.New("metro: live channel is closed")
 
-// subtree is one member site's share of a live channel.
-type subtree struct {
-	b        *core.Broadcast
-	downRate int64 // trunk down-direction commitment (0 at the home site)
-}
-
 // LiveChannel is one live broadcast spanning the federation.
 type LiveChannel struct {
 	m    *Controller
 	home int
 	spec core.BroadcastSpec
 
-	trees  map[int]*subtree // per-site subtree, home included
-	upRate int64            // home trunk up commitment (0 until a remote site subscribes)
+	trees  map[int]*core.Broadcast // per-site subtree, home included
 	closed bool
 }
 
@@ -69,12 +64,13 @@ func (m *Controller) OpenBroadcast(home int, spec core.BroadcastSpec) (*LiveChan
 	if mb.failed {
 		return nil, fmt.Errorf("metro: site %d has failed", home)
 	}
-	b, err := mb.Site.OpenBroadcast(spec)
+	hspec := spec
+	hspec.TrunkUp = &mb.Trunk.UpBudget
+	b, err := mb.Site.OpenBroadcast(hspec)
 	if err != nil {
 		return nil, err
 	}
-	ch := &LiveChannel{m: m, home: home, spec: spec, trees: map[int]*subtree{home: {b: b}}}
-	return ch, nil
+	return &LiveChannel{m: m, home: home, spec: spec, trees: map[int]*core.Broadcast{home: b}}, nil
 }
 
 // Home reports the channel's home site.
@@ -84,20 +80,14 @@ func (ch *LiveChannel) Home() int { return ch.home }
 func (ch *LiveChannel) Viewers() int {
 	n := 0
 	for _, t := range ch.trees {
-		n += t.b.Viewers()
+		n += t.Viewers()
 	}
 	return n
 }
 
 // Subtree returns the site's core.Broadcast (nil when the site has no
 // viewers on this channel).
-func (ch *LiveChannel) Subtree(site int) *core.Broadcast {
-	t := ch.trees[site]
-	if t == nil {
-		return nil
-	}
-	return t.b
-}
+func (ch *LiveChannel) Subtree(site int) *core.Broadcast { return ch.trees[site] }
 
 // Closed reports whether the channel is off the air.
 func (ch *LiveChannel) Closed() bool { return ch.closed }
@@ -109,124 +99,85 @@ func (ch *LiveChannel) Closed() bool { return ch.closed }
 // core.ErrTrunk — then one core-switch multicast leaf replicates the
 // trunk copy onto the site, and a subtree rooted at its trunk ingress
 // admits the viewer's branch. Local link pressure degrades only that
-// site's subtree tier, recommitting its trunk leg at the lower rate.
+// site's subtree tier, its trunk leg included.
 func (ch *LiveChannel) Join(site, port int) (*LiveJoin, error) {
 	if ch.closed {
 		return nil, ErrChannelClosed
 	}
-	mb := ch.m.members[site]
-	if mb.failed {
+	if ch.m.members[site].failed {
 		return nil, fmt.Errorf("metro: site %d has failed", site)
 	}
 	t := ch.trees[site]
 	if t == nil {
 		var err error
-		t, err = ch.growSite(site)
-		if err != nil {
+		if t, err = ch.growSite(site); err != nil {
 			return nil, err
 		}
 	}
-	before := t.b.Factor()
-	j, err := t.b.Join(port)
+	j, err := t.Join(port)
 	if err != nil {
-		if site != ch.home && t.b.Viewers() == 0 {
-			ch.pruneSite(site)
+		if t.Viewers() == 0 {
+			_ = ch.pruneSite(site)
 		}
 		return nil, err
 	}
-	ch.syncTrunk(site, t, before)
 	return &LiveJoin{ch: ch, site: site, j: j}, nil
 }
 
-// growSite subscribes a remote site to the channel: trunk admission
-// (up once per channel, down once per site), the core-switch multicast
-// leaf, and a fresh subtree at the site's trunk ingress.
-func (ch *LiveChannel) growSite(site int) (*subtree, error) {
+// growSite subscribes a remote site to the channel: a fresh subtree at
+// the site's trunk ingress holding its down direction, the home tree's
+// trunk branch holding the up direction (first remote site only), and
+// the core-switch multicast leaf between them. A refusal holds nothing.
+func (ch *LiveChannel) growSite(site int) (*core.Broadcast, error) {
 	m := ch.m
 	home := ch.trees[ch.home]
 	hm, sm := m.members[ch.home], m.members[site]
-	upRate := home.b.Rate()
-	needUp := ch.upRate == 0
-	downRate := ch.spec.PeakRate
-	if (needUp && !hm.Trunk.CanUp(upRate)) || !sm.Trunk.CanDown(downRate) {
-		hm.Stats.RefusedTrunk++
-		m.Stats.TrunkRefused++
-		err := fmt.Errorf("%w: live channel %q homed at site %d", core.ErrTrunk, ch.spec.Title, ch.home)
-		ch.traceTrunkRefusal(site, err)
-		return nil, err
-	}
-	// The subtree first: its own admission (the site's netsig budgets)
-	// can still refuse, and nothing may be held when it does.
 	spec := ch.spec
 	spec.InPort = sm.trunkPort
 	spec.CPU = nil // the source's CPU contract lives at the home site
 	spec.Title = fmt.Sprintf("%s@%s", ch.spec.Title, sm.Site.Config.Name)
+	spec.TrunkDown = &sm.Trunk.DownBudget
 	sb, err := sm.Site.OpenBroadcast(spec)
-	if err != nil {
-		return nil, err
-	}
-	if needUp {
+	if err == nil && len(ch.trees) == 1 {
 		// The home tree's single trunk branch: netsig admits it against
 		// the trunk port's (unbounded) edge budget; the real budget is
-		// the fabric.Trunk commitment below.
-		if err := hm.Site.Signalling.JoinTree(home.b.Circuit().ID, hm.trunkPort); err != nil {
+		// the trunk's up direction.
+		if err = home.AttachTrunk(hm.trunkPort); err != nil {
 			_ = sb.Close()
-			return nil, err
 		}
-		hm.Trunk.CommitUp(upRate)
-		ch.upRate = upRate
 	}
-	sm.Trunk.CommitDown(downRate)
+	if err != nil {
+		if errors.Is(err, core.ErrTrunk) {
+			hm.Stats.RefusedTrunk++
+			m.Stats.TrunkRefused++
+			err = fmt.Errorf("live channel %q homed at site %d: %w", ch.spec.Title, ch.home, err)
+			ch.traceTrunkRefusal(site, err)
+		}
+		return nil, err
+	}
 	// One copy per subscribed site: the core switch replicates the
 	// trunk copy, rewriting onto the site's subtree circuit.
-	m.coreSw.Route(ch.home, home.b.Circuit().VCI, site, sb.Circuit().VCI)
-	t := &subtree{b: sb, downRate: downRate}
-	ch.trees[site] = t
-	return t, nil
+	m.coreSw.Route(ch.home, home.VCI(), site, sb.VCI())
+	ch.trees[site] = sb
+	return sb, nil
 }
 
-// pruneSite unsubscribes a site with no viewers left: core leaf, trunk
-// down commitment and subtree go; the home trunk branch (and its up
-// commitment) goes with the last remote site.
-func (ch *LiveChannel) pruneSite(site int) {
-	m := ch.m
+// pruneSite unsubscribes a remote site: core leaf and subtree (with its
+// down direction) go; the home trunk branch (and its up direction) goes
+// with the last remote site. The home site itself is never pruned.
+func (ch *LiveChannel) pruneSite(site int) error {
 	t := ch.trees[site]
 	if t == nil || site == ch.home {
-		return
+		return nil
 	}
 	home := ch.trees[ch.home]
-	hm, sm := m.members[ch.home], m.members[site]
-	m.coreSw.UnrouteLeaf(ch.home, home.b.Circuit().VCI, site, t.b.Circuit().VCI)
-	sm.Trunk.ReleaseDown(t.downRate)
-	_ = t.b.Close()
+	ch.m.coreSw.UnrouteLeaf(ch.home, home.VCI(), site, t.VCI())
+	err := t.Close()
 	delete(ch.trees, site)
-	if len(ch.trees) == 1 && ch.upRate > 0 {
-		_ = hm.Site.Signalling.LeaveTree(home.b.Circuit().ID, hm.trunkPort)
-		hm.Trunk.ReleaseUp(ch.upRate)
-		ch.upRate = 0
+	if len(ch.trees) == 1 {
+		_ = home.DetachTrunk(ch.m.members[ch.home].trunkPort)
 	}
-}
-
-// syncTrunk recommits a site's trunk leg after its subtree's tier
-// moved: the down direction follows the subtree rate (home: the up
-// direction follows the home tier).
-func (ch *LiveChannel) syncTrunk(site int, t *subtree, beforeFactor float64) {
-	if t.b.Factor() == beforeFactor {
-		return
-	}
-	hm := ch.m.members[ch.home]
-	if site == ch.home {
-		if ch.upRate > 0 {
-			hm.Trunk.ReleaseUp(ch.upRate)
-			ch.upRate = t.b.Rate()
-			hm.Trunk.CommitUp(ch.upRate)
-		}
-		return
-	}
-	sm := ch.m.members[site]
-	sm.Trunk.ReleaseDown(t.downRate)
-	t.downRate = t.b.Rate()
-	sm.Trunk.CommitDown(t.downRate)
+	return err
 }
 
 // Leave removes the viewer; a site whose last viewer leaves is
@@ -240,48 +191,27 @@ func (lj *LiveJoin) Leave() error {
 	if ch.closed {
 		return nil
 	}
-	t := ch.trees[lj.site]
-	before := t.b.Factor()
 	err := lj.j.Leave()
-	if lj.site != ch.home && t.b.Viewers() == 0 {
-		ch.pruneSite(lj.site)
-	} else {
-		ch.syncTrunk(lj.site, t, before)
+	if ch.trees[lj.site].Viewers() == 0 {
+		_ = ch.pruneSite(lj.site)
 	}
 	return err
 }
 
-// Close takes the channel off the air everywhere: every site's
-// subtree, the core leaves and the trunk commitments all release.
-// Idempotent.
+// Close takes the channel off the air everywhere, remote sites first in
+// index order: every site's subtree, the core leaves and the trunk
+// holds all release. Idempotent; returns the first teardown error.
 func (ch *LiveChannel) Close() error {
 	if ch.closed {
 		return nil
 	}
 	var err error
-	for site := range ch.trees {
-		if site == ch.home {
-			continue
+	for site := range ch.m.members {
+		if perr := ch.pruneSite(site); err == nil {
+			err = perr
 		}
-		// pruneSite handles core leaf + trunk budgets; force it by
-		// closing regardless of viewers.
-		t := ch.trees[site]
-		home := ch.trees[ch.home]
-		ch.m.coreSw.UnrouteLeaf(ch.home, home.b.Circuit().VCI, site, t.b.Circuit().VCI)
-		ch.m.members[site].Trunk.ReleaseDown(t.downRate)
-		if cerr := t.b.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		delete(ch.trees, site)
 	}
-	hm := ch.m.members[ch.home]
-	home := ch.trees[ch.home]
-	if ch.upRate > 0 {
-		_ = hm.Site.Signalling.LeaveTree(home.b.Circuit().ID, hm.trunkPort)
-		hm.Trunk.ReleaseUp(ch.upRate)
-		ch.upRate = 0
-	}
-	if cerr := home.b.Close(); cerr != nil && err == nil {
+	if cerr := ch.trees[ch.home].Close(); err == nil {
 		err = cerr
 	}
 	ch.closed = true

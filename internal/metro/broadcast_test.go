@@ -8,6 +8,8 @@ package metro
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -139,7 +141,7 @@ func TestMetroLiveTrunkRefusal(t *testing.T) {
 	if m.Member(0).Stats.RefusedTrunk != 1 || m.Stats.TrunkRefused != 1 {
 		t.Fatalf("trunk refusal not counted: %+v / %+v", m.Member(0).Stats, m.Stats)
 	}
-	if ch.Subtree(1) != nil || ch.upRate != 0 {
+	if ch.Subtree(1) != nil || m.Member(0).Trunk.CommittedUp() != 0 {
 		t.Fatal("refused join held a subtree or the up leg")
 	}
 	if got := m.Member(1).Trunk.CommittedDown(); got != 0 {
@@ -215,5 +217,151 @@ func TestMetroLiveSubtreeDegradeRecommitsTrunk(t *testing.T) {
 	}
 	if got := m.Member(1).Trunk.CommittedDown(); got != peakRate {
 		t.Fatalf("restored subtree's trunk leg committed %d, want %d", got, peakRate)
+	}
+}
+
+// checkLiveTrunks asserts the live plane's trunk ledger: every trunk
+// direction commits exactly what the channels' live trees hold on it —
+// each subscribed remote site's subtree on that site's down direction,
+// the home tree on the home's up direction while any remote site is
+// subscribed — and never more than the trunk carries.
+func checkLiveTrunks(t *testing.T, m *Controller, step string, chans ...*LiveChannel) {
+	t.Helper()
+	up, down := make([]int64, m.Sites()), make([]int64, m.Sites())
+	for _, ch := range chans {
+		if ch.Closed() {
+			continue
+		}
+		for site := 0; site < m.Sites(); site++ {
+			if sub := ch.Subtree(site); sub != nil && site != ch.Home() {
+				down[site] += sub.Rate()
+			}
+		}
+		if ch.Viewers() > ch.Subtree(ch.Home()).Viewers() {
+			// Some remote site is subscribed: the home tree feeds the trunk.
+			up[ch.Home()] += ch.Subtree(ch.Home()).Rate()
+		}
+	}
+	for site, mb := range m.Members() {
+		tr := mb.Trunk
+		if tr.CommittedUp() != up[site] || tr.CommittedDown() != down[site] {
+			t.Fatalf("%s: site %d trunk commits up=%d down=%d, live trees hold up=%d down=%d",
+				step, site, tr.CommittedUp(), tr.CommittedDown(), up[site], down[site])
+		}
+		if up[site] > tr.Capacity() || down[site] > tr.Capacity() {
+			t.Fatalf("%s: site %d trunk carries up=%d down=%d over its %d capacity",
+				step, site, up[site], down[site], tr.Capacity())
+		}
+	}
+}
+
+// A tier climb is admission-controlled on the trunk like on every other
+// leg: a subtree that degraded under link pressure, whose freed trunk
+// room another channel then took, stays at its tier when the pressure
+// leaves — the trunk never carries more than it committed, and closing
+// both channels lands every direction on exactly zero.
+func TestMetroLiveRestoreRespectsTrunk(t *testing.T) {
+	cfg := Config{
+		Sites:     3,
+		Vod:       vodsite.Config{ReplicationDisabled: true},
+		TrunkRate: peakRate * 18 / 10,
+	}
+	h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{0} })
+	m := h.m
+	specAt := func(site int, title string) core.BroadcastSpec {
+		sp := liveSpec(h.viewers[site][3])
+		sp.Title = title
+		return sp
+	}
+	a, err := m.OpenBroadcast(0, specAt(0, "A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.OpenBroadcast(2, specAt(2, "B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := h.viewers[1][1].Port
+	m.Member(1).Site.Signalling.SetPortCapacity(tight, peakRate*8/10)
+
+	if _, err := a.Join(1, h.viewers[1][0].Port); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveTrunks(t, m, "A subscribes site 1", a, b)
+	jTight, err := a.Join(1, tight)
+	if err != nil {
+		t.Fatalf("pressured join refused instead of degrading: %v", err)
+	}
+	if !a.Subtree(1).Degraded() {
+		t.Fatal("pressured join did not degrade A's subtree")
+	}
+	checkLiveTrunks(t, m, "A's subtree degrades", a, b)
+	tier := a.Subtree(1).Factor()
+
+	// B takes the trunk room A's degraded subtree freed.
+	if _, err := b.Join(1, h.viewers[1][2].Port); err != nil {
+		t.Fatalf("B could not subscribe into the freed trunk room: %v", err)
+	}
+	checkLiveTrunks(t, m, "B subscribes site 1", a, b)
+
+	// The pressure leaves, but the trunk has no room for A at full rate.
+	if err := jTight.Leave(); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveTrunks(t, m, "tight viewer leaves", a, b)
+	if got := a.Subtree(1).Factor(); got != tier {
+		t.Fatalf("A's subtree climbed to %v through a full trunk (was %v)", got, tier)
+	}
+
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveTrunks(t, m, "A closes", a, b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkLiveTrunks(t, m, "B closes", a, b)
+	for site, mb := range m.Members() {
+		if mb.Trunk.CommittedUp() != 0 || mb.Trunk.CommittedDown() != 0 {
+			t.Fatalf("close-all left site %d trunk at up=%d down=%d",
+				site, mb.Trunk.CommittedUp(), mb.Trunk.CommittedDown())
+		}
+	}
+}
+
+// Closing a channel subscribed at several sites tears them down in site
+// order: the shared trace (same timestamp throughout) comes out the
+// same on every run.
+func TestMetroLiveCloseDeterministic(t *testing.T) {
+	closeTrace := func() string {
+		cfg := Config{Sites: 5, Vod: vodsite.Config{ReplicationDisabled: true}}
+		h := buildMetro(t, cfg, 1, 2, 1, func(int) []int { return []int{0} })
+		tr := h.m.EnableTrace()
+		ch, err := h.m.OpenBroadcast(0, liveSpec(h.viewers[0][1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for site := 0; site < 5; site++ {
+			if _, err := ch.Join(site, h.viewers[site][0].Port); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ch.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, ev := range tr.Events() {
+			fmt.Fprintf(&b, "%s %s\n", ev.Event, ev.Node)
+		}
+		return b.String()
+	}
+	want := closeTrace()
+	if n := strings.Count(want, "broadcast-close"); n != 5 {
+		t.Fatalf("%d broadcast-close events, want 5:\n%s", n, want)
+	}
+	for run := 1; run < 20; run++ {
+		if got := closeTrace(); got != want {
+			t.Fatalf("run %d closed in a different order:\n%s\nwant:\n%s", run, got, want)
+		}
 	}
 }

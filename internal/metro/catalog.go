@@ -178,10 +178,10 @@ func (m *Controller) exchange(a, b *Member) int {
 // maybeCopy triggers a lazy cross-site byte replication when a title's
 // spill pressure at its home site crosses the threshold and the home
 // site does not hold the bytes. The copy itself is pure background
-// traffic: chunked best-effort reads off the least-loaded node of the
-// nearest holder site, written and synced onto the home site's
-// least-loaded node, then activated via AdoptReplica — from that point
-// the home site admits the title on its own capacity.
+// traffic: a vodsite.TitleCopy off the least-loaded node holding the
+// title at the nearest holder site onto the home site's least-loaded
+// node, then activated via AdoptReplica — from that point the home
+// site admits the title on its own capacity.
 func (m *Controller) maybeCopy(home int, title string) {
 	if m.cfg.SpillThreshold < 0 {
 		return
@@ -191,133 +191,56 @@ func (m *Controller) maybeCopy(home int, title string) {
 		return
 	}
 	for _, cp := range m.copies {
-		if cp.home == home && cp.title == title {
+		if cp.home == home && cp.Name == title {
 			return
 		}
 	}
-	ent := hm.cat[title]
-	if ent == nil {
-		return
-	}
 	var sm *Member
-	for off := 1; off < len(m.members); off++ {
-		idx := (home + off) % len(m.members)
-		if holdsSite(ent.Holders, idx) && !m.members[idx].failed &&
-			m.members[idx].Ctrl.Lookup(title) != nil {
-			sm = m.members[idx]
-			break
-		}
-	}
+	m.spillCandidates(hm, title, func(c *Member) bool { sm = c; return false })
 	if sm == nil {
 		return
 	}
-	src := leastLoadedNode(sm.Ctrl)
-	dst := leastLoadedNode(hm.Ctrl)
-	if src == nil || dst == nil || src.SS.CM == nil {
+	src := leastLoadedNode(sm.Ctrl.Lookup(title).Replicas())
+	dst := leastLoadedNode(hm.Ctrl.Nodes())
+	if src == nil || dst == nil {
 		return
 	}
 	hm.pressure[title] = 0
-	cp := &metroCopy{
-		m: m, title: title, home: home, from: sm.Index,
-		src: src, dst: dst,
-		bytes: ent.Bytes, fb: ent.FrameBytes, hz: ent.FrameHz,
-		chunk: 256 << 10,
-	}
+	ent := hm.cat[title]
+	cp := &metroCopy{m: m, home: home, from: sm.Index, fb: ent.FrameBytes, hz: ent.FrameHz}
+	cp.TitleCopy = vodsite.TitleCopy{Src: src, Dst: dst, Name: title, Bytes: ent.Bytes,
+		Chunk: 256 << 10, Done: cp.done, Aborted: cp.aborted}
 	m.copies = append(m.copies, cp)
 	m.Stats.CrossCopiesTriggered++
-	cp.start()
+	cp.Start()
 }
 
-// leastLoadedNode picks the alive started node carrying the fewest
-// streams, node ID breaking ties — deterministic and cheap; the
-// intra-site replication machinery owns the finer bottleneck ranking.
-func leastLoadedNode(c *vodsite.Controller) *vodsite.Node {
+// leastLoadedNode picks, among nodes, the alive started one carrying
+// the fewest streams, node ID breaking ties — deterministic and cheap;
+// the intra-site replication machinery owns the finer bottleneck
+// ranking.
+func leastLoadedNode(nodes []*vodsite.Node) *vodsite.Node {
 	var best *vodsite.Node
-	for _, n := range c.Nodes() {
+	for _, n := range nodes {
 		if n.Failed() || n.SS.CM == nil {
 			continue
 		}
-		if best == nil || n.Streams() < best.Streams() {
+		if best == nil || n.Streams() < best.Streams() ||
+			(n.Streams() == best.Streams() && n.ID < best.ID) {
 			best = n
 		}
 	}
 	return best
 }
 
-// metroCopy is one cross-site background replication. It mirrors the
-// intra-site copyJob — create sparse, chunked ReadBestEffort off the
-// source, Defer to the barrier, Write, Sync, activate — but the source
-// and destination nodes live on different sites (and, sharded,
-// different partitions), which the Defer hand-off already covers.
+// metroCopy is one cross-site background replication: a
+// vodsite.TitleCopy whose source and destination nodes live on
+// different sites, plus the catalog activation.
 type metroCopy struct {
+	vodsite.TitleCopy
 	m          *Controller
-	title      string
 	home, from int
-	src, dst   *vodsite.Node
-	bytes      int64
 	fb, hz     int
-	chunk      int
-	off        int64
-	created    bool
-	aborted    bool
-}
-
-func (cp *metroCopy) start() {
-	if err := cp.dst.SS.Server.Create(cp.title, true); err != nil {
-		cp.abort()
-		return
-	}
-	cp.created = true
-	cp.step()
-}
-
-func (cp *metroCopy) step() {
-	if cp.aborted {
-		return
-	}
-	if cp.off >= cp.bytes {
-		cp.finish()
-		return
-	}
-	off := cp.off
-	n := int64(cp.chunk)
-	if rest := cp.bytes - off; rest < n {
-		n = rest
-	}
-	cp.src.SS.CM.ReadBestEffort(cp.title, off, int(n), func(data []byte, err error) {
-		// Completes on the source site's partition; the write lands on
-		// the home site's partition, so hand the body to the barrier.
-		cp.src.SS.Net.Sim.Defer(func() {
-			if cp.aborted {
-				return
-			}
-			if err != nil {
-				cp.abort()
-				return
-			}
-			if err := cp.dst.SS.Server.Write(cp.title, off, data); err != nil {
-				cp.abort()
-				return
-			}
-			cp.off = off + int64(len(data))
-			cp.step()
-		})
-	})
-}
-
-func (cp *metroCopy) finish() {
-	cp.dst.SS.Server.FS().Sync(func(err error) {
-		cp.dst.SS.Net.Sim.Defer(func() {
-			if cp.aborted {
-				return
-			}
-			if err != nil {
-				cp.abort()
-				return
-			}
-			cp.done()
-		})
-	})
 }
 
 // done activates the replica: the home site's vodsite catalog learns
@@ -328,39 +251,31 @@ func (cp *metroCopy) done() {
 	m := cp.m
 	m.removeCopy(cp)
 	hm := m.members[cp.home]
-	if hm.failed || cp.dst.Failed() {
+	if hm.failed || cp.Dst.Failed() {
 		m.Stats.CrossCopiesAborted++
 		return
 	}
-	t := hm.Ctrl.Lookup(cp.title)
+	t := hm.Ctrl.Lookup(cp.Name)
 	if t == nil {
-		t = hm.Ctrl.AddTitle(cp.title, cp.bytes, cp.fb, cp.hz)
+		t = hm.Ctrl.AddTitle(cp.Name, cp.Bytes, cp.fb, cp.hz)
 	}
-	hm.Ctrl.AdoptReplica(t, cp.dst)
-	if ent := hm.cat[cp.title]; ent != nil && !holdsSite(ent.Holders, cp.home) {
+	hm.Ctrl.AdoptReplica(t, cp.Dst)
+	if ent := hm.cat[cp.Name]; ent != nil && !holdsSite(ent.Holders, cp.home) {
 		m.catVersion++
 		ne := ent.clone()
 		ne.Version = m.catVersion
 		ne.Holders = insertSite(ne.Holders, cp.home)
-		hm.cat[cp.title] = ne
+		hm.cat[cp.Name] = ne
 	}
 	m.Stats.CrossCopiesCompleted++
 	if cb := m.OnReplica; cb != nil {
-		cb(cp.home, cp.title)
+		cb(cp.home, cp.Name)
 	}
 }
 
-func (cp *metroCopy) abort() {
-	if cp.aborted {
-		return
-	}
-	cp.aborted = true
-	m := cp.m
-	m.removeCopy(cp)
-	m.Stats.CrossCopiesAborted++
-	if cp.created && !cp.dst.Failed() {
-		_ = cp.dst.SS.Server.Delete(cp.title)
-	}
+func (cp *metroCopy) aborted() {
+	cp.m.removeCopy(cp)
+	cp.m.Stats.CrossCopiesAborted++
 }
 
 // Copying reports cross-site copies in flight.

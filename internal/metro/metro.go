@@ -19,11 +19,12 @@
 // vodsite stream on the serving site (server uplink ∧ disk ∧ CPU,
 // terminating at that site's trunk port), a VCI-rewriting route
 // across the core switch, and a link-only session on the home site
-// (trunk in-port → viewer downlink). The trunk budget itself is
-// committed per direction — up at the serving site, down at the home
-// site — and both sites' trunk ports carry unbounded netsig capacity
-// so the explicit trunk leg is the only place trunk bandwidth is
-// counted.
+// (trunk in-port → viewer downlink). The home leg's spec names both
+// trunk directions it crosses — up at the serving site, down at the
+// home site — so they are committed, reshaped and released as ordinary
+// legs of that session's reservation; both sites' trunk ports carry
+// unbounded netsig capacity so the trunk leg is the only place trunk
+// bandwidth is counted.
 //
 // Sharding: with Config.Partitions > 0 the metro owns one
 // sim.Cluster and hosts each site wholly on one partition
@@ -340,7 +341,6 @@ type Session struct {
 
 	m        *Controller
 	id       int64
-	rate     int64
 	st       *vodsite.Stream
 	homeSess *core.Session // trunk→viewer leg; nil when Served == Home
 	coreVCI  atm.VCI       // the serving stream's VCI at the core in-port
@@ -387,8 +387,8 @@ func (s *Session) ViewerVCI() atm.VCI {
 // Closed reports whether the session is down.
 func (s *Session) Closed() bool { return s.closed }
 
-// Close releases every leg: the serving stream, the core route, the
-// home leg and both trunk-direction budgets.
+// Close releases every leg: the serving stream, the core route and
+// the home leg (which holds both trunk directions).
 func (s *Session) Close() {
 	if s.closed {
 		return
@@ -402,8 +402,6 @@ func (s *Session) Close() {
 func (s *Session) release() {
 	if s.Spilled() {
 		s.m.coreSw.Unroute(s.Served, s.coreVCI)
-		s.m.members[s.Served].Trunk.ReleaseUp(s.rate)
-		s.m.members[s.Home].Trunk.ReleaseDown(s.rate)
 	}
 	if s.st != nil {
 		if !s.st.Released() {
@@ -432,7 +430,7 @@ func (m *Controller) OpenSession(home int, title string, viewerPort int) (*Sessi
 	m.nextID++
 	s := &Session{
 		m: m, id: m.nextID, Home: home, Served: home,
-		Title: title, ViewerPort: viewerPort, rate: m.cfg.Vod.PeakRate,
+		Title: title, ViewerPort: viewerPort,
 	}
 	if err := m.admit(s); err != nil {
 		return nil, err
@@ -441,10 +439,42 @@ func (m *Controller) OpenSession(home int, title string, viewerPort int) (*Sessi
 	return s, nil
 }
 
+// homeLeg is the spec of a spilled session's home-site half: trunk
+// in-port → viewer downlink, crossing the serving site's up direction
+// and the home site's down direction.
+func (m *Controller) homeLeg(hm, sm *Member, viewerPort int) core.SessionSpec {
+	return core.SessionSpec{
+		Class:    m.cfg.Vod.Class,
+		InPort:   hm.trunkPort,
+		OutPorts: []int{viewerPort},
+		PeakRate: m.cfg.Vod.PeakRate,
+		TrunkUp:  &sm.Trunk.UpBudget, TrunkDown: &hm.Trunk.DownBudget,
+	}
+}
+
+// spillCandidates calls visit for each site that could serve title to
+// a viewer homed at hm — alive holders per hm's catalog replica that
+// have the bytes activated — in rotation order from the home site,
+// until visit returns false.
+func (m *Controller) spillCandidates(hm *Member, title string, visit func(sm *Member) bool) {
+	ent := hm.cat[title]
+	if ent == nil {
+		return
+	}
+	K := len(m.members)
+	for off := 1; off < K; off++ {
+		sm := m.members[(hm.Index+off)%K]
+		if holdsSite(ent.Holders, sm.Index) && !sm.failed && sm.Ctrl.Lookup(title) != nil && !visit(sm) {
+			return
+		}
+	}
+}
+
 // admit runs the spill admission sequence for s: home site first, then
 // neighbor sites out of the home's catalog replica in rotation order.
-// On success s's legs are filled in; FailSite reuses it to re-admit a
-// surviving session in place.
+// Every candidate is probed before anything is committed, so a refusal
+// moves no counter but its own. On success s's legs are filled in;
+// FailSite reuses it to re-admit a surviving session in place.
 func (m *Controller) admit(s *Session) error {
 	hm := m.members[s.Home]
 	var localErr error
@@ -468,8 +498,7 @@ func (m *Controller) admit(s *Session) error {
 		return fmt.Errorf("%w: metro: site %d does not hold %q (spill disabled)",
 			vodsite.ErrNoReplica, s.Home, s.Title)
 	}
-	ent := hm.cat[s.Title]
-	if ent == nil {
+	if hm.cat[s.Title] == nil {
 		hm.Stats.Refused++
 		return fmt.Errorf("%w: metro: unknown title %q", vodsite.ErrNoReplica, s.Title)
 	}
@@ -480,50 +509,38 @@ func (m *Controller) admit(s *Session) error {
 
 	var lastErr error
 	trunkShort := false
-	K := len(m.members)
-	for off := 1; off < K; off++ {
-		idx := (s.Home + off) % K
-		if !holdsSite(ent.Holders, idx) {
-			continue
-		}
-		sm := m.members[idx]
-		if sm.failed || sm.Ctrl.Lookup(s.Title) == nil {
-			continue
-		}
+	m.spillCandidates(hm, s.Title, func(sm *Member) bool {
 		rep := sm.Ctrl.Probe(s.Title, sm.trunkPort)
 		if !rep.OK {
 			lastErr = fmt.Errorf("%w: metro: site %d refused %q on %s",
-				vodsite.ErrNoReplica, idx, s.Title, rep.FirstRefusal)
-			continue
+				vodsite.ErrNoReplica, sm.Index, s.Title, rep.FirstRefusal)
+			return true
 		}
-		if !sm.Trunk.CanUp(s.rate) || !hm.Trunk.CanDown(s.rate) {
+		leg := m.homeLeg(hm, sm, s.ViewerPort)
+		if !hm.Site.Probe(leg).Leg(core.LegTrunk).OK {
 			trunkShort = true
-			continue
+			return true
 		}
 		st, err := sm.Ctrl.Admit(s.Title, sm.trunkPort)
 		if err != nil {
 			lastErr = err
-			continue
+			return true
 		}
-		hs, err := hm.Site.OpenSession(core.SessionSpec{
-			Class:    m.cfg.Vod.Class,
-			InPort:   hm.trunkPort,
-			OutPorts: []int{s.ViewerPort},
-			PeakRate: s.rate,
-		})
+		hs, err := hm.Site.OpenSession(leg)
 		if err != nil {
 			st.Release()
 			lastErr = err
-			break // the viewer's own downlink refused; no neighbor helps
+			return false // the viewer's own downlink refused; no neighbor helps
 		}
-		sm.Trunk.CommitUp(s.rate)
-		hm.Trunk.CommitDown(s.rate)
-		m.coreSw.Route(idx, st.VCI(), s.Home, hs.VCI())
-		s.st, s.homeSess, s.Served, s.coreVCI = st, hs, idx, st.VCI()
+		m.coreSw.Route(sm.Index, st.VCI(), s.Home, hs.VCI())
+		s.st, s.homeSess, s.Served, s.coreVCI = st, hs, sm.Index, st.VCI()
 		hm.Stats.SpillOut++
 		sm.Stats.SpillIn++
 		m.Stats.Spilled++
 		m.traceSpill(s, rep)
+		return false
+	})
+	if s.Spilled() {
 		return nil
 	}
 	hm.Stats.Refused++
@@ -544,12 +561,12 @@ func (m *Controller) admit(s *Session) error {
 // Probe answers "would OpenSession(home, title, viewerPort) admit
 // right now, and where" without holding anything: the home site's
 // report when it would admit locally, otherwise the first admitting
-// spill candidate's report with the viewer-downlink and trunk legs
-// merged in. The second return is the serving site, -1 when every
-// candidate refuses (the report then describes the last one probed).
+// spill candidate's report with the home leg's viewer-downlink and
+// trunk legs laid over it. The second return is the serving site, -1
+// when every candidate refuses (the report then describes the last one
+// probed).
 func (m *Controller) Probe(home int, title string, viewerPort int) (core.AdmissionReport, int) {
 	hm := m.members[home]
-	rate := m.cfg.Vod.PeakRate
 	if hm.failed {
 		return core.AdmissionReport{}, -1
 	}
@@ -563,77 +580,42 @@ func (m *Controller) Probe(home int, title string, viewerPort int) (core.Admissi
 	if m.cfg.NoSpill {
 		return last, -1
 	}
-	ent := hm.cat[title]
-	if ent == nil {
-		return last, -1
-	}
-	// The viewer's downlink is on the home site whichever site serves.
-	link := hm.Site.Probe(core.SessionSpec{
-		Class: m.cfg.Vod.Class, OutPorts: []int{viewerPort}, PeakRate: rate,
-	}).Leg(core.LegLink)
-	K := len(m.members)
-	for off := 1; off < K; off++ {
-		idx := (home + off) % K
-		if !holdsSite(ent.Holders, idx) {
-			continue
+	served := -1
+	m.spillCandidates(hm, title, func(sm *Member) bool {
+		last = sm.Ctrl.Probe(title, sm.trunkPort)
+		// The viewer's downlink and the trunk are the home leg's.
+		leg := hm.Site.Probe(m.homeLeg(hm, sm, viewerPort))
+		last.Legs[core.LegLink], last.Legs[core.LegTrunk] = leg.Leg(core.LegLink), leg.Leg(core.LegTrunk)
+		if last.OK && !leg.OK {
+			last.OK, last.FirstRefusal = false, leg.FirstRefusal
 		}
-		sm := m.members[idx]
-		if sm.failed || sm.Ctrl.Lookup(title) == nil {
-			continue
+		if last.OK {
+			served = sm.Index
 		}
-		rep := sm.Ctrl.Probe(title, sm.trunkPort)
-		rep.Legs[core.LegLink] = link
-		tl := &rep.Legs[core.LegTrunk]
-		tl.Present = true
-		tl.OK = sm.Trunk.CanUp(rate) && hm.Trunk.CanDown(rate)
-		tl.Headroom = sm.Trunk.Headroom()
-		if h := hm.Trunk.Headroom(); h < tl.Headroom {
-			tl.Headroom = h
-		}
-		if rep.OK && (!link.OK || !tl.OK) {
-			rep.OK = false
-			if !link.OK {
-				rep.FirstRefusal = core.LegLink
-			} else {
-				rep.FirstRefusal = core.LegTrunk
-			}
-		}
-		last = rep
-		if rep.OK {
-			return rep, idx
-		}
-	}
-	return last, -1
+		return !last.OK
+	})
+	return last, served
 }
 
 // traceSpill records the cross-site admission with the remote probe's
-// per-leg headrooms plus the trunk leg — every spilled admission
-// carries a trunk-leg entry in the session trace.
+// per-leg headrooms plus the trunk leg as the admission left it —
+// every spilled admission carries a trunk-leg entry in the session
+// trace.
 func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 	tr := m.tracer
 	if tr == nil {
 		return
 	}
-	var legs []telemetry.LegSample
-	for _, lr := range rep.Legs {
-		if !lr.Present {
-			continue
-		}
-		legs = append(legs, telemetry.LegSample{Leg: lr.Leg.String(), OK: lr.OK, Headroom: lr.Headroom})
-	}
-	th := m.members[s.Served].Trunk.Headroom()
-	if h := m.members[s.Home].Trunk.Headroom(); h < th {
-		th = h
-	}
-	legs = append(legs, telemetry.LegSample{Leg: core.LegTrunk.String(), OK: true, Headroom: th})
+	rep.Legs[core.LegTrunk] = core.LegReport{Leg: core.LegTrunk, Present: true, OK: true,
+		Headroom: min(m.members[s.Served].Trunk.Headroom(), m.members[s.Home].Trunk.Headroom())}
 	tr.Record(tr.GlobalShard(), telemetry.Event{
 		T:       m.clock.Now(),
 		Event:   "spilled",
 		Session: s.id,
 		Node:    s.st.Node().SS.Name,
 		Class:   m.cfg.Vod.Class.String(),
-		RateBPS: s.rate,
-		Legs:    legs,
+		RateBPS: m.cfg.Vod.PeakRate,
+		Legs:    rep.LegSamples(),
 	})
 }
 
@@ -665,7 +647,7 @@ func (m *Controller) FailSite(idx int) FailReport {
 	vm.failed = true
 	for _, cp := range append([]*metroCopy(nil), m.copies...) {
 		if cp.home == idx || cp.from == idx {
-			cp.abort()
+			cp.Abort()
 		}
 	}
 	// Strike the site from every survivor's catalog view, one version
@@ -767,23 +749,5 @@ func (m *Controller) registerGauges() {
 	mg("admission", "spilled", func() float64 { return float64(m.Stats.Spilled) })
 	mg("admission", "refused_trunk", func() float64 { return float64(m.Stats.TrunkRefused) })
 	mg("fabric", "cells_switched", func() float64 { return float64(m.coreSw.Stats().Switched) })
-	part := func(i int, p *sim.Sim) {
-		node := fmt.Sprintf("part%d", i)
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "events_fired"},
-			func() float64 { return float64(p.Fired()) })
-		reg.Gauge(telemetry.Key{Node: node, Subsystem: "sim", Name: "inbox_depth"},
-			func() float64 { return float64(p.Pending()) })
-	}
-	if m.clu == nil {
-		part(0, m.coreSim)
-		return
-	}
-	for i := 0; i < m.clu.Parts(); i++ {
-		part(i, m.clu.Part(i))
-	}
-	if clu := m.clu; clu.Parts() > 1 {
-		mg("sim", "windows", func() float64 { return float64(clu.Windows()) })
-		mg("sim", "barrier_stalls", func() float64 { return float64(clu.BarrierStalls()) })
-		mg("sim", "cross_delivered", func() float64 { return float64(clu.CrossDelivered()) })
-	}
+	reg.KernelGauges("metro", m.coreSim, m.clu)
 }

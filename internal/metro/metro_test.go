@@ -229,7 +229,9 @@ func TestMetroCrossSiteCopy(t *testing.T) {
 		Vod:            vodsite.Config{ReplicationDisabled: true},
 		SpillThreshold: 2,
 	}
-	h := buildMetro(t, cfg, 1, 6, 1, func(int) []int { return []int{1} })
+	// Two nodes per site, one replica: the copy must read off the node
+	// that stores the title, not merely the least-loaded one.
+	h := buildMetro(t, cfg, 2, 6, 1, func(int) []int { return []int{1} })
 	m := h.m
 
 	var replicas int

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -182,4 +184,35 @@ func (r *Registry) Snapshot() []Point {
 		pts = append(pts, Point{Key: k, Kind: "gauge", Value: r.gauges[r.seen[k]].fn()})
 	}
 	return pts
+}
+
+// KernelGauges registers the event kernel's own producers: per
+// partition sim/events_fired and sim/inbox_depth under "part<i>" (the
+// serial kernel is partition 0), and — for two or more partitions
+// only, so a 1-partition cluster's metrics stay bit-identical to a
+// serial run's — the cluster synchronisation counters under node.
+// serial is the kernel when clu is nil, and ignored otherwise.
+func (r *Registry) KernelGauges(node string, serial *sim.Sim, clu *sim.Cluster) {
+	parts := []*sim.Sim{serial}
+	if clu != nil {
+		parts = parts[:0]
+		for i := 0; i < clu.Parts(); i++ {
+			parts = append(parts, clu.Part(i))
+		}
+	}
+	for i, p := range parts {
+		part := fmt.Sprintf("part%d", i)
+		r.Gauge(Key{Node: part, Subsystem: "sim", Name: "events_fired"},
+			func() float64 { return float64(p.Fired()) })
+		r.Gauge(Key{Node: part, Subsystem: "sim", Name: "inbox_depth"},
+			func() float64 { return float64(p.Pending()) })
+	}
+	if len(parts) > 1 {
+		r.Gauge(Key{Node: node, Subsystem: "sim", Name: "windows"},
+			func() float64 { return float64(clu.Windows()) })
+		r.Gauge(Key{Node: node, Subsystem: "sim", Name: "barrier_stalls"},
+			func() float64 { return float64(clu.BarrierStalls()) })
+		r.Gauge(Key{Node: node, Subsystem: "sim", Name: "cross_delivered"},
+			func() float64 { return float64(clu.CrossDelivered()) })
+	}
 }

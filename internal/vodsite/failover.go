@@ -26,8 +26,8 @@ func (c *Controller) FailNode(n *Node) FailReport {
 	}
 	// Abort copies reading from or writing to the dead node.
 	for _, j := range append([]*copyJob(nil), c.copies...) {
-		if j.src == n || j.dst == n {
-			j.abort()
+		if j.Src == n || j.Dst == n {
+			j.Abort()
 		}
 	}
 	// The node is gone from every replica set: admission must never

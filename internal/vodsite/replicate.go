@@ -38,12 +38,14 @@ func (c *Controller) maybeReplicate(t *Title) {
 	t.pendingRefusals = 0
 	t.copying = true
 	c.Stats.ReplicasTriggered++
-	j := &copyJob{c: c, t: t, src: source, dst: target}
+	j := &copyJob{c: c, t: t}
+	j.TitleCopy = TitleCopy{Src: source, Dst: target, Name: t.Name, Bytes: t.Bytes,
+		Chunk: c.cfg.CopyChunk, Done: j.done, Aborted: j.aborted}
 	c.copies = append(c.copies, j)
 	if c.cfg.DegradeBeforeReplicate {
 		j.degradeViewers()
 	}
-	j.start()
+	j.Start()
 }
 
 // degradeViewers drops the hot title's current viewers on the copy's
@@ -52,7 +54,7 @@ func (c *Controller) maybeReplicate(t *Title) {
 // more disk budget for new viewers while the copy catches up. They are
 // restored when the replica joins the catalog or the copy aborts.
 func (j *copyJob) degradeViewers() {
-	for _, st := range j.src.streams {
+	for _, st := range j.Src.streams {
 		if st.Title != j.t || st.sess == nil {
 			continue
 		}
@@ -74,12 +76,7 @@ func (j *copyJob) degradeViewers() {
 // sessions, and Guaranteed viewers must not stay degraded for life.
 func (j *copyJob) restoreViewers() {
 	for _, st := range j.degraded {
-		if st.Released() || st.sess == nil || !st.sess.Degraded() ||
-			st.node == nil || st.node.Failed() {
-			// Gone, already back at full quality (e.g. failover
-			// re-admitted it fresh), or dying with its node — FailNode
-			// closes and re-admits those moments after aborting this
-			// copy, so there is nothing here to restore or count.
+		if !st.restorable() {
 			continue
 		}
 		if st.sess.Restore() == nil {
@@ -91,18 +88,23 @@ func (j *copyJob) restoreViewers() {
 	j.degraded = nil
 }
 
+// restorable reports whether a copy-window viewer still has quality to
+// get back. False once it is gone, already back at full quality (e.g.
+// failover re-admitted it fresh), or dying with its node — FailNode
+// closes and re-admits those moments after aborting the copy, so there
+// is nothing to restore or count.
+func (st *Stream) restorable() bool {
+	return !st.Released() && st.sess != nil && st.sess.Degraded() &&
+		st.node != nil && !st.node.Failed()
+}
+
 // retryRestores re-attempts parked copy-window restores; called after
 // any stream teardown returns budget.
 func (c *Controller) retryRestores() {
-	if len(c.restorePending) == 0 {
-		return
-	}
 	keep := c.restorePending[:0]
 	for _, st := range c.restorePending {
 		switch {
-		case st.Released() || st.sess == nil || !st.sess.Degraded() ||
-			st.node == nil || st.node.Failed():
-			// Nothing left to restore.
+		case !st.restorable():
 		case st.sess.Restore() == nil:
 			c.Stats.RestoredAfterCopy++
 		default:
@@ -151,111 +153,123 @@ func (c *Controller) copySource(t *Title) *Node {
 // Copying reports background copies in flight.
 func (c *Controller) Copying() int { return len(c.copies) }
 
-// copyJob is one background replication: chunked best-effort reads off
-// the source, ordinary writes onto the target, a sync, then activation.
+// TitleCopy is one chunked background copy of a title's bytes from one
+// node's array to another's: create sparse on Dst, read Chunk bytes at
+// a time off Src through ReadBestEffort (round slack only — guaranteed
+// rounds are untouched), write them onto Dst, sync, then Done. The
+// nodes may live on different partitions (or, for a metro copy,
+// different sites): every read and sync completion is handed to the
+// barrier with Defer before it touches the other node or the owner's
+// bookkeeping; serial kernels run it inline. Activation and stats stay
+// with the owner, in the two callbacks.
+type TitleCopy struct {
+	// Src is read from; Dst is written to.
+	Src, Dst *Node
+	// Name and Bytes identify the title and its length.
+	Name  string
+	Bytes int64
+	// Chunk is the bytes per best-effort read.
+	Chunk int
+	// Done fires once the copy is durable on Dst's array: only a synced
+	// replica may join a catalog (a node that crashes between copy and
+	// sync must not serve the title from volatile buffers).
+	Done func()
+	// Aborted fires once if the copy is abandoned (I/O error, Abort).
+	Aborted func()
+
+	off     int64
+	created bool
+	aborted bool
+}
+
+// Start begins the copy.
+func (cp *TitleCopy) Start() {
+	if err := cp.Dst.SS.Server.Create(cp.Name, true); err != nil {
+		cp.Abort()
+		return
+	}
+	cp.created = true
+	cp.step()
+}
+
+func (cp *TitleCopy) step() {
+	if cp.aborted {
+		return
+	}
+	if cp.off >= cp.Bytes {
+		cp.Dst.SS.Server.FS().Sync(func(err error) { cp.deferred(cp.Dst, err, cp.Done) })
+		return
+	}
+	off := cp.off
+	n := min(int64(cp.Chunk), cp.Bytes-off)
+	cp.Src.SS.CM.ReadBestEffort(cp.Name, off, int(n), func(data []byte, err error) {
+		cp.deferred(cp.Src, err, func() {
+			if err := cp.Dst.SS.Server.Write(cp.Name, off, data); err != nil {
+				cp.Abort()
+				return
+			}
+			cp.off = off + int64(len(data))
+			cp.step()
+		})
+	})
+}
+
+// deferred continues the copy from an I/O completion that fired on
+// node on's partition: at the barrier, unless the copy was aborted
+// meanwhile or the I/O failed.
+func (cp *TitleCopy) deferred(on *Node, err error, next func()) {
+	on.SS.Net.Sim.Defer(func() {
+		switch {
+		case cp.aborted:
+		case err != nil:
+			cp.Abort()
+		default:
+			next()
+		}
+	})
+}
+
+// Abort abandons the copy and removes the partial file so a later
+// attempt can start clean. Idempotent.
+func (cp *TitleCopy) Abort() {
+	if cp.aborted {
+		return
+	}
+	cp.aborted = true
+	cp.Aborted()
+	if cp.created && !cp.Dst.failed {
+		_ = cp.Dst.SS.Server.Delete(cp.Name)
+	}
+}
+
+// copyJob is one reactive replication: a TitleCopy plus the catalog
+// activation and the copy-window viewer bookkeeping.
 type copyJob struct {
-	c        *Controller
-	t        *Title
-	src, dst *Node
-	off      int64
-	created  bool
-	aborted  bool
+	TitleCopy
+	c *Controller
+	t *Title
 
 	// degraded holds the viewer streams tier-dropped for this copy's
 	// window (DegradeBeforeReplicate); restored when the window closes.
 	degraded []*Stream
 }
 
-func (j *copyJob) start() {
-	if err := j.dst.SS.Server.Create(j.t.Name, true); err != nil {
-		j.abort()
-		return
-	}
-	j.created = true
-	j.step()
-}
-
-func (j *copyJob) step() {
-	if j.aborted {
-		return
-	}
-	if j.off >= j.t.Bytes {
-		j.finish()
-		return
-	}
-	off := j.off
-	n := int64(j.c.cfg.CopyChunk)
-	if rest := j.t.Bytes - off; rest < n {
-		n = rest
-	}
-	j.src.SS.CM.ReadBestEffort(j.t.Name, off, int(n), func(data []byte, err error) {
-		// The read completes on the source node's partition, but the
-		// body writes the *target* node's array and the controller's
-		// bookkeeping: hand it to the barrier, where every partition's
-		// state may be touched. Serial sites run it inline.
-		j.src.SS.Net.Sim.Defer(func() {
-			if j.aborted {
-				return
-			}
-			if err != nil {
-				j.abort()
-				return
-			}
-			if err := j.dst.SS.Server.Write(j.t.Name, off, data); err != nil {
-				j.abort()
-				return
-			}
-			j.off = off + int64(len(data))
-			j.step()
-		})
-	})
-}
-
-// finish makes the copy durable, then activates the replica: only a
-// synced replica may join the catalog (a node that crashes between copy
-// and sync must not be serving the title from volatile buffers).
-func (j *copyJob) finish() {
-	j.dst.SS.Server.FS().Sync(func(err error) {
-		// Fires on the target node's partition; done() mutates the
-		// catalog and re-admits pending viewers site-wide, so it runs
-		// at the barrier (inline on serial sites).
-		j.dst.SS.Net.Sim.Defer(func() {
-			if j.aborted {
-				return
-			}
-			if err != nil {
-				j.abort()
-				return
-			}
-			j.done()
-		})
-	})
-}
-
 func (j *copyJob) done() {
 	j.c.removeJob(j)
 	j.t.copying = false
-	j.t.replicas = append(j.t.replicas, j.dst)
+	j.t.replicas = append(j.t.replicas, j.Dst)
 	j.c.Stats.ReplicasCompleted++
 	j.restoreViewers()
 	if cb := j.c.OnReplica; cb != nil {
-		cb(j.t, j.dst)
+		cb(j.t, j.Dst)
 	}
 }
 
-func (j *copyJob) abort() {
-	if j.aborted {
-		return
-	}
-	j.aborted = true
+func (j *copyJob) aborted() {
 	j.c.removeJob(j)
 	j.t.copying = false
 	j.c.Stats.ReplicasAborted++
 	j.restoreViewers()
-	// Remove the partial copy so a later attempt can start clean.
-	if j.created && !j.dst.failed {
-		_ = j.dst.SS.Server.Delete(j.t.Name)
-	}
 }
 
 func (c *Controller) removeJob(j *copyJob) {

@@ -518,38 +518,44 @@ func (c *Controller) Probe(title string, viewerPort int) core.AdmissionReport {
 // each other.
 func (c *Controller) tryReplicas(t *Title, viewerPort int) (*Node, *core.Session, []replicaProbe, error) {
 	probes := c.probeReplicas(t, viewerPort)
+	adaptive := c.cfg.Class == core.Adaptive
+	n, sess, err := c.openOn(t, viewerPort, probes, adaptive)
+	if sess == nil && adaptive && !catalogBug(err) {
+		n, sess, err = c.openOn(t, viewerPort, probes, false)
+	}
+	switch {
+	case sess != nil || catalogBug(err):
+		return n, sess, probes, err
+	case err == nil:
+		err = errors.New("no alive replica")
+	}
+	return nil, nil, probes, fmt.Errorf("%w: %s: %v", ErrNoReplica, t.Name, err)
+}
+
+// openOn opens a session on the first candidate that admits — only
+// candidates with full-quality room when fullOnly — and reports the
+// last refusal otherwise. A replica that cannot serve the title at all
+// is a catalog bug, not an over-subscription: it ends the attempt and
+// surfaces as is.
+func (c *Controller) openOn(t *Title, viewerPort int, probes []replicaProbe, fullOnly bool) (*Node, *core.Session, error) {
 	var lastErr error
 	for _, p := range probes {
-		if c.cfg.Class == core.Adaptive && !p.r.OK {
-			continue // no full-quality room; maybe in pass 2
+		if fullOnly && !p.r.OK {
+			continue
 		}
 		sess, err := c.site.OpenSession(c.specFor(t, p.n, viewerPort, c.cfg.Class))
 		if err == nil {
-			return p.n, sess, probes, nil
+			return p.n, sess, nil
 		}
-		if errors.Is(err, fileserver.ErrBadStream) || errors.Is(err, fileserver.ErrBadRound) {
-			// A replica that cannot serve the title at all is a catalog
-			// bug, not an over-subscription; surface it.
-			return nil, nil, probes, err
-		}
-		lastErr = err
-	}
-	if c.cfg.Class == core.Adaptive {
-		for _, p := range probes {
-			sess, err := c.site.OpenSession(c.specFor(t, p.n, viewerPort, c.cfg.Class))
-			if err == nil {
-				return p.n, sess, probes, nil
-			}
-			if errors.Is(err, fileserver.ErrBadStream) || errors.Is(err, fileserver.ErrBadRound) {
-				return nil, nil, probes, err
-			}
-			lastErr = err
+		if lastErr = err; catalogBug(err) {
+			break
 		}
 	}
-	if lastErr == nil {
-		lastErr = errors.New("no alive replica")
-	}
-	return nil, nil, probes, fmt.Errorf("%w: %s: %v", ErrNoReplica, t.Name, lastErr)
+	return nil, nil, lastErr
+}
+
+func catalogBug(err error) bool {
+	return errors.Is(err, fileserver.ErrBadStream) || errors.Is(err, fileserver.ErrBadRound)
 }
 
 // Admit admits one stream of a title to a viewer's port, trying
