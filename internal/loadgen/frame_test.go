@@ -138,7 +138,7 @@ func TestPlayoutNeverWritesTheWake(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the feeder's wake is not resident: %v", title, err)
 		}
-		sc.site.Clock.RunFor(2 * cfg.Round) // cross a round boundary: playout may begin
+		sc.clock.RunFor(2 * cfg.Round) // cross a round boundary: playout may begin
 		for {
 			frame, ok := cm.NextFrame()
 			if !ok {

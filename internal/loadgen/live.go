@@ -96,86 +96,19 @@ type liveJoinPlan struct {
 	ch, v    int
 }
 
-// liveCounters are one partition's share of the live scoreboard.
-type liveCounters struct {
-	sim                *sim.Sim
-	sent, cells, saved *telemetry.Counter
-}
-
-func (sc *Scenario) liveFor(s *sim.Sim) *liveCounters {
-	for _, c := range sc.liveCtrs {
-		if c.sim == s {
-			return c
-		}
-	}
-	reg, p := sc.metrics(), s.Partition()
-	c := &liveCounters{
-		sim:   s,
-		sent:  reg.Counter(p, trafficKey("frames_sent")),
-		cells: reg.Counter(p, liveKey("source_cells")),
-		saved: reg.Counter(p, liveKey("fanout_saved")),
-	}
-	sc.liveCtrs = append(sc.liveCtrs, c)
-	return c
-}
-
-// Channels exposes the on-air broadcasts for assertions.
-func (sc *Scenario) Channels() []*core.Broadcast {
-	out := make([]*core.Broadcast, len(sc.channels))
-	for i, lc := range sc.channels {
-		out[i] = lc.b
-	}
-	return out
-}
-
-// buildLive constructs the site, puts every channel on the air, admits
-// the background VoD sessions, and pre-samples the churn schedule.
-// Joins are scheduled when Run starts.
-func (sc *Scenario) buildLive() {
+// liveChurn admits the background VoD sessions, puts every channel on
+// the air and pre-samples the churn schedule; the encoders start and the
+// joins are scheduled when Run starts.
+func (sc *Scenario) liveChurn() {
 	cfg := sc.cfg
-	n := cfg.Workstations
-
-	siteCfg := core.DefaultSiteConfig()
-	siteCfg.LinkRate = cfg.LinkRate
-	siteCfg.CellAccurate = cfg.CellAccurate
-	siteCfg.Partitions = cfg.Partitions
-	siteCfg.Ports = n + cfg.Channels + cfg.Servers
-	sc.attachSite(core.NewSite(siteCfg))
-	// Sources pay for their uplink: the multicast tree charges each
-	// camera's once per channel, the unicast ablation once per viewer —
-	// the admission asymmetry the scoreboard exists to show.
-	sc.site.Signalling.EnableUplinkAdmission()
-
-	viewers := make([]*core.Endpoint, n)
-	for i := 0; i < n; i++ {
-		viewers[i] = sc.site.Attach(fmt.Sprintf("viewer%d", i))
-	}
-	sc.liveViewers = viewers
+	n, viewers := cfg.Workstations, sc.viewers
 
 	// Background VoD: unicast disk-backed Guaranteed sessions on the
 	// same viewer links — the mixed live+stored load the paper's site
 	// carries. Their underruns must stay zero no matter what the live
 	// churn does to the shared budgets.
-	if cfg.VodStreams > 0 {
-		framesPerRound := int64(cfg.FrameHz) * int64(cfg.Round) / int64(sim.Second)
-		roundBytes := framesPerRound * int64(cfg.FrameBytes)
-		titleBytes := int64(cfg.TitleRounds) * roundBytes
-		segSize := int64(64 << 10)
-		titles := 2 * cfg.Servers
-		perTitle := (titleBytes+segSize-1)/segSize + 1
-		nseg := (int64(titles)*perTitle)/int64(cfg.Servers) + 16
-		sc.Servers = make([]*core.StorageServer, cfg.Servers)
-		for s := range sc.Servers {
-			sc.Servers[s] = sc.site.NewStorageServer(fmt.Sprintf("vod%d", s), int(segSize), nseg)
-		}
-		sc.preloadTitles(titles, titleBytes)
-		for v := 0; v < cfg.VodStreams; v++ {
-			t := v % titles
-			st := sc.addStream(sc.Servers[t%cfg.Servers].Net, []*core.Endpoint{viewers[v%n]}, v)
-			st.server = sc.Servers[t%cfg.Servers]
-			st.title = titleName(t)
-			st.establish()
-		}
+	for v := 0; v < cfg.VodStreams; v++ {
+		sc.newStoredRequest(v%sc.titles, v, viewers[v%n])
 	}
 
 	// One camera per channel; every channel goes on the air before any
@@ -195,15 +128,15 @@ func (sc *Scenario) buildLive() {
 		if err != nil {
 			panic(fmt.Sprintf("loadgen: channel ch%d refused at open: %v", c, err))
 		}
-		lv := sc.liveFor(cam.Sim)
+		part := cam.Sim.Partition()
 		src := &liveSource{
 			sim:     cam.Sim,
 			out:     cam.ToSwitch,
 			period:  period,
 			payload: make([]byte, cfg.FrameBytes),
-			sent:    lv.sent,
-			cells:   lv.cells,
-			saved:   lv.saved,
+			sent:    sc.trafficFor(cam.Sim).framesSent,
+			cells:   sc.reg.Counter(part, liveKey("source_cells")),
+			saved:   sc.reg.Counter(part, liveKey("fanout_saved")),
 		}
 		if !cfg.Unicast {
 			src.vcis = []atm.VCI{b.VCI()}
@@ -239,6 +172,18 @@ func (sc *Scenario) buildLive() {
 			v:    k % n,
 		})
 	}
+	sc.atRun = append(sc.atRun, sc.startLive)
+}
+
+// startLive starts the encoders and schedules the churn.
+func (sc *Scenario) startLive() {
+	period := sim.Second / sim.Duration(sc.cfg.FrameHz)
+	for c, lc := range sc.channels {
+		lc.src.start(sim.Duration(int64(c)*7919) % period)
+	}
+	for _, p := range sc.livePlan {
+		sc.clock.CallAfter(p.at, func() { sc.liveJoin(p) })
+	}
 }
 
 // liveJoin executes one planned join in global context: admit the
@@ -248,7 +193,7 @@ func (sc *Scenario) buildLive() {
 // the channel goes away.
 func (sc *Scenario) liveJoin(p liveJoinPlan) {
 	lc := sc.channels[p.ch]
-	ep := sc.liveViewers[p.v]
+	ep := sc.viewers[p.v]
 	j, err := lc.b.Join(ep.Port)
 	if err != nil {
 		return
@@ -260,7 +205,7 @@ func (sc *Scenario) liveJoin(p liveJoinPlan) {
 		lc.src.viewers = lc.b.Viewers()
 	}
 	vci := j.VCI()
-	sc.clock().CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
+	sc.clock.CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
 }
 
 // liveLeave executes one viewer's departure: the broadcast prunes the
@@ -280,18 +225,5 @@ func (sc *Scenario) liveLeave(lc *liveChannel, ep *core.Endpoint, j *core.Join, 
 		}
 	} else {
 		lc.src.viewers = lc.b.Viewers()
-	}
-}
-
-// startLive starts the encoders and schedules the churn. Called from
-// Run.
-func (sc *Scenario) startLive() {
-	period := sim.Second / sim.Duration(sc.cfg.FrameHz)
-	for c, lc := range sc.channels {
-		lc.src.start(sim.Duration(int64(c)*7919) % period)
-	}
-	for _, p := range sc.livePlan {
-		p := p
-		sc.clock().CallAfter(p.at, func() { sc.liveJoin(p) })
 	}
 }

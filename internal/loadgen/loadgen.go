@@ -273,173 +273,6 @@ func (c *Config) class() core.QoSClass {
 	return core.Guaranteed
 }
 
-func (c *Config) setDefaults() {
-	if c.Live {
-		if c.Channels == 0 {
-			c.Channels = 4
-		}
-		if c.Workstations == 0 {
-			c.Workstations = 12
-		}
-		if c.StreamsPerWS == 0 {
-			c.StreamsPerWS = 4
-		}
-		if c.Servers == 0 {
-			c.Servers = 1
-		}
-		if c.VodStreams == 0 {
-			c.VodStreams = c.Workstations / 2
-		}
-		if c.Round == 0 {
-			c.Round = 500 * sim.Millisecond
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 2
-		}
-		if c.ZipfS == 0 {
-			c.ZipfS = 1.3
-		}
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	}
-	if c.CPUBound {
-		c.Pattern = VoD
-		if c.Servers == 0 {
-			c.Servers = 1
-		}
-		if c.Round == 0 {
-			c.Round = 500 * sim.Millisecond
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 2
-		}
-		// Small frames: the disks and links barely notice a stream the
-		// CPU model below finds expensive.
-		if c.FrameBytes == 0 {
-			c.FrameBytes = 1200
-		}
-		if c.CPUBytesPerSec == 0 {
-			c.CPUBytesPerSec = 1 << 20
-		}
-		if c.CPUPerFrame == 0 {
-			c.CPUPerFrame = sim.Millisecond
-		}
-	}
-	if c.Adaptive {
-		c.Pattern = VoD
-		if c.Servers == 0 {
-			c.Servers = 1
-		}
-		if c.Round == 0 {
-			c.Round = 500 * sim.Millisecond
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 2
-		}
-		if c.FrameBytes == 0 {
-			c.FrameBytes = 19200
-		}
-		if c.ReleaseEvery == 0 {
-			c.ReleaseEvery = 3
-		}
-	}
-	if c.Metro {
-		c.Pattern = VoD
-		if c.Sites == 0 {
-			c.Sites = 3
-		}
-		if c.Servers == 0 {
-			c.Servers = 2 // per site
-		}
-		if c.SiteReplicas == 0 {
-			c.SiteReplicas = 2
-		}
-		if c.SiteReplicas > c.Sites {
-			c.SiteReplicas = c.Sites
-		}
-		if c.Round == 0 {
-			c.Round = sim.Second
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 4
-		}
-		if c.Titles == 0 {
-			c.Titles = 2 * c.Servers * c.Sites
-		}
-		if c.ZipfS == 0 {
-			c.ZipfS = 1.3
-		}
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	}
-	if c.Cluster {
-		c.Pattern = VoD
-		if c.Servers == 0 {
-			c.Servers = 4
-		}
-		if c.Round == 0 {
-			c.Round = sim.Second
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 4
-		}
-		if c.Titles == 0 {
-			c.Titles = 2 * c.Servers
-		}
-		if c.ZipfS == 0 {
-			c.ZipfS = 1.3
-		}
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	}
-	if c.FromStorage {
-		c.Pattern = VoD
-		if c.Round == 0 {
-			c.Round = 2 * sim.Second
-		}
-		if c.TitleRounds == 0 {
-			c.TitleRounds = 4
-		}
-	}
-	if c.Workstations == 0 {
-		c.Workstations = 8
-	}
-	if c.StreamsPerWS == 0 {
-		c.StreamsPerWS = 4
-	}
-	if c.Servers == 0 {
-		c.Servers = (c.Workstations + 15) / 16
-	}
-	if c.FrameBytes == 0 {
-		c.FrameBytes = 960
-	}
-	if c.FrameBytes < headerSize {
-		c.FrameBytes = headerSize
-	}
-	if c.FrameHz == 0 {
-		c.FrameHz = 100
-	}
-	if c.PeakRate == 0 {
-		wire := int64(atm.CellsFor(c.FrameBytes)) * int64(atm.CellSize*8) * int64(c.FrameHz)
-		c.PeakRate = wire * 5 / 4
-	}
-	if c.Duration == 0 {
-		c.Duration = sim.Second
-	}
-	if c.Adaptive && c.ReleaseAt == 0 {
-		c.ReleaseAt = c.Duration / 2
-	}
-	if c.Live && c.HoldMean == 0 {
-		c.HoldMean = c.Duration / 4
-	}
-	if c.LinkRate == 0 {
-		c.LinkRate = fabric.Rate100M
-	}
-}
-
 // Result is the scoreboard of one run. The json tags are a stable,
 // named serialization contract: `pegload -json` emits exactly these
 // columns via Result.JSON, and CI assertions read the same struct —
@@ -569,7 +402,7 @@ func (r Result) String() string {
 		r.WallSeconds, r.EventsPerSec/1e6, r.CellsPerSec/1e6,
 		sim.Duration(r.LatencyP50), sim.Duration(r.LatencyP99), sim.Duration(r.LatencyMax),
 		sim.Duration(r.JitterP50), sim.Duration(r.JitterP99))
-	if r.Config.FromStorage || r.Config.Cluster || r.Config.Adaptive || r.Config.Metro {
+	if r.Config.StorageBacked() {
 		s += fmt.Sprintf(
 			"\n  storage: streams=%d refused=%d underruns=%d overruns=%d"+
 				" streamed=%.1fMB disk-read=%.1fMB",
@@ -783,171 +616,44 @@ func (k *sink) HandleCell(c atm.Cell) {
 	}
 }
 
-// Stream is one admitted stream: a source endpoint, one or more
-// destination legs, and the core.Session owning the admission state to
-// tear it down and re-admit it (churn).
-type Stream struct {
-	sc    *Scenario
-	src   *source
-	from  *core.Endpoint
-	dsts  []*core.Endpoint
-	sess  *core.Session
-	phase sim.Duration
-
-	// Storage-backed streams: the serving node and the title it plays.
-	server *core.StorageServer
-	title  string
-}
-
-// Down reports whether the stream is currently torn down.
-func (st *Stream) Down() bool { return st.sess == nil }
-
-// Session exposes the stream's session (nil while down).
-func (st *Stream) Session() *core.Session { return st.sess }
-
-// VCI reports the stream's current circuit number (0 when down).
-func (st *Stream) VCI() atm.VCI {
-	if st.sess == nil {
-		return 0
-	}
-	return st.sess.VCI()
-}
-
-// Stop tears the stream down end to end: the source stops emitting, the
-// session closes (freeing its admitted rate, disk reservation and
-// switch routes) and every destination demux registration is removed.
-func (st *Stream) Stop() error {
-	if st.sess == nil {
-		return nil
-	}
-	st.src.stop()
-	st.src.cm = nil
-	vci := st.sess.VCI()
-	if err := st.sess.Close(); err != nil {
-		return err
-	}
-	st.sess = nil
-	for _, d := range st.dsts {
-		d.Demux.Unregister(vci)
-	}
-	st.sc.tornDown++
-	return nil
-}
-
-// establish admits the stream's session and wires its sinks, without
-// starting the source.
-func (st *Stream) establish() error {
-	if st.sess != nil {
-		return nil
-	}
-	ports := make([]int, len(st.dsts))
-	for i, d := range st.dsts {
-		ports[i] = d.Port
-	}
-	// End-to-end admission is a conjunction: the links must say yes AND,
-	// for storage-backed titles, the disk heads too. OpenSession holds
-	// nothing on refusal by either half.
-	spec := core.SessionSpec{
-		Class:    st.sc.cfg.class(),
-		InPort:   st.from.Port,
-		OutPorts: ports,
-		PeakRate: st.sc.cfg.PeakRate,
-	}
-	if st.title != "" {
-		spec.CM = st.server.CM
-		spec.Title = st.title
-		spec.FrameBytes = st.sc.cfg.FrameBytes
-		spec.FrameHz = st.sc.cfg.FrameHz
-		// A degraded frame still carries the timestamp header: keep the
-		// floor tier at or above headerSize bytes per frame.
-		if f := float64(headerSize) / float64(spec.FrameBytes); f > core.DefaultMinRateFrac {
-			spec.MinRateFrac = f
-		}
-	}
-	if st.server != nil {
-		// nil unless the scenario enabled CPU admission on the node.
-		spec.CPU = st.server.CPU
-	}
-	sess, err := st.sc.site.OpenSession(spec)
-	if err != nil {
-		if errors.Is(err, fileserver.ErrBadStream) || errors.Is(err, fileserver.ErrBadRound) {
-			// Not a bandwidth refusal but a scenario bug (ragged title, bad
-			// round/Hz): counting it as a refusal would let a
-			// misconfiguration impersonate the over-subscription proof.
-			panic(fmt.Sprintf("loadgen: title %s not servable: %v", st.title, err))
-		}
-		// The site's per-leg refusal stats (QoSStats.RefusedLeg, keyed by
-		// core.RefusalLeg — the single taxonomy) are the scoreboard's
-		// source for disk and CPU refusals; link and uplink refusals
-		// additionally count every rejected leg here.
-		if leg, ok := core.RefusalLeg(err); !ok ||
-			(leg != core.LegDisk && leg != core.LegCPU) {
-			st.sc.rejected += len(ports)
-		}
-		return err
-	}
-	if h := sess.CM(); h != nil {
-		st.src.cm = h
-		h.OnReady(func() {
-			if st.sess == sess {
-				st.src.start(st.phase)
-			}
-		})
-	}
-	st.sess = sess
-	for _, d := range st.dsts {
-		d.Demux.Register(sess.VCI(), &sink{sim: d.Sim, tl: st.sc.trafficFor(d.Sim), period: st.src.period})
-	}
-	st.sc.admitted += len(ports)
-	st.src.vci = sess.VCI()
-	return nil
-}
-
-// Restart re-admits a stopped stream: a fresh session (new VCI) through
-// admission control — link and, for storage-backed streams, disk — new
-// demux registrations, and the source resumes (storage-backed sources
-// wait for their first read-ahead window).
-func (st *Stream) Restart() error {
-	if err := st.establish(); err != nil {
-		return err
-	}
-	if st.src.cm == nil || st.src.cm.Ready() {
-		st.src.start(st.phase)
-	}
-	return nil
-}
-
 // Scenario is a built site plus its admitted streams, ready to run.
 type Scenario struct {
 	cfg  Config
-	site *core.Site
+	mode *mode
 
-	// Servers are the VoD storage nodes (nil for mesh).
+	// site is the single site — in a metro, the viewers' home site.
+	// clock, reg, clu and tracer are the run loop, metrics registry,
+	// partition cluster (nil when serial) and session tracer (nil unless
+	// Config.Trace) of whichever topology owns them.
+	site   *core.Site
+	clock  sim.Scheduler
+	reg    *telemetry.Registry
+	clu    *sim.Cluster
+	tracer *telemetry.Tracer
+
+	// Servers are the storage nodes (nil for mesh); viewers the
+	// receiving endpoints.
 	Servers []*core.StorageServer
+	viewers []*core.Endpoint
+	titles  int // catalog size the servers hold
 
-	streams []*Stream
+	// The admitter the topology installed, every request the workload
+	// issued through it, and the ones no budget could carry (retried
+	// when a replica or cross-site copy lands).
+	adm      admitter
+	requests []*request
+	pending  []*request
+	ctrl     *vodsite.Controller // cluster topology
+	metroCtl *metro.Controller   // metro topology
 
-	// Cluster-mode state: the site controller, every viewer request,
-	// and the requests no replica could carry (retried when a reactive
-	// replication lands).
-	ctrl     *vodsite.Controller
-	requests []*clusterReq
-	pending  []*clusterReq
+	// atRun are the run-time verbs the pieces registered (churn,
+	// releases, failures): Run schedules them after starting the sources.
+	atRun []func()
 
-	// Metro-mode state: the federation controller, every viewer
-	// request, and the requests no site could carry (retried when a
-	// cross-site copy lands bytes on the home site).
-	metroCtl *metro.Controller
-	mreqs    []*metroReq
-	mpending []*metroReq
-
-	// Live-mode state: the on-air channels, the viewer endpoints the
-	// churn joins on, the pre-sampled churn schedule, and the per-
-	// partition live counters.
-	channels    []*liveChannel
-	liveViewers []*core.Endpoint
-	livePlan    []liveJoinPlan
-	liveCtrs    []*liveCounters
+	// Live-mode state: the on-air channels and the pre-sampled churn
+	// schedule.
+	channels []*liveChannel
+	livePlan []liveJoinPlan
 
 	admitted, rejected, tornDown int
 	traffics                     []*traffic
@@ -974,37 +680,6 @@ func trafficKey(name string) telemetry.Key {
 	return telemetry.Key{Node: "loadgen", Subsystem: "traffic", Name: name}
 }
 
-// clock, metrics, cluster and trace resolve the scenario's run loop,
-// registry, partition cluster and tracer whichever topology owns them:
-// the metro controller in Metro mode, the single site otherwise.
-func (sc *Scenario) clock() sim.Scheduler {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Clock()
-	}
-	return sc.site.Clock
-}
-
-func (sc *Scenario) metrics() *telemetry.Registry {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Metrics()
-	}
-	return sc.site.Metrics
-}
-
-func (sc *Scenario) cluster() *sim.Cluster {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Cluster()
-	}
-	return sc.site.Cluster()
-}
-
-func (sc *Scenario) trace() *telemetry.Tracer {
-	if sc.metroCtl != nil {
-		return sc.metroCtl.Tracer()
-	}
-	return sc.site.Trace()
-}
-
 // trafficFor returns (creating on first use) the registry handles for a
 // partition's timeline. Global context only; the handful of partitions
 // makes the linear scan irrelevant.
@@ -1014,14 +689,14 @@ func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
 			return t
 		}
 	}
-	reg, p := sc.metrics(), s.Partition()
+	p := s.Partition()
 	t := &traffic{
 		sim:             s,
-		framesSent:      reg.Counter(p, trafficKey("frames_sent")),
-		framesDelivered: reg.Counter(p, trafficKey("frames_delivered")),
-		cellsDelivered:  reg.Counter(p, trafficKey("cells_delivered")),
-		latency:         reg.Sample(p, trafficKey("latency_ns")),
-		jitter:          reg.Sample(p, trafficKey("jitter_ns")),
+		framesSent:      sc.reg.Counter(p, trafficKey("frames_sent")),
+		framesDelivered: sc.reg.Counter(p, trafficKey("frames_delivered")),
+		cellsDelivered:  sc.reg.Counter(p, trafficKey("cells_delivered")),
+		latency:         sc.reg.Sample(p, trafficKey("latency_ns")),
+		jitter:          sc.reg.Sample(p, trafficKey("jitter_ns")),
 	}
 	sc.traffics = append(sc.traffics, t)
 	return t
@@ -1030,24 +705,18 @@ func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
 // framesDeliveredTotal sums delivered frames across partitions (for
 // tests probing mid-run progress). Quiescent context only.
 func (sc *Scenario) framesDeliveredTotal() int64 {
-	return sc.metrics().CounterValue(trafficKey("frames_delivered"))
+	return sc.reg.CounterValue(trafficKey("frames_delivered"))
 }
 
-// Site exposes the underlying site (switch, signalling) for assertions.
+// Site exposes the underlying site (switch, signalling) for assertions:
+// the single site, or the viewers' home site of a metro.
 func (sc *Scenario) Site() *core.Site { return sc.site }
 
-// Telemetry exposes the scenario's metrics registry. Merged reads are
-// only safe between runs (quiescent context).
-func (sc *Scenario) Telemetry() *telemetry.Registry { return sc.metrics() }
+// Controller exposes the cluster's site controller for assertions.
+func (sc *Scenario) Controller() *vodsite.Controller { return sc.ctrl }
 
-// attachSite installs the scenario's site, switching session tracing
-// on before any admission so build-time refusals land in the trace.
-func (sc *Scenario) attachSite(site *core.Site) {
-	sc.site = site
-	if sc.cfg.Trace {
-		site.EnableTrace()
-	}
-}
+// Metro exposes the federation controller for assertions.
+func (sc *Scenario) Metro() *metro.Controller { return sc.metroCtl }
 
 // WriteMetrics emits the sampled time series as columnar JSON. Call
 // after Run; requires Config.MetricsEvery > 0.
@@ -1061,202 +730,30 @@ func (sc *Scenario) WriteMetrics(w io.Writer) error {
 // WriteTrace emits the per-session lifecycle trace as JSON lines. Call
 // after Run; requires Config.Trace.
 func (sc *Scenario) WriteTrace(w io.Writer) error {
-	tr := sc.trace()
-	if tr == nil {
+	if sc.tracer == nil {
 		return errors.New("loadgen: tracing not enabled (Config.Trace)")
 	}
-	return tr.WriteJSONL(w)
+	return sc.tracer.WriteJSONL(w)
 }
 
-// Streams exposes the admitted streams for churn driving.
-func (sc *Scenario) Streams() []*Stream { return sc.streams }
+// Streams exposes every request the workload issued, admitted or not,
+// for churn driving and assertions.
+func (sc *Scenario) Streams() []*Stream { return sc.requests }
 
-// Build constructs the site, admits every stream through signalling and
-// wires sources and measuring sinks. Sources are not yet started.
+// Build constructs the scenario cfg's mode names (see modes): the
+// topology piece builds the site, viewers and servers, the workload
+// piece admits every stream through signalling and wires sources and
+// measuring sinks. Sources are not yet started. Build panics with
+// Validate's error on a Config no mode accepts.
 func Build(cfg Config) *Scenario {
-	if cfg.Cluster && cfg.CPUBound {
-		// Cluster nodes do not enable CPU admission (yet): dispatching
-		// to the cluster builder would silently drop the CPU leg while
-		// the CPUBound defaults had already rewritten the geometry.
-		panic("loadgen: Cluster and CPUBound cannot be combined")
+	m, err := cfg.resolve()
+	if err != nil {
+		panic(err.Error())
 	}
-	if cfg.Metro && (cfg.Cluster || cfg.Adaptive || cfg.CPUBound) {
-		panic("loadgen: Metro cannot be combined with Cluster, Adaptive or CPUBound")
-	}
-	if cfg.Live && (cfg.Cluster || cfg.Metro || cfg.Adaptive || cfg.CPUBound) {
-		panic("loadgen: Live is its own topology; it cannot be combined with Cluster, Metro, Adaptive or CPUBound")
-	}
-	if cfg.Unicast && !cfg.Live {
-		panic("loadgen: Unicast is the live ablation; it requires Live mode")
-	}
-	if cfg.Partitions != 0 && !cfg.Cluster && !cfg.Metro && !cfg.Live {
-		// Only cluster, metro and live modes keep control-plane verbs in
-		// global context; the other patterns share state across the
-		// whole site.
-		panic("loadgen: Partitions requires Cluster, Metro or Live mode")
-	}
-	cfg.setDefaults()
-	sc := &Scenario{cfg: cfg}
-	if cfg.Live {
-		sc.buildLive()
-		return sc
-	}
-	if cfg.Metro {
-		sc.buildMetro()
-		return sc
-	}
-	if cfg.Cluster {
-		sc.buildCluster()
-		return sc
-	}
-	if cfg.Adaptive || cfg.CPUBound {
-		// CPUBound shares the unicast disk-backed topology; it just
-		// turns on per-node CPU admission (and keeps the Guaranteed
-		// class unless Adaptive is also set).
-		sc.buildAdaptive()
-		return sc
-	}
-
-	n, m := cfg.Workstations, cfg.StreamsPerWS
-	siteCfg := core.DefaultSiteConfig()
-	siteCfg.LinkRate = cfg.LinkRate
-	siteCfg.CellAccurate = cfg.CellAccurate
-	switch cfg.Pattern {
-	case Mesh:
-		siteCfg.Ports = 2 * n
-	case VoD:
-		siteCfg.Ports = n + cfg.Servers
-	}
-	sc.attachSite(core.NewSite(siteCfg))
-
-	switch cfg.Pattern {
-	case Mesh:
-		srcEPs := make([]*core.Endpoint, n)
-		dstEPs := make([]*core.Endpoint, n)
-		for i := 0; i < n; i++ {
-			srcEPs[i] = sc.site.Attach(fmt.Sprintf("ws%d.cam", i))
-			dstEPs[i] = sc.site.Attach(fmt.Sprintf("ws%d.disp", i))
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				peer := (i + 1 + j%max(n-1, 1)) % n
-				sc.addStream(srcEPs[i], []*core.Endpoint{dstEPs[peer]}, i*m+j).establish()
-			}
-		}
-	case VoD:
-		viewers := make([]*core.Endpoint, n)
-		for i := 0; i < n; i++ {
-			viewers[i] = sc.site.Attach(fmt.Sprintf("viewer%d", i))
-		}
-		// Server geometry: a toy array for synthesized VoD, a sized one
-		// when titles really live on the disks.
-		segSize, nseg := 64<<10, int64(64)
-		var titleBytes int64
-		if cfg.FromStorage {
-			framesPerRound := int64(cfg.FrameHz) * int64(cfg.Round) / int64(sim.Second)
-			roundBytes := framesPerRound * int64(cfg.FrameBytes)
-			titleBytes = int64(cfg.TitleRounds) * roundBytes
-			segSize = 256 << 10
-			perTitle := (titleBytes+int64(segSize)-1)/int64(segSize) + 1
-			nseg = int64(m)*perTitle + 8
-		}
-		sc.Servers = make([]*core.StorageServer, cfg.Servers)
-		for s := range sc.Servers {
-			sc.Servers[s] = sc.site.NewStorageServer(fmt.Sprintf("vod%d", s), segSize, nseg)
-		}
-		// Each server publishes m titles; every viewer subscribes to m
-		// titles spread across the catalogue; the switch fans each
-		// title's single transmission out to its subscribers.
-		titles := cfg.Servers * m
-		if cfg.FromStorage {
-			sc.preloadTitles(titles, titleBytes)
-		}
-		subs := make([][]*core.Endpoint, titles)
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				t := (i*m + j) % titles
-				subs[t] = append(subs[t], viewers[i])
-			}
-		}
-		for t, legs := range subs {
-			if len(legs) == 0 {
-				continue
-			}
-			st := sc.addStream(sc.Servers[t%cfg.Servers].Net, legs, t)
-			if cfg.FromStorage {
-				st.server = sc.Servers[t%cfg.Servers]
-				st.title = titleName(t)
-			}
-			st.establish()
-		}
-	}
+	sc := &Scenario{cfg: cfg, mode: m}
+	m.topology(sc)
+	m.workload(sc)
 	return sc
-}
-
-func titleName(t int) string { return fmt.Sprintf("title%d", t) }
-
-// preloadTitles formats every title onto its server's disk array and
-// starts the serving services. The writes take the ordinary service
-// path (fileserver → lfs → raid), the log is synced so the data is on
-// the platters — not in open segments — and the simulator is drained
-// before the measured run begins.
-func (sc *Scenario) preloadTitles(titles int, titleBytes int64) {
-	chunk := make([]byte, 64<<10)
-	for i := range chunk {
-		chunk[i] = byte(i * 17)
-	}
-	for t := 0; t < titles; t++ {
-		ss := sc.Servers[t%sc.cfg.Servers]
-		name := titleName(t)
-		if err := ss.Server.Create(name, true); err != nil {
-			panic(fmt.Sprintf("loadgen: preload %s: %v", name, err))
-		}
-		for off := int64(0); off < titleBytes; off += int64(len(chunk)) {
-			n := min(int64(len(chunk)), titleBytes-off)
-			if err := ss.Server.Write(name, off, chunk[:n]); err != nil {
-				panic(fmt.Sprintf("loadgen: preload %s: %v", name, err))
-			}
-		}
-	}
-	for _, ss := range sc.Servers {
-		ss.Server.FS().Sync(func(err error) {
-			if err != nil {
-				panic(fmt.Sprintf("loadgen: preload sync: %v", err))
-			}
-		})
-	}
-	// Drain the preload I/O; nothing periodic is running yet, so the
-	// event queue empties. The CM schedulers start only after this.
-	sc.site.Clock.Run()
-	for _, ss := range sc.Servers {
-		ss.EnableCM(fileserver.CMConfig{
-			Round:      sc.cfg.Round,
-			CacheBytes: int64(sc.cfg.CacheMB) << 20,
-		})
-	}
-}
-
-// addStream wires one stream (possibly multi-leaf); the caller
-// completes any storage binding and then calls establish.
-func (sc *Scenario) addStream(from *core.Endpoint, dsts []*core.Endpoint, idx int) *Stream {
-	period := sim.Second / sim.Duration(sc.cfg.FrameHz)
-	st := &Stream{
-		sc:   sc,
-		from: from,
-		dsts: dsts,
-		// Spread stream phases deterministically across the frame period
-		// so the site doesn't emit every frame on the same instant.
-		phase: sim.Duration(int64(idx)*7919) % period,
-		src: &source{
-			sim:     from.Sim,
-			out:     from.ToSwitch,
-			period:  period,
-			payload: make([]byte, sc.cfg.FrameBytes),
-			sent:    sc.trafficFor(from.Sim).framesSent,
-		},
-	}
-	sc.streams = append(sc.streams, st)
-	return st
 }
 
 // Run starts every admitted source, advances the simulation by the
@@ -1264,63 +761,37 @@ func (sc *Scenario) addStream(from *core.Endpoint, dsts []*core.Endpoint, idx in
 // sources start themselves when their first read-ahead window is
 // buffered (one scheduler round into the run).
 func (sc *Scenario) Run() Result {
-	for _, st := range sc.streams {
-		if st.sess != nil && st.src.cm == nil {
-			st.src.start(st.phase)
+	for _, r := range sc.requests {
+		if r.h != nil && r.src.cm == nil {
+			r.src.start(r.phase)
 		}
 	}
-	// Release and failure are control-plane verbs that touch many
+	// Churn, release and failure are control-plane verbs that touch many
 	// partitions' state: they run in global (barrier) context.
-	if sc.cfg.Live {
-		sc.startLive()
-	}
-	if sc.cfg.Adaptive && sc.cfg.ReleaseAt > 0 && sc.cfg.ReleaseEvery > 0 {
-		sc.site.Clock.CallAfter(sc.cfg.ReleaseAt, sc.releaseSome)
-	}
-	if sc.cfg.Metro && sc.cfg.FailSiteAt > 0 {
-		idx := sc.cfg.FailSite % sc.cfg.Sites
-		if idx < 0 { // Go's % preserves sign
-			idx += sc.cfg.Sites
-		}
-		sc.clock().CallAfter(sc.cfg.FailSiteAt, func() { sc.metroCtl.FailSite(idx) })
-	}
-	if sc.cfg.Cluster && sc.cfg.CacheMB > 0 {
-		// The build-time admission wave ran before any scheduler round
-		// had fed the RAM tier, so no request could ride a wake. Once
-		// leaders are streaming, refused requests become cache-servable:
-		// retry them every round, offset half a round past the boundary
-		// so the leaders' windows land first.
-		sc.site.Clock.CallAfter(sc.cfg.Round+sc.cfg.Round/2, sc.retryCacheTick)
-	}
-	if sc.cfg.Cluster && sc.cfg.FailNodeAt > 0 {
-		idx := sc.cfg.FailNode % len(sc.ctrl.Nodes())
-		if idx < 0 { // Go's % preserves sign
-			idx += len(sc.ctrl.Nodes())
-		}
-		node := sc.ctrl.Nodes()[idx]
-		sc.site.Clock.CallAfter(sc.cfg.FailNodeAt, func() { sc.ctrl.FailNode(node) })
+	for _, verb := range sc.atRun {
+		verb()
 	}
 	// The sampler attaches to lookahead barriers when the kernel is
 	// actually parallel (zero events, zero perturbation); serial and
 	// single-partition runs chain a self-rescheduling tick instead,
 	// whose firings collect subtracts back out of EventsFired.
 	if sc.cfg.MetricsEvery > 0 && sc.sampler == nil {
-		sc.sampler = telemetry.NewSampler(sc.metrics(), sc.cfg.MetricsEvery)
-		if clu := sc.cluster(); clu != nil && clu.Parts() > 1 {
-			sc.sampler.AttachBarrier(clu)
+		sc.sampler = telemetry.NewSampler(sc.reg, sc.cfg.MetricsEvery)
+		if sc.clu != nil && sc.clu.Parts() > 1 {
+			sc.sampler.AttachBarrier(sc.clu)
 		} else {
-			sc.sampler.Chain(sc.clock())
+			sc.sampler.Chain(sc.clock)
 		}
 	}
-	sc.runStart = sc.clock().Now()
-	sc.firedStart = sc.clock().Fired()
+	sc.runStart = sc.clock.Now()
+	sc.firedStart = sc.clock.Fired()
 	if sc.sampler != nil {
 		sc.ticksStart = sc.sampler.Ticks()
 	}
 	wall := time.Now()
-	sc.clock().RunFor(sc.cfg.Duration)
+	sc.clock.RunFor(sc.cfg.Duration)
 	if sc.sampler != nil {
-		sc.sampler.Final(sc.clock().Now())
+		sc.sampler.Final(sc.clock.Now())
 	}
 	return sc.collect(time.Since(wall))
 }
@@ -1331,8 +802,8 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 	// result is independent of merge order. A chained sampler's own
 	// tick events are subtracted back out of the events-fired score so
 	// telemetry on vs off yields byte-identical scoreboards.
-	latency := sc.metrics().MergedSample(trafficKey("latency_ns"))
-	jitter := sc.metrics().MergedSample(trafficKey("jitter_ns"))
+	latency := sc.reg.MergedSample(trafficKey("latency_ns"))
+	jitter := sc.reg.MergedSample(trafficKey("jitter_ns"))
 	var ticks int64
 	if sc.sampler != nil {
 		ticks = sc.sampler.Ticks() - sc.ticksStart
@@ -1342,11 +813,11 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		Admitted:        sc.admitted,
 		Rejected:        sc.rejected,
 		TornDown:        sc.tornDown,
-		FramesSent:      sc.metrics().CounterValue(trafficKey("frames_sent")),
-		FramesDelivered: sc.metrics().CounterValue(trafficKey("frames_delivered")),
-		CellsDelivered:  sc.metrics().CounterValue(trafficKey("cells_delivered")),
-		EventsFired:     sc.clock().Fired() - sc.firedStart - ticks,
-		SimSeconds:      (sc.clock().Now() - sc.runStart).Seconds(),
+		FramesSent:      sc.reg.CounterValue(trafficKey("frames_sent")),
+		FramesDelivered: sc.reg.CounterValue(trafficKey("frames_delivered")),
+		CellsDelivered:  sc.reg.CounterValue(trafficKey("cells_delivered")),
+		EventsFired:     sc.clock.Fired() - sc.firedStart - ticks,
+		SimSeconds:      (sc.clock.Now() - sc.runStart).Seconds(),
 		WallSeconds:     wall.Seconds(),
 		LatencyP50:      latency.Quantile(0.5),
 		LatencyP99:      latency.Quantile(0.99),
@@ -1358,44 +829,27 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		r.EventsPerSec = float64(r.EventsFired) / r.WallSeconds
 		r.CellsPerSec = float64(r.CellsDelivered) / r.WallSeconds
 	}
-	if sc.cfg.FromStorage || sc.cfg.Cluster || sc.cfg.Adaptive || sc.cfg.CPUBound || sc.cfg.Metro ||
-		(sc.cfg.Live && sc.cfg.VodStreams > 0) {
-		if !sc.cfg.Cluster && !sc.cfg.Metro {
-			// One source of truth: the site counts refusals by the same
-			// core.RefusalLeg taxonomy the trace events carry. Cluster
-			// mode admits through per-node selection probes instead of
-			// OpenSession refusals, so it reads the CM stats below.
+	// The cluster and metro controllers admit through per-node selection
+	// probes, so their disk refusals are the CM services' own count; a
+	// fixed-server run reads the site's — the same core.RefusalLeg
+	// taxonomy the trace events carry.
+	byController := sc.ctrl != nil || sc.metroCtl != nil
+	if sc.mode.storageBacked(&sc.cfg) {
+		if !byController {
 			r.StorageRefused = int(sc.site.QoSStats.RefusedLeg[core.LegDisk])
 		}
-		for _, st := range sc.streams {
-			if st.sess != nil && st.sess.CM() != nil {
-				r.StorageStreams++
-			}
-		}
 		for _, req := range sc.requests {
-			if req.st != nil && !req.st.Released() {
-				r.StorageStreams++
+			if req.h == nil {
+				continue
 			}
-		}
-		for _, st := range sc.streams {
-			if st.sess != nil && st.sess.CacheServed() {
+			r.StorageStreams++
+			if s := req.h.Serving(); s != nil && s.CacheServed() {
 				r.CacheServedStreams++
-			}
-		}
-		for _, req := range sc.requests {
-			if req.st != nil && !req.st.Released() &&
-				req.st.Session() != nil && req.st.Session().CacheServed() {
-				r.CacheServedStreams++
-			}
-		}
-		for _, req := range sc.mreqs {
-			if req.sess != nil && !req.sess.Closed() {
-				r.StorageStreams++
 			}
 		}
 		for _, ss := range sc.Servers {
 			if ss.CM != nil {
-				if sc.cfg.Cluster || sc.cfg.Metro {
+				if byController {
 					r.StorageRefused += int(ss.CM.Stats.Refused)
 				}
 				r.RoundOverruns += ss.CM.Stats.RoundOverruns
@@ -1412,16 +866,18 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 			}
 		}
 	}
-	if sc.cfg.Cluster {
-		st := sc.ctrl.Stats
+	if byController {
 		r.SiteRefused = len(sc.pending)
+	}
+	if sc.ctrl != nil {
+		st := sc.ctrl.Stats
 		r.ReplicasTriggered, r.ReplicasCompleted = st.ReplicasTriggered, st.ReplicasCompleted
 		r.FailoverRecovered, r.FailoverDropped = st.FailoverRecovered, st.FailoverDropped
 		for _, nd := range sc.ctrl.Nodes() {
 			r.NodeAdmissions = append(r.NodeAdmissions, nd.Admissions)
 		}
 	}
-	if sc.cfg.Metro {
+	if sc.metroCtl != nil {
 		ms := sc.metroCtl.Stats
 		r.Spilled = ms.Spilled
 		r.TrunkRefused = ms.TrunkRefused
@@ -1430,11 +886,10 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		r.CatalogSyncs = ms.CatalogSyncs
 		r.CatalogReconciled = ms.CatalogReconciled
 		r.CrossSiteCopies = ms.CrossCopiesCompleted
-		r.SiteRefused = len(sc.mpending)
 		r.SiteServed = make([]int64, sc.metroCtl.Sites())
-		for _, req := range sc.mreqs {
-			if req.sess != nil && !req.sess.Closed() {
-				r.SiteServed[req.sess.Served]++
+		for _, s := range sc.metroCtl.Sessions() {
+			if !s.Closed() {
+				r.SiteServed[s.Served]++
 			}
 		}
 	}
@@ -1446,19 +901,19 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		r.LiveJoinRefused = lv.JoinRefused
 		r.SubtreeDegraded = lv.SubtreeDegraded
 		r.SubtreeRestored = lv.SubtreeRestored
-		r.LiveSourceCells = sc.metrics().CounterValue(liveKey("source_cells"))
-		r.FanoutCellsSaved = sc.metrics().CounterValue(liveKey("fanout_saved"))
+		r.LiveSourceCells = sc.reg.CounterValue(liveKey("source_cells"))
+		r.FanoutCellsSaved = sc.reg.CounterValue(liveKey("fanout_saved"))
 		if r.LiveSourceCells > 0 {
 			r.FanoutRatio = float64(r.LiveSourceCells+r.FanoutCellsSaved) / float64(r.LiveSourceCells)
 		}
 	}
 	if sc.cfg.Adaptive || sc.cfg.CPUBound {
-		for _, st := range sc.streams {
-			if st.sess == nil {
+		for _, req := range sc.requests {
+			if req.h == nil {
 				continue
 			}
 			r.SessionsUp++
-			if st.sess.Degraded() {
+			if req.h.Serving().Degraded() {
 				r.SessionsDegraded++
 			}
 		}
@@ -1476,14 +931,10 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 			// per-package capacity getters.
 			rep := sc.site.Probe(core.SessionSpec{CM: ss.CM, CPU: ss.CPU})
 			if lr := rep.Leg(core.LegCPU); lr.Present {
-				if f := 1 - lr.Headroom; f > r.CPUReserved {
-					r.CPUReserved = f
-				}
+				r.CPUReserved = max(r.CPUReserved, 1-lr.Headroom)
 			}
 			if lr := rep.Leg(core.LegDisk); lr.Present {
-				if f := 1 - lr.Headroom; f > r.DiskCommitted {
-					r.DiskCommitted = f
-				}
+				r.DiskCommitted = max(r.DiskCommitted, 1-lr.Headroom)
 			}
 		}
 	}

@@ -86,8 +86,8 @@ func TestVoDFanout(t *testing.T) {
 			continue
 		}
 		leaves := sc.Site().Switch.Leaves(st.from.Port, st.VCI())
-		if leaves != len(st.dsts) {
-			t.Fatalf("title fan-out %d, want %d leaves", leaves, len(st.dsts))
+		if leaves != len(st.viewers) {
+			t.Fatalf("title fan-out %d, want %d leaves", leaves, len(st.viewers))
 		}
 	}
 }

@@ -20,6 +20,22 @@ func storageCfg() Config {
 	}
 }
 
+// oversubscribedCfg asks one 1994 array for 30 titles it can carry
+// about four of.
+func oversubscribedCfg() Config {
+	return Config{
+		FromStorage:  true,
+		Workstations: 4,
+		StreamsPerWS: 30,
+		Servers:      1,
+		FrameBytes:   4800, // 480 KB/s per title: a ~4-title array
+		LinkRate:     1_000_000_000,
+		Round:        200 * sim.Millisecond,
+		TitleRounds:  2,
+		Duration:     sim.Second,
+	}
+}
+
 // TestVoDFromStorageServesFromDisk proves the whole paper pipeline
 // holds the guarantee: titles live on the striped array, admission is
 // netsig ∧ storage, read-ahead feeds the fabric, and no admitted
@@ -71,17 +87,7 @@ func TestVoDFromStorageDeterminism(t *testing.T) {
 // admission time, and the admitted remainder must still run clean —
 // over-subscription is a refusal, never an underrun.
 func TestVoDFromStorageRefusesOverSubscription(t *testing.T) {
-	sc := Build(Config{
-		FromStorage:  true,
-		Workstations: 4,
-		StreamsPerWS: 30,
-		Servers:      1,
-		FrameBytes:   4800, // 480 KB/s per title: a ~4-title array
-		LinkRate:     1_000_000_000,
-		Round:        200 * sim.Millisecond,
-		TitleRounds:  2,
-		Duration:     sim.Second,
-	})
+	sc := Build(oversubscribedCfg())
 	r := sc.Run()
 
 	if r.StorageRefused == 0 {
@@ -104,6 +110,24 @@ func TestVoDFromStorageRefusesOverSubscription(t *testing.T) {
 	}
 }
 
+// TestFastDisksLiftFromStorageAdmission: FastDisks reaches every mode
+// that builds a disk, not only cluster and metro — the same
+// over-subscribed array admits more titles on flash-era mechanics, and
+// still underruns nothing.
+func TestFastDisksLiftFromStorageAdmission(t *testing.T) {
+	slow := Build(oversubscribedCfg()).Run()
+	cfg := oversubscribedCfg()
+	cfg.FastDisks = true
+	fast := Build(cfg).Run()
+	if fast.StorageStreams <= slow.StorageStreams {
+		t.Fatalf("FastDisks admitted %d titles, the 1994 drive %d — the flag was ignored",
+			fast.StorageStreams, slow.StorageStreams)
+	}
+	if fast.Underruns != 0 || fast.RoundOverruns != 0 {
+		t.Fatalf("fast-disk run suffered: underruns=%d overruns=%d", fast.Underruns, fast.RoundOverruns)
+	}
+}
+
 // TestVoDFromStorageChurn tears disk-backed streams down and re-admits
 // them, checking the disk budget releases exactly and the restarted
 // streams come back clean — the storage analogue of TestChurnNoLeaks.
@@ -121,9 +145,7 @@ func TestVoDFromStorageChurn(t *testing.T) {
 	site.Sim.RunFor(500 * sim.Millisecond) // streams up and playing
 	st := sc.Streams()[0]
 	cost := st.Session().CM().Cost()
-	if err := st.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
+	st.Stop()
 	if got := cm.Committed(); got != fullCommit-cost {
 		t.Fatalf("after stop: committed %v, want %v", got, fullCommit-cost)
 	}
