@@ -512,10 +512,18 @@ func BenchmarkNameResolve(b *testing.B) {
 // the session-path benchmarks; cacheBytes > 0 enables the RAM buffer
 // tier on the node.
 func sessionBenchSite(b *testing.B, cacheBytes int64) (*core.Site, *core.StorageServer, []int) {
+	return cmBenchSite(b, 4800, cacheBytes)
+}
+
+// cmBenchSite is sessionBenchSite with the title's frame size a
+// parameter: the title "t" is two 500 ms rounds of 100 Hz frames, stored
+// from the start of its own 256 KiB segment (64 KiB per-disk chunks,
+// chunk 0 on disk 0).
+func cmBenchSite(b *testing.B, frameBytes, cacheBytes int64) (*core.Site, *core.StorageServer, []int) {
 	const (
-		viewers             = 8
-		frameBytes, frameHz = 4800, 100
-		round               = 500 * sim.Millisecond
+		viewers = 8
+		frameHz = 100
+		round   = 500 * sim.Millisecond
 	)
 	titleBytes := 2 * int64(frameHz) * int64(round) / int64(sim.Second) * frameBytes
 	siteCfg := core.DefaultSiteConfig()
@@ -574,6 +582,54 @@ func BenchmarkSessionOpen(b *testing.B) {
 			site.Sim.RunFor(20 * sim.Second)
 			b.StartTimer()
 		}
+	}
+}
+
+// BenchmarkCMWindowFetch measures one round of one admitted stream end to
+// end through the storage stack: the round tick, the window read (CM
+// service -> fileserver -> lfs -> raid -> disk) and its playout. B/op is
+// the point: a window inside one healthy chunk is a view of the disk
+// page all the way up to the playout buffer (no payload-sized
+// allocation); one that crosses chunks, or whose disk is down, costs
+// exactly the owned bytes the array must assemble.
+func BenchmarkCMWindowFetch(b *testing.B) {
+	const (
+		round          = 500 * sim.Millisecond
+		framesPerRound = 50
+	)
+	for _, bc := range []struct {
+		name       string
+		frameBytes int // 50 per window: 640 -> 32000 B in chunk 0, 1600 -> 80000 B over two
+		failDisk   bool
+	}{
+		{"single-chunk", 640, false},
+		{"chunk-crossing", 1600, false},
+		{"degraded", 640, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			site, ss, _ := cmBenchSite(b, int64(bc.frameBytes), 0)
+			if bc.failDisk {
+				ss.Server.FS().Array().FailDisk(0)
+			}
+			cm, err := ss.CM.Admit("t", bc.frameBytes, 100)
+			if err != nil {
+				b.Fatal(err)
+			}
+			site.Sim.RunFor(2 * round) // primed, started, second window buffered
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < framesPerRound; j++ {
+					cm.NextFrame()
+				}
+				site.Sim.RunFor(round)
+			}
+			b.StopTimer()
+			if st := ss.CM.Stats; st.Underruns != 0 || st.ReadErrors != 0 || st.GuaranteedReads < int64(b.N) {
+				b.Fatalf("underruns %d, read errors %d, %d guaranteed reads in %d rounds",
+					st.Underruns, st.ReadErrors, st.GuaranteedReads, b.N)
+			}
+		})
 	}
 }
 

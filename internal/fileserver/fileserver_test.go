@@ -418,3 +418,49 @@ func TestBakerOpsOrdered(t *testing.T) {
 		}
 	}
 }
+
+// A read result may be a view of the disk, so pending write-behind
+// pieces are laid over a private copy: the reader sees the buffered
+// bytes, while the log — read directly — keeps the old ones until the
+// write-behind window closes and the pieces are applied.
+func TestOverlayLeavesTheLogAlone(t *testing.T) {
+	s := sim.New()
+	sv := newServer(s, 32)
+	sv.Create("/clip", true)
+	old := pat(1, 8000)
+	sv.Write("/clip", 0, old) // write-through: the server's first file
+	var serr error
+	sv.FS().Sync(func(e error) { serr = e })
+	s.Run()
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	logRead := func() []byte {
+		t.Helper()
+		var out []byte
+		var err error
+		sv.FS().Read(lfs.FirstPnode, 0, len(old), func(b []byte, e error) { out, err = b, e })
+		s.RunFor(sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	sv.WriteDelay = 30 * sim.Second
+	sv.Write("/clip", 100, pat(2, 50))
+	want := append(append(append([]byte(nil), old[:100]...), pat(2, 50)...), old[150:]...)
+
+	var got []byte
+	sv.Read("/clip", 0, len(old), func(b []byte, err error) { got = b })
+	s.RunFor(sim.Second)
+	if !bytes.Equal(got, want) {
+		t.Fatal("read does not see the buffered piece")
+	}
+	if !bytes.Equal(logRead(), old) {
+		t.Fatal("overlaying the buffered piece wrote through to the log")
+	}
+	s.Run() // the write-behind window closes
+	if !bytes.Equal(logRead(), want) {
+		t.Fatal("applied piece missing from the log")
+	}
+}

@@ -221,7 +221,9 @@ func (sv *Server) applyWrite(st *fileState, off int64, data []byte) error {
 }
 
 // Read serves a read, combining logged data with buffered writes (the
-// buffer is newer and wins).
+// buffer is newer and wins). The slice is read-only and may alias the
+// store: with no pending write over the range it is what the log
+// returned; otherwise the pieces are laid over a private copy.
 func (sv *Server) Read(path string, off int64, n int, done func([]byte, error)) {
 	st, ok := sv.files[path]
 	if !ok {
@@ -229,18 +231,21 @@ func (sv *Server) Read(path string, off int64, n int, done func([]byte, error)) 
 		return
 	}
 	sv.Stats.Reads++
-	overlay := func(base []byte) []byte {
+	overlay := func(base []byte, owned bool) []byte {
 		for _, p := range st.pending {
 			lo := max64(p.off, off)
 			hi := min64(p.off+int64(len(p.data)), off+int64(n))
 			if lo < hi {
+				if !owned {
+					base, owned = append([]byte(nil), base...), true
+				}
 				copy(base[lo-off:hi-off], p.data[lo-p.off:hi-p.off])
 			}
 		}
 		return base
 	}
 	if st.pn == 0 {
-		done(overlay(make([]byte, n)), nil)
+		done(overlay(make([]byte, n), true), nil)
 		return
 	}
 	sv.fs.Read(st.pn, off, n, func(b []byte, err error) {
@@ -248,7 +253,7 @@ func (sv *Server) Read(path string, off int64, n int, done func([]byte, error)) 
 			done(nil, err)
 			return
 		}
-		done(overlay(b), nil)
+		done(overlay(b, false), nil)
 	})
 }
 

@@ -1,9 +1,10 @@
 package fileserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/raid"
@@ -100,6 +101,14 @@ type CMStats struct {
 	CacheStalls      int64 // cache misses the disk budget could not absorb
 }
 
+// roundFetch is one window of a round's guaranteed batch: stream cm's
+// buffer b, to be read at array address addr.
+type roundFetch struct {
+	cm   *CMStream
+	b    int
+	addr int64
+}
+
 // beReq is one queued best-effort read.
 type beReq struct {
 	path string
@@ -128,7 +137,8 @@ type CMService struct {
 	nextID  int
 
 	ticker      *sim.Ticker
-	outstanding int // guaranteed reads still in flight this round
+	outstanding int          // guaranteed reads still in flight this round
+	batch       []roundFetch // round's scratch, kept for its capacity
 
 	bestEffort []beReq
 
@@ -451,22 +461,17 @@ func (svc *CMService) fetch(cm *CMStream, b int, counted bool) {
 	}
 	tail := cm.size - off
 	combined := make([]byte, n)
-	parts, failed := 2, false
+	parts := 2
+	var firstErr error
 	part := func(dst []byte) func([]byte, error) {
 		return func(data []byte, err error) {
-			if err != nil {
-				failed = true
-			} else {
-				copy(dst, data)
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("fileserver: wrapped window read failed: %w", err)
 			}
-			if parts--; parts > 0 {
-				return
+			copy(dst, data)
+			if parts--; parts == 0 {
+				svc.fetched(cm, buf, off, counted, combined, firstErr)
 			}
-			if failed {
-				svc.fetched(cm, buf, off, counted, nil, errors.New("fileserver: wrapped window read failed"))
-				return
-			}
-			svc.fetched(cm, buf, off, counted, combined, nil)
 		}
 	}
 	svc.sv.Read(cm.path, off, int(tail), part(combined[:tail]))
@@ -504,12 +509,7 @@ func (svc *CMService) round() {
 	if svc.outstanding > 0 {
 		svc.Stats.RoundOverruns++
 	}
-	type fetch struct {
-		cm   *CMStream
-		b    int
-		addr int64
-	}
-	var batch []fetch
+	batch := svc.batch[:0]
 	var used sim.Duration
 	for _, cm := range svc.streams {
 		if !cm.started {
@@ -527,21 +527,20 @@ func (svc *CMService) round() {
 		for b := range cm.bufs {
 			if !cm.bufs[b].ready && !cm.bufs[b].fetching {
 				addr, _ := svc.sv.streamAddr(cm.path, cm.fetchOff)
-				batch = append(batch, fetch{cm, b, addr})
+				batch = append(batch, roundFetch{cm, b, addr})
 				used += cm.cost
 				break // at most one window per stream per round
 			}
 		}
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].addr != batch[j].addr {
-			return batch[i].addr < batch[j].addr
-		}
-		return batch[i].cm.id < batch[j].cm.id
+	slices.SortFunc(batch, func(x, y roundFetch) int {
+		return cmp.Or(cmp.Compare(x.addr, y.addr), cmp.Compare(x.cm.id, y.cm.id))
 	})
 	for _, f := range batch {
 		svc.fetch(f.cm, f.b, true)
 	}
+	clear(batch) // hold no released stream until the next round
+	svc.batch = batch
 	// Best-effort fills the slack up to the whole round, beyond the
 	// admission budget; a request that would never fit alone goes out
 	// when the round is otherwise empty rather than starving.

@@ -275,6 +275,15 @@ func (fs *FS) Continuous(pn Pnode) bool {
 	return ok && pi.continuous
 }
 
+// extentAt returns the index of the first extent ending beyond off
+// (len(extents) if none does); extents are sorted by FileOff.
+func (pi *pnodeInfo) extentAt(off int64) int {
+	return sort.Search(len(pi.extents), func(i int) bool {
+		e := pi.extents[i]
+		return e.FileOff+e.Len > off
+	})
+}
+
 // AddrOf maps a file offset to its linear array address. It reports
 // false for holes and unknown files. The continuous-media round
 // scheduler uses it to SCAN-order each round's stream reads by disk
@@ -285,11 +294,7 @@ func (fs *FS) AddrOf(pn Pnode, off int64) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	// First extent ending beyond off; extents are sorted by FileOff.
-	i := sort.Search(len(pi.extents), func(i int) bool {
-		e := pi.extents[i]
-		return e.FileOff+e.Len > off
-	})
+	i := pi.extentAt(off)
 	if i >= len(pi.extents) || pi.extents[i].FileOff > off {
 		return 0, false
 	}
@@ -460,7 +465,10 @@ func (fs *FS) Delete(pn Pnode) error {
 
 // Read fetches [off, off+n) of a file; holes read as zeros. The done
 // callback fires once the data is available (possibly synchronously for
-// cached or in-memory ranges).
+// cached or in-memory ranges). The slice is read-only and may alias the
+// store: when one on-disk extent of a file that bypasses the block cache
+// covers the range it is the array's own view; every other read (holes,
+// open-segment bytes, several extents, cached files) is owned bytes.
 func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
 	pi, ok := fs.pnodes[pn]
 	if !ok {
@@ -471,8 +479,19 @@ func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
 		done(nil, ErrBadExtent)
 		return
 	}
-	out := make([]byte, n)
+	end := off + int64(n)
+	first := pi.extentAt(off)
 	cacheOK := fs.cacheable(pi)
+	if !cacheOK && n > 0 && first < len(pi.extents) {
+		if e := pi.extents[first]; e.FileOff <= off && end <= e.FileOff+e.Len {
+			addr := e.Addr + (off - e.FileOff)
+			if _, open := fs.open[fs.segOf(addr)]; !open {
+				fs.arr.Read(addr, n, done)
+				return
+			}
+		}
+	}
+	out := make([]byte, n)
 	if cacheOK && fs.cache.read(pn, off, out) {
 		if pi.continuous {
 			fs.Stats.MediaCacheHits++
@@ -489,25 +508,6 @@ func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
 			fs.Stats.CacheMisses++
 		}
 	}
-	type diskReq struct {
-		addr int64
-		dst  []byte
-	}
-	var reqs []diskReq
-	for _, e := range pi.extents {
-		lo := max64(e.FileOff, off)
-		hi := min64(e.FileOff+e.Len, off+int64(n))
-		if lo >= hi {
-			continue
-		}
-		addr := e.Addr + (lo - e.FileOff)
-		dst := out[lo-off : hi-off]
-		if os, ok := fs.open[fs.segOf(addr)]; ok {
-			copy(dst, os.buf[addr-fs.segBase(os.id):])
-			continue
-		}
-		reqs = append(reqs, diskReq{addr: addr, dst: dst})
-	}
 	finish := func() {
 		if cacheOK {
 			// Cache the file blocks this read fully covered; the cache
@@ -517,31 +517,41 @@ func (fs *FS) Read(pn Pnode, off int64, n int, done func([]byte, error)) {
 		}
 		done(out, nil)
 	}
-	if len(reqs) == 0 {
-		finish()
-		return
-	}
-	remaining := len(reqs)
+	// Array reads complete in later events, so remaining cannot reach
+	// zero before the walk has counted every one of them.
+	remaining := 0
 	var firstErr error
-	for _, r := range reqs {
-		r := r
-		fs.arr.Read(r.addr, len(r.dst), func(b []byte, err error) {
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				copy(r.dst, b)
+	for _, e := range pi.extents[first:] {
+		lo := max64(e.FileOff, off)
+		hi := min64(e.FileOff+e.Len, end)
+		if lo >= hi {
+			break // sorted: this extent and all later ones start at or past end
+		}
+		addr := e.Addr + (lo - e.FileOff)
+		dst := out[lo-off : hi-off]
+		if os, ok := fs.open[fs.segOf(addr)]; ok {
+			copy(dst, os.buf[addr-fs.segBase(os.id):])
+			continue
+		}
+		remaining++
+		fs.arr.Read(addr, len(dst), func(b []byte, err error) {
+			if err != nil && firstErr == nil {
+				firstErr = err
+			} else if err == nil {
+				copy(dst, b)
 			}
-			remaining--
-			if remaining == 0 {
-				if firstErr != nil {
-					done(nil, firstErr)
-					return
-				}
-				finish()
+			if remaining--; remaining > 0 {
+				return
 			}
+			if firstErr != nil {
+				done(nil, firstErr)
+				return
+			}
+			finish()
 		})
+	}
+	if remaining == 0 {
+		finish()
 	}
 }
 

@@ -229,7 +229,9 @@ func (a *Array) addrOf(off int64) (diskIdx int, diskOff int64) {
 
 // Read fetches an arbitrary extent from the array's linear address
 // space (segment-major), reconstructing via parity as needed. It issues
-// one disk read per touched chunk.
+// one disk read per touched chunk. The slice is read-only and may alias
+// the store: a range inside one healthy chunk is the disk's own view;
+// joins across chunks and reconstructions are owned bytes.
 func (a *Array) Read(off int64, n int, done func([]byte, error)) {
 	if n == 0 {
 		a.sim.At(a.sim.Now(), func() { done(nil, nil) })
@@ -239,45 +241,40 @@ func (a *Array) Read(off int64, n int, done func([]byte, error)) {
 		a.sim.At(a.sim.Now(), func() { done(nil, disk.ErrBounds) })
 		return
 	}
-	out := make([]byte, n)
+	if int(off%int64(a.chunk))+n <= a.chunk {
+		diskIdx, diskOff := a.addrOf(off)
+		a.readChunkRange(diskIdx, diskOff, n, done)
+		return
+	}
+	// The join buffer is made when the first chunk lands, so a read
+	// waiting in the disk queues holds no memory.
+	var out []byte
 	remaining := 0
 	var firstErr error
-	issued := false
-	finish := func() {
-		remaining--
-		if remaining == 0 && issued {
-			if firstErr != nil {
-				done(nil, firstErr)
-			} else {
-				done(out, nil)
-			}
-		}
-	}
-	pos := 0
-	for pos < n {
-		cur := off + int64(pos)
-		diskIdx, diskOff := a.addrOf(cur)
+	for pos := 0; pos < n; {
+		diskIdx, diskOff := a.addrOf(off + int64(pos))
 		// Bytes until the end of this chunk.
-		inChunk := a.chunk - int(diskOff%int64(a.chunk))
-		take := n - pos
-		if take > inChunk {
-			take = inChunk
-		}
-		dst := out[pos : pos+take]
+		at, take := pos, min(n-pos, a.chunk-int(diskOff%int64(a.chunk)))
 		remaining++
 		a.readChunkRange(diskIdx, diskOff, take, func(b []byte, err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			} else if err == nil {
-				copy(dst, b)
+				if out == nil {
+					out = make([]byte, n)
+				}
+				copy(out[at:], b)
 			}
-			finish()
+			if remaining--; remaining > 0 {
+				return
+			}
+			if firstErr != nil {
+				done(nil, firstErr)
+			} else {
+				done(out, nil)
+			}
 		})
 		pos += take
-	}
-	issued = true
-	if remaining == 0 {
-		done(out, nil)
 	}
 }
 
