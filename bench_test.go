@@ -301,6 +301,40 @@ func BenchmarkLFSWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentSeal measures what placing and sealing one media
+// segment costs the host at three fills of a 256 KiB segment: one Write
+// of that many bytes, Sync, and the drain of the full-stripe write. The
+// simulated cost is the same five chunk transfers at every fill; host
+// time, B/op and allocs/op are what should follow the fill.
+func BenchmarkSegmentSeal(b *testing.B) {
+	const segSize = 256 << 10
+	for _, pct := range []int{3, 75, 100} {
+		b.Run(fmt.Sprintf("fill=%d%%", pct), func(b *testing.B) {
+			s := sim.New()
+			newFS := func() *lfs.FS {
+				return lfs.New(s, raid.New(s, disk.DefaultParams(), segSize, 64), lfs.DefaultConfig(segSize))
+			}
+			fs := newFS()
+			// 100%: all the room one summary entry and the trailer leave.
+			data := make([]byte, min(segSize*pct/100, segSize-46))
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if fs.FreeSegments() == 0 {
+					b.StopTimer()
+					fs = newFS()
+					b.StartTimer()
+				}
+				if err := fs.Write(fs.Create(true), 0, data); err != nil {
+					b.Fatal(err)
+				}
+				fs.Sync(func(error) {})
+				s.Run()
+			}
+		})
+	}
+}
+
 // BenchmarkCleanerPegasusVsSprite reports cleaner CPU cost at two file
 // system sizes (the E10 ablation in bench form).
 func BenchmarkCleanerPegasusVsSprite(b *testing.B) {
@@ -717,53 +751,59 @@ func BenchmarkSessionRenegotiate(b *testing.B) {
 // BenchmarkSiteAdmission measures the multi-server replica-selecting
 // admission hot path: one site-level Admit (least-committed replica
 // ordering plus the link∧disk conjunction on the chosen node) and its
-// Release, over a 4-node site with a fully replicated 8-title catalog.
+// Release, over an 8-title catalog with two replicas of each title on a
+// 4-node site, and with sixteen on a 16-node site (cluster-vod's shape:
+// every request probes and ranks sixteen candidates).
 func BenchmarkSiteAdmission(b *testing.B) {
 	const (
-		nodes, viewers, titles = 4, 16, 8
-		frameBytes, frameHz    = 4800, 100
-		round                  = 500 * sim.Millisecond
+		viewers, titles     = 16, 8
+		frameBytes, frameHz = 4800, 100
+		round               = 500 * sim.Millisecond
 	)
 	titleBytes := 2 * int64(frameHz) * int64(round) / int64(sim.Second) * frameBytes
-	siteCfg := core.DefaultSiteConfig()
-	siteCfg.Ports = nodes + viewers
-	site := core.NewSite(siteCfg)
-	ctrl := vodsite.New(site, vodsite.Config{
-		PeakRate:            5_300_000,
-		BaseReplicas:        2,
-		ReplicationDisabled: true,
-	})
-	for i := 0; i < nodes; i++ {
-		ctrl.AddNode(site.NewStorageServer("n", 256<<10, int64(titles*6+16)))
-	}
-	ports := make([]int, viewers)
-	for i := range ports {
-		ports[i] = site.Attach("v").Port
-	}
-	titleNames := make([]string, titles)
-	for i := range titleNames {
-		titleNames[i] = fmt.Sprintf("t%d", i)
-		ctrl.AddTitle(titleNames[i], titleBytes, frameBytes, frameHz)
-	}
-	if err := ctrl.Place(); err != nil {
-		b.Fatal(err)
-	}
-	site.Sim.Run()
-	ctrl.Start(fileserver.CMConfig{Round: round})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := ctrl.Admit(titleNames[i%titles], ports[i%viewers])
-		if err != nil {
-			b.Fatal(err)
-		}
-		st.Release()
-		if i%256 == 255 {
-			// Drain the primed read-ahead I/O outside the timer (the CM
-			// tickers never stop, so a bounded advance, not Run).
-			b.StopTimer()
-			site.Sim.RunFor(20 * sim.Second)
-			b.StartTimer()
-		}
+	for _, bc := range []struct{ nodes, replicas int }{{4, 2}, {16, 16}} {
+		b.Run(fmt.Sprintf("replicas=%d", bc.replicas), func(b *testing.B) {
+			siteCfg := core.DefaultSiteConfig()
+			siteCfg.Ports = bc.nodes + viewers
+			site := core.NewSite(siteCfg)
+			ctrl := vodsite.New(site, vodsite.Config{
+				PeakRate:            5_300_000,
+				BaseReplicas:        bc.replicas,
+				ReplicationDisabled: true,
+			})
+			for i := 0; i < bc.nodes; i++ {
+				ctrl.AddNode(site.NewStorageServer("n", 256<<10, int64(titles*6+16)))
+			}
+			ports := make([]int, viewers)
+			for i := range ports {
+				ports[i] = site.Attach("v").Port
+			}
+			titleNames := make([]string, titles)
+			for i := range titleNames {
+				titleNames[i] = fmt.Sprintf("t%d", i)
+				ctrl.AddTitle(titleNames[i], titleBytes, frameBytes, frameHz)
+			}
+			if err := ctrl.Place(); err != nil {
+				b.Fatal(err)
+			}
+			site.Sim.Run()
+			ctrl.Start(fileserver.CMConfig{Round: round})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := ctrl.Admit(titleNames[i%titles], ports[i%viewers])
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Release()
+				if i%256 == 255 {
+					// Drain the primed read-ahead I/O outside the timer (the CM
+					// tickers never stop, so a bounded advance, not Run).
+					b.StopTimer()
+					site.Sim.RunFor(20 * sim.Second)
+					b.StartTimer()
+				}
+			}
+		})
 	}
 }
 

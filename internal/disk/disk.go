@@ -2,9 +2,10 @@
 // service (§5): seek time, rotational latency and a finite media
 // transfer rate, with an in-memory backing store for the data itself.
 //
-// The store is a sparse table of immutable pages: a write installs fresh
-// pages and never touches an installed one, so a read can hand out a view
-// of the store that stays a snapshot for as long as anyone holds it.
+// The store is a sparse table of immutable pages: a write moves the
+// buffer it is given into the table and never touches an installed page,
+// so a read can hand out a view of the store that stays a snapshot for as
+// long as anyone holds it.
 //
 // The numbers behind the paper's claims fall straight out of the model:
 // moving the head costs ~milliseconds, so writing whole megabyte
@@ -76,11 +77,11 @@ type Stats struct {
 // BusyTime is total time the arm/media were occupied.
 func (s *Stats) BusyTime() sim.Duration { return s.SeekTime + s.RotTime + s.TransferTime }
 
-// request is one queued operation.
+// request is one queued operation over [off, off+n). A write's payload
+// rides in its done, which installs it before reporting success.
 type request struct {
 	write bool
 	off   int64
-	data  []byte // write payload or read buffer length carrier
 	n     int
 	done  func([]byte, error)
 }
@@ -91,8 +92,10 @@ type Disk struct {
 	sim    *sim.Sim
 	params Params
 	size   int64
-	// pages is the image: nil = never written (reads as zeroPage). An
-	// installed page is never mutated, only replaced.
+	// pages is the image. A page holds its leading bytes, and what it
+	// does not hold is zeros: nil was never written, a short page is
+	// where a write's head stopped. An installed page is never mutated,
+	// only replaced.
 	pages [][]byte
 
 	queue   []request
@@ -118,23 +121,19 @@ func New(s *sim.Sim, p Params, size int64) *Disk {
 }
 
 // pageSize is the granule of the sparse image. 16 KiB is the smallest
-// per-disk chunk any array here writes (64 KiB segments), so chunk
-// writes always install whole pages and never rebuild one. Measured:
+// per-disk chunk any array here writes (64 KiB segments), so a chunk
+// write installs whole pages and rebuilds at most the one its tail
+// starts in. Measured:
 // the scenario workloads do not tell 4, 16 and 64 KiB apart; the E suite
 // allocates 1.4-2.7x more at 64 KiB (every 16 KiB chunk write rebuilds a
 // page; 4x more again at 256 KiB), and at 4 KiB the page table itself
 // doubles E12 and E16.
 const pageSize = 16 << 10
 
-// zeroPage stands in for every page never written. Shared and read-only.
-var zeroPage = make([]byte, pageSize)
-
-func (d *Disk) page(i int64) []byte {
-	if p := d.pages[i]; p != nil {
-		return p
-	}
-	return zeroPage
-}
+// zeros is what a blank range reads as: a read that touches no written
+// page, up to the largest chunk any array here reads, is a view of it.
+// Shared and read-only.
+var zeros = make([]byte, 256<<10)
 
 // view returns [off, off+n) of the image without copying when it can.
 // The pages one write installed are consecutive slices of its buffer,
@@ -143,38 +142,68 @@ func (d *Disk) page(i int64) []byte {
 // that buffer; a range over pages of different writes is gathered once.
 func (d *Disk) view(off int64, n int) []byte {
 	pg, in := off/pageSize, int(off%pageSize)
-	run := d.page(pg)
+	run := d.pages[pg]
+	if run == nil {
+		run = zeros
+	}
 	run = run[:cap(run)]
 	whole := in+n <= len(run)
-	for k := 1; whole && k*pageSize < in+n; k++ {
-		q := d.pages[pg+int64(k)]
-		whole = q != nil && &q[0] == &run[k*pageSize]
+	for k := 0; whole && k*pageSize < in+n; k++ {
+		if q := d.pages[pg+int64(k)]; q == nil {
+			whole = &run[0] == &zeros[0]
+		} else {
+			whole = len(q) >= min(pageSize, in+n-k*pageSize) && &q[0] == &run[k*pageSize]
+		}
 	}
 	if whole {
 		return run[in : in+n : in+n]
 	}
-	out := make([]byte, 0, n)
-	for ; len(out) < n; pg, in = pg+1, 0 {
-		out = append(out, d.page(pg)[in:min(pageSize, in+n-len(out))]...)
+	out := make([]byte, n)
+	for pos := 0; pos < n; pg, in = pg+1, 0 {
+		take := min(pageSize-in, n-pos)
+		if p := d.pages[pg]; in < len(p) {
+			copy(out[pos:pos+take], p[in:])
+		}
+		pos += take
 	}
 	return out
 }
 
-// install makes buf the image at off. buf is the disk's own copy of the
-// payload: whole pages of it become the image as they are, a partly
-// covered page is rebuilt from the old one.
-func (d *Disk) install(off int64, buf []byte) {
-	for len(buf) > 0 {
-		pg, in := off/pageSize, int(off%pageSize)
-		take := min(len(buf), pageSize-in)
-		p := buf[:take]
-		if take < pageSize {
-			p = make([]byte, pageSize)
-			copy(p, d.pages[pg])
-			copy(p[in:], buf[:take])
+// install makes head ‖ zeros ‖ tail the image of [off, off+n). A page
+// inside the head or the tail becomes that slice of it as it is; the page
+// the head stops in becomes what is left of the head, the zeros after it
+// implied; a page inside the zero run is unlinked. Only a page that keeps
+// bytes from outside the write, or has zeros before the tail starts in it,
+// is rebuilt.
+func (d *Disk) install(off int64, n int, head, tail []byte) {
+	end := off + int64(n)
+	headEnd, tailAt := off+int64(len(head)), end-int64(len(tail))
+	for pg := off / pageSize; pg*pageSize < end; pg++ {
+		base := pg * pageSize
+		lo, hi := max(base, off), min(base+pageSize, end)
+		switch whole := hi-lo == pageSize; {
+		case whole && hi <= headEnd:
+			d.pages[pg] = head[lo-off : hi-off]
+		case whole && lo >= tailAt:
+			d.pages[pg] = tail[lo-tailAt : hi-tailAt]
+		case whole && lo >= headEnd && hi <= tailAt:
+			d.pages[pg] = nil
+		case whole && hi <= tailAt:
+			d.pages[pg] = head[lo-off:]
+		default:
+			p, old := make([]byte, pageSize), d.pages[pg]
+			copy(p[:lo-base], old)
+			if int(hi-base) < len(old) {
+				copy(p[hi-base:], old[hi-base:])
+			}
+			if lo < headEnd {
+				copy(p[lo-base:], head[lo-off:])
+			}
+			if from := max(lo, tailAt); from < hi {
+				copy(p[from-base:], tail[from-tailAt:])
+			}
+			d.pages[pg] = p
 		}
-		d.pages[pg] = p
-		off, buf = off+int64(take), buf[take:]
 	}
 }
 
@@ -208,10 +237,20 @@ func (d *Disk) Read(off int64, n int, done func([]byte, error)) {
 	d.submit(request{off: off, n: n, done: done})
 }
 
-// Write queues a write; done receives nil data on success.
-func (d *Disk) Write(off int64, p []byte, done func(error)) {
-	buf := append([]byte(nil), p...)
-	d.submit(request{write: true, off: off, data: buf, n: len(buf), done: func(_ []byte, err error) {
+// Write queues a write of the n bytes head ‖ zeros ‖ tail at off: head
+// lands at off, tail ends at off+n, and whatever lies between them is
+// written as zeros without being stored (a dense write is head alone).
+// The mechanics are charged for all n bytes. Both buffers belong to the
+// disk from this call on — they become the image, uncopied, and reads
+// hand out views of them — so the caller must never write them again.
+func (d *Disk) Write(off int64, n int, head, tail []byte, done func(error)) {
+	if len(head)+len(tail) > n {
+		panic("disk: write payload longer than the write")
+	}
+	d.submit(request{write: true, off: off, n: n, done: func(_ []byte, err error) {
+		if err == nil {
+			d.install(off, n, head, tail)
+		}
 		done(err)
 	}})
 }
@@ -265,7 +304,6 @@ func (d *Disk) next() {
 		}
 		d.headPos = r.off + int64(r.n)
 		if r.write {
-			d.install(r.off, r.data)
 			d.Stats.Writes++
 			d.Stats.BytesWrite += int64(r.n)
 			r.done(nil, nil)

@@ -14,7 +14,7 @@ func syncWrite(t *testing.T, s *sim.Sim, d *disk.Disk, off int64, p []byte) {
 	t.Helper()
 	var got error
 	doneSet := false
-	d.Write(off, p, func(err error) { got = err; doneSet = true })
+	d.Write(off, len(p), p, nil, func(err error) { got = err; doneSet = true })
 	s.Run()
 	if !doneSet {
 		t.Fatal("write never completed")
@@ -116,7 +116,7 @@ func TestFailedDiskRejectsOps(t *testing.T) {
 	d := disk.New(s, disk.DefaultParams(), MB)
 	d.Fail()
 	var err error
-	d.Write(0, []byte{1}, func(e error) { err = e })
+	d.Write(0, 1, []byte{1}, nil, func(e error) { err = e })
 	s.Run()
 	if err != disk.ErrFailed {
 		t.Fatalf("err = %v, want ErrFailed", err)
@@ -128,7 +128,7 @@ func TestFailFlushesQueuedOps(t *testing.T) {
 	d := disk.New(s, disk.DefaultParams(), 10*MB)
 	errs := 0
 	for i := 0; i < 5; i++ {
-		d.Write(int64(i)*MB, make([]byte, 1024), func(e error) {
+		d.Write(int64(i)*MB, 1024, make([]byte, 1024), nil, func(e error) {
 			if e != nil {
 				errs++
 			}
@@ -159,7 +159,7 @@ func TestFIFOOrdering(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		d.Write(int64(i)*MB, []byte{byte(i)}, func(error) { order = append(order, i) })
+		d.Write(int64(i)*MB, 1, []byte{byte(i)}, nil, func(error) { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {

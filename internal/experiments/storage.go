@@ -26,10 +26,10 @@ func E9SegmentIO() Result {
 	// One disk, scattered whole-segment writes.
 	s := sim.New()
 	d := disk.New(s, disk.DefaultParams(), 512*segMB)
-	seg := make([]byte, segMB)
+	seg := make([]byte, segMB) // given to the store many times over: never written again
 	for i := 0; i < 64; i++ {
 		off := int64((i*37)%256) * 2 * segMB
-		d.Write(off, seg, func(error) {})
+		d.Write(off, len(seg), seg, nil, func(error) {})
 	}
 	s.Run()
 	overhead := float64(d.Stats.SeekTime+d.Stats.RotTime) / float64(d.Stats.BusyTime())
@@ -42,7 +42,7 @@ func E9SegmentIO() Result {
 	small := make([]byte, 4096)
 	for i := 0; i < 64*256; i++ {
 		off := int64((i*2654435761)%(256*segMB)) &^ 4095
-		d2.Write(off, small, func(error) {})
+		d2.Write(off, len(small), small, nil, func(error) {})
 	}
 	s2.Run()
 	smallRate := float64(d2.Stats.BytesWrite) / d2.Stats.BusyTime().Seconds() / 1e6
@@ -52,7 +52,7 @@ func E9SegmentIO() Result {
 	arr := raid.New(s3, disk.DefaultParams(), segMB, 64)
 	start := s3.Now()
 	for i := int64(0); i < 32; i++ {
-		arr.WriteSegment(i, seg, func(error) {})
+		arr.WriteSegment(i, seg, nil, func(error) {})
 	}
 	s3.Run()
 	arrRate := float64(32*segMB) / (s3.Now() - start).Seconds() / 1e6

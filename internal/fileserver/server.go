@@ -145,7 +145,10 @@ func (sv *Server) List() []string {
 
 // Write buffers (or applies) a write. The returned error is the
 // acceptance acknowledgement: once Write returns nil the server holds
-// the data in memory and the two-copy invariant is in force.
+// the data in memory and the two-copy invariant is in force. data stays
+// the caller's and is not kept: write-through, the log copies it into
+// its open segment before this returns; write-behind, the buffer takes
+// its own copy.
 func (sv *Server) Write(path string, off int64, data []byte) error {
 	st, ok := sv.files[path]
 	if !ok {
@@ -157,7 +160,7 @@ func (sv *Server) Write(path string, off int64, data []byte) error {
 		st.size = off + int64(len(data))
 	}
 	if sv.WriteDelay <= 0 {
-		return sv.applyWrite(st, off, append([]byte(nil), data...))
+		return sv.applyWrite(st, off, data)
 	}
 	sv.bufferWrite(st, off, append([]byte(nil), data...))
 	if st.applyEv == nil {

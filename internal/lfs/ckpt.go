@@ -202,10 +202,8 @@ func (fs *FS) Checkpoint(done func(error)) {
 			done(ErrCorrupt)
 			return
 		}
-		padded := make([]byte, fs.cfg.SegSize)
-		copy(padded, blob)
-		slot := int64(fs.ckptSlot)
-		fs.arr.WriteSegment(slot, padded, func(err error) {
+		// The blob is the segment's head; the padding is implied.
+		fs.arr.WriteSegment(int64(fs.ckptSlot), blob, nil, func(err error) {
 			if err != nil {
 				done(err)
 				return
@@ -232,7 +230,7 @@ func (fs *FS) Crash() {
 	fs.nextSeq = 0
 	fs.ckptSeq = 0
 	fs.pendingIO = 0
-	fs.ioWaiters = nil
+	fs.ioWaiters, fs.ioErr = nil, nil
 	if fs.cache != nil {
 		fs.cache = newBlockCache(fs.cfg.CacheBlocks)
 	}
@@ -324,7 +322,7 @@ type rollCand struct {
 func (fs *FS) applyRollForward(cands []rollCand) {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
 	for _, c := range cands {
-		st := &segState{id: c.id, seq: c.seq, dataBytes: int64(c.fill), onDisk: true, entries: c.entries}
+		st := &segState{id: c.id, seq: c.seq, dataBytes: int64(c.fill), onDisk: true}
 		fs.segs[c.id] = st
 		if c.seq > fs.nextSeq {
 			fs.nextSeq = c.seq

@@ -208,34 +208,7 @@ func (fs *FS) evacuate(st *segState, entries []summaryEntry, buf []byte, stats *
 // extents — an address change, not a logical overwrite, so no garbage
 // is generated (the donor segment is about to be freed wholesale).
 func (fs *FS) relocate(pi *pnodeInfo, fileOff int64, data []byte) error {
-	for len(data) > 0 {
-		seg, err := fs.openFor(pi)
-		if err != nil {
-			return err
-		}
-		room := fs.roomIn(seg)
-		if room <= 0 {
-			if err := fs.seal(seg); err != nil {
-				return err
-			}
-			continue
-		}
-		n := len(data)
-		if n > room {
-			n = room
-		}
-		segOff := seg.fill
-		copy(seg.buf[segOff:], data[:n])
-		seg.fill += n
-		seg.entries = append(seg.entries, summaryEntry{
-			kind: entData, pn: pi.pn, fileOff: fileOff,
-			segOff: int32(segOff), length: int32(n), media: pi.continuous,
-		})
-		fs.repoint(pi, fileOff, int64(n), fs.segBase(seg.id)+int64(segOff))
-		fileOff += int64(n)
-		data = data[n:]
-	}
-	return nil
+	return fs.place(pi, fileOff, data, func(off, addr, n int64) { fs.repoint(pi, off, n, addr) })
 }
 
 // repoint rewrites the address of [fileOff, fileOff+n) in the extent

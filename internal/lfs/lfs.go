@@ -96,7 +96,6 @@ type segState struct {
 	live      int64
 	dataBytes int64
 	media     bool
-	entries   []summaryEntry
 	onDisk    bool
 }
 
@@ -104,10 +103,9 @@ type segState struct {
 type openSeg struct {
 	id      int64
 	media   bool
-	owner   Pnode // owning file for media segments (0 for shared)
-	buf     []byte
-	fill    int
-	dead    int64 // bytes already obsolete before sealing
+	owner   Pnode  // owning file for media segments (0 for shared)
+	buf     []byte // the payload so far; grows with it, never to SegSize up front
+	dead    int64  // bytes already obsolete before sealing
 	entries []summaryEntry
 }
 
@@ -183,7 +181,8 @@ type FS struct {
 	cache *blockCache
 
 	pendingIO int
-	ioWaiters []func()
+	ioWaiters []func(error)
+	ioErr     error // first segment-write error no Sync has reported yet
 
 	ckptSeq  uint64
 	ckptSlot int // 0 or 1, next slot to write
@@ -319,7 +318,9 @@ func (fs *FS) segOf(addr int64) int64 { return addr / int64(fs.cfg.SegSize) }
 // segment (normal or media); sealed segments go to the array
 // asynchronously. The call itself is synchronous in-memory work —
 // exactly the paper's delayed-write design, where durability is the
-// job of Sync/Checkpoint and the client-agent protocol above.
+// job of Sync/Checkpoint and the client-agent protocol above. data stays
+// the caller's: it is copied into the open segment here — the only copy
+// the write path makes — and is not kept.
 func (fs *FS) Write(pn Pnode, off int64, data []byte) error {
 	pi, ok := fs.pnodes[pn]
 	if !ok {
@@ -328,36 +329,43 @@ func (fs *FS) Write(pn Pnode, off int64, data []byte) error {
 	if off < 0 {
 		return ErrBadExtent
 	}
+	return fs.place(pi, off, data, func(off, addr, n int64) {
+		fs.insertExtent(pi, Extent{FileOff: off, Addr: addr, Len: n})
+		fs.Stats.BytesAppended += n
+		fs.Stats.LiveBytes += n
+		if fs.cacheable(pi) {
+			fs.cache.invalidate(pn, off, n)
+		}
+	})
+}
+
+// place copies file bytes into the file's open segment, sealing full ones
+// on the way, and reports each piece laid down to placed.
+func (fs *FS) place(pi *pnodeInfo, off int64, data []byte, placed func(off, addr, n int64)) error {
 	for len(data) > 0 {
 		seg, err := fs.openFor(pi)
 		if err != nil {
 			return err
 		}
-		room := fs.roomIn(seg)
-		if room <= 0 {
-			if err := fs.seal(seg); err != nil {
-				return err
-			}
+		n := min(len(data), fs.roomIn(seg))
+		if n <= 0 {
+			fs.seal(seg)
 			continue
 		}
-		n := len(data)
-		if n > room {
-			n = room
+		segOff := len(seg.buf)
+		if seg.buf != nil && n > cap(seg.buf)-segOff {
+			// The first piece sized the buffer to itself, so a segment
+			// sealed after one small write costs its fill. A later piece
+			// that does not fit means the segment is being streamed into:
+			// make all the room it can use, once.
+			seg.buf = append(make([]byte, 0, segOff+fs.roomIn(seg)), seg.buf...)
 		}
-		segOff := seg.fill
-		copy(seg.buf[segOff:], data[:n])
-		seg.fill += n
+		seg.buf = append(seg.buf, data[:n]...)
 		seg.entries = append(seg.entries, summaryEntry{
-			kind: entData, pn: pn, fileOff: off,
+			kind: entData, pn: pi.pn, fileOff: off,
 			segOff: int32(segOff), length: int32(n), media: pi.continuous,
 		})
-		addr := fs.segBase(seg.id) + int64(segOff)
-		fs.insertExtent(pi, Extent{FileOff: off, Addr: addr, Len: int64(n)})
-		fs.Stats.BytesAppended += int64(n)
-		fs.Stats.LiveBytes += int64(n)
-		if fs.cacheable(pi) {
-			fs.cache.invalidate(pn, off, int64(n))
-		}
+		placed(off, fs.segBase(seg.id)+int64(segOff), int64(n))
 		off += int64(n)
 		data = data[n:]
 	}
@@ -444,20 +452,17 @@ func (fs *FS) Delete(pn Pnode) error {
 	if os, ok := fs.mediaCur[pn]; ok {
 		// The stream's open segment will never get more data; seal it
 		// so its space is accounted and reclaimable.
-		_ = fs.seal(os)
+		fs.seal(os)
 	}
 	delete(fs.pnodes, pn)
 	// Record the deletion for roll-forward (in the shared log segment).
 	shared := &pnodeInfo{pn: 0}
-	if seg, err := fs.openFor(shared); err == nil {
-		if fs.roomIn(seg) <= 0 {
-			if err := fs.seal(seg); err == nil {
-				seg, err = fs.openFor(shared)
-				if err != nil {
-					return nil
-				}
-			}
-		}
+	seg, err := fs.openFor(shared)
+	if err == nil && fs.roomIn(seg) <= 0 {
+		fs.seal(seg)
+		seg, err = fs.openFor(shared)
+	}
+	if err == nil {
 		seg.entries = append(seg.entries, summaryEntry{kind: entDelete, pn: pn})
 	}
 	return nil

@@ -2,8 +2,9 @@ package lfs
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // On-disk summary layout, at the tail of every sealed segment:
@@ -23,12 +24,13 @@ var summaryMagic = [4]byte{'P', 'G', 'S', 'S'}
 // reserving space for one more summary entry and the trailer.
 func (fs *FS) roomIn(seg *openSeg) int {
 	reserved := (len(seg.entries)+1)*entrySize + trailerSize
-	return fs.cfg.SegSize - reserved - seg.fill
+	return fs.cfg.SegSize - reserved - len(seg.buf)
 }
 
 // openFor returns (allocating if needed) the open segment for a file:
 // the shared log-head segment for ordinary data and metadata, or the
-// file's private segment for continuous-media data.
+// file's private segment for continuous-media data. A new segment has no
+// buffer yet: it grows with what is written into it.
 func (fs *FS) openFor(pi *pnodeInfo) (*openSeg, error) {
 	if pi.continuous {
 		if seg, ok := fs.mediaCur[pi.pn]; ok {
@@ -42,7 +44,7 @@ func (fs *FS) openFor(pi *pnodeInfo) (*openSeg, error) {
 	}
 	id := fs.freeSegs[len(fs.freeSegs)-1]
 	fs.freeSegs = fs.freeSegs[:len(fs.freeSegs)-1]
-	seg := &openSeg{id: id, media: pi.continuous, owner: pi.pn, buf: make([]byte, fs.cfg.SegSize)}
+	seg := &openSeg{id: id, media: pi.continuous, owner: pi.pn}
 	fs.open[id] = seg
 	if pi.continuous {
 		fs.mediaCur[pi.pn] = seg
@@ -52,70 +54,62 @@ func (fs *FS) openFor(pi *pnodeInfo) (*openSeg, error) {
 	return seg, nil
 }
 
-// seal serialises the summary, hands the segment to the array and
-// retires it from the open set.
-func (fs *FS) seal(seg *openSeg) error {
-	if seg.fill == 0 && len(seg.entries) == 0 {
+// seal serialises the summary, hands the segment to the array as its two
+// non-zero ends — the payload and the summary, nothing for the gap
+// between them — and retires it from the open set. The buffers go with
+// it: nothing here touches them again.
+func (fs *FS) seal(seg *openSeg) {
+	delete(fs.open, seg.id)
+	fs.clearCur(seg)
+	if len(seg.buf) == 0 && len(seg.entries) == 0 {
 		// Nothing in it: give the segment back.
-		delete(fs.open, seg.id)
 		fs.freeSegs = append(fs.freeSegs, seg.id)
-		fs.clearCur(seg)
-		return nil
+		return
 	}
 	fs.nextSeq++
 	seq := fs.nextSeq
 
-	// Serialise entries + trailer at the very end of the buffer.
-	total := len(seg.entries)*entrySize + trailerSize
-	base := fs.cfg.SegSize - total
-	p := base
+	// Entries + trailer, ending where the segment ends.
+	summary := make([]byte, 0, len(seg.entries)*entrySize+trailerSize)
+	live := -seg.dead
 	for _, e := range seg.entries {
-		b := seg.buf[p : p+entrySize]
-		b[0] = e.kind
+		var media byte
 		if e.media {
-			b[1] = 1
+			media = 1
 		}
-		binary.BigEndian.PutUint32(b[2:], uint32(e.pn))
-		binary.BigEndian.PutUint64(b[6:], uint64(e.fileOff))
-		binary.BigEndian.PutUint32(b[14:], uint32(e.segOff))
-		binary.BigEndian.PutUint32(b[18:], uint32(e.length))
-		p += entrySize
-	}
-	tr := seg.buf[p : p+trailerSize]
-	copy(tr, summaryMagic[:])
-	binary.BigEndian.PutUint64(tr[4:], seq)
-	binary.BigEndian.PutUint32(tr[12:], uint32(len(seg.entries)))
-	binary.BigEndian.PutUint32(tr[16:], uint32(seg.fill))
-	crc := crc32.ChecksumIEEE(seg.buf[base : p+20])
-	binary.BigEndian.PutUint32(tr[20:], crc)
-
-	live := int64(0)
-	for _, e := range seg.entries {
+		summary = append(summary, e.kind, media)
+		summary = put32(summary, uint32(e.pn))
+		summary = put64(summary, uint64(e.fileOff))
+		summary = put32(summary, uint32(e.segOff))
+		summary = put32(summary, uint32(e.length))
 		if e.kind == entData {
 			live += int64(e.length)
 		}
 	}
-	live -= seg.dead
+	summary = append(summary, summaryMagic[:]...)
+	summary = put64(summary, seq)
+	summary = put32(summary, uint32(len(seg.entries)))
+	summary = put32(summary, uint32(len(seg.buf)))
+	summary = put32(summary, crc32.ChecksumIEEE(summary))
 
 	st := &segState{
 		id:        seg.id,
 		seq:       seq,
 		live:      live,
-		dataBytes: int64(seg.fill),
+		dataBytes: int64(len(seg.buf)),
 		media:     seg.media,
-		entries:   append([]summaryEntry(nil), seg.entries...),
 	}
 	fs.segs[seg.id] = st
-	delete(fs.open, seg.id)
-	fs.clearCur(seg)
 
 	fs.pendingIO++
-	fs.arr.WriteSegment(seg.id, seg.buf, func(err error) {
+	fs.arr.WriteSegment(seg.id, seg.buf, summary, func(err error) {
 		st.onDisk = err == nil
 		fs.Stats.SegmentsSealed++
-		fs.ioDone()
+		if err != nil {
+			err = fmt.Errorf("lfs: write of segment %d: %w", st.id, err)
+		}
+		fs.ioDone(err)
 	})
-	return nil
 }
 
 func (fs *FS) clearCur(seg *openSeg) {
@@ -127,43 +121,43 @@ func (fs *FS) clearCur(seg *openSeg) {
 	}
 }
 
-func (fs *FS) ioDone() {
-	fs.pendingIO--
-	if fs.pendingIO == 0 {
-		ws := fs.ioWaiters
-		fs.ioWaiters = nil
+// ioDone retires one segment write. Its error waits in ioErr for the
+// next Sync to complete — the one that covers the write.
+func (fs *FS) ioDone(err error) {
+	if fs.ioErr == nil {
+		fs.ioErr = err
+	}
+	if fs.pendingIO--; fs.pendingIO == 0 && len(fs.ioWaiters) > 0 {
+		ws, err := fs.ioWaiters, fs.ioErr
+		fs.ioWaiters, fs.ioErr = nil, nil
 		for _, w := range ws {
-			w()
+			w(err)
 		}
 	}
 }
 
 // Sync seals every open segment and calls done once every outstanding
-// segment write has reached the array.
+// segment write has reached the array, with the first error any of them
+// (or any since the last Sync) met.
 func (fs *FS) Sync(done func(error)) {
-	var err error
 	if fs.cur != nil {
-		if e := fs.seal(fs.cur); e != nil && err == nil {
-			err = e
-		}
+		fs.seal(fs.cur)
 	}
 	pns := make([]Pnode, 0, len(fs.mediaCur))
 	for pn := range fs.mediaCur {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	for _, pn := range pns {
-		if e := fs.seal(fs.mediaCur[pn]); e != nil && err == nil {
-			err = e
-		}
+		fs.seal(fs.mediaCur[pn])
 	}
-	if fs.pendingIO == 0 {
-		fin := err
-		fs.sim.At(fs.sim.Now(), func() { done(fin) })
+	if fs.pendingIO != 0 {
+		fs.ioWaiters = append(fs.ioWaiters, done)
 		return
 	}
-	fin := err
-	fs.ioWaiters = append(fs.ioWaiters, func() { done(fin) })
+	err := fs.ioErr
+	fs.ioErr = nil
+	fs.sim.At(fs.sim.Now(), func() { done(err) })
 }
 
 // parseSummary decodes a segment's summary from its full contents.

@@ -30,7 +30,7 @@ func writeSegErr(t *testing.T, s *sim.Sim, a *raid.Array, seg int64, data []byte
 	t.Helper()
 	var err error
 	fired := false
-	a.WriteSegment(seg, data, func(e error) { err = e; fired = true })
+	a.WriteSegment(seg, data, nil, func(e error) { err = e; fired = true })
 	s.Run()
 	if !fired {
 		t.Fatal("WriteSegment never completed")
@@ -48,8 +48,12 @@ func TestWriteSegmentValidation(t *testing.T) {
 	if err := writeSegErr(t, s, a, 8, good); err == nil {
 		t.Fatal("out-of-range segment accepted")
 	}
-	if err := writeSegErr(t, s, a, 0, make([]byte, 100)); err == nil {
-		t.Fatal("short segment accepted")
+	if err := writeSegErr(t, s, a, 0, make([]byte, 64<<10+1)); err == nil {
+		t.Fatal("oversized segment accepted")
+	}
+	// A short head is a whole segment with its zeros implied.
+	if err := writeSegErr(t, s, a, 0, make([]byte, 100)); err != nil {
+		t.Fatalf("short head refused: %v", err)
 	}
 }
 

@@ -11,6 +11,7 @@
 package raid
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -91,31 +92,34 @@ func (a *Array) failedCount() (n, which int) {
 	return n, which
 }
 
-func xorInto(dst, src []byte) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
-}
+// xorInto folds src into the front of dst (no shorter), a word at a time.
+func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
 // WriteSegment writes a whole segment as a full stripe: four data chunks
-// and freshly computed parity, all in parallel.
-func (a *Array) WriteSegment(seg int64, data []byte, done func(error)) {
+// and freshly computed parity, all in parallel. The segment is given as
+// its two non-zero ends — head at offset 0, tail ending at SegmentSize,
+// zeros implied between (a dense segment is head alone) — and parity is
+// computed over those ends only; every disk is still charged a whole
+// chunk. Both buffers belong to the array from this call on: their chunk
+// slices become the disk images, uncopied, so the caller must never write
+// them again.
+func (a *Array) WriteSegment(seg int64, head, tail []byte, done func(error)) {
 	if seg < 0 || seg >= a.nseg {
 		a.sim.At(a.sim.Now(), func() { done(fmt.Errorf("raid: segment %d out of range", seg)) })
 		return
 	}
-	if len(data) != a.segSize {
-		a.sim.At(a.sim.Now(), func() { done(fmt.Errorf("raid: segment write of %d bytes, want %d", len(data), a.segSize)) })
+	if n := len(head) + len(tail); n > a.segSize {
+		a.sim.At(a.sim.Now(), func() { done(fmt.Errorf("raid: segment write of %d bytes, want at most %d", n, a.segSize)) })
 		return
 	}
-	if n, _ := a.failedCount(); n > 1 {
+	nf, failed := a.failedCount()
+	if nf > 1 {
 		a.sim.At(a.sim.Now(), func() { done(ErrTooManyFailures) })
 		return
 	}
 	a.Stats.SegmentWrites++
 	off := seg * int64(a.chunk)
-	parity := make([]byte, a.chunk)
-	remaining := 0
+	remaining := TotalDisks - nf
 	var firstErr error
 	finish := func(err error) {
 		if err != nil && firstErr == nil && !errors.Is(err, disk.ErrFailed) {
@@ -126,30 +130,32 @@ func (a *Array) WriteSegment(seg int64, data []byte, done func(error)) {
 			done(firstErr)
 		}
 	}
+	// Each chunk is again a head and a tail around implied zeros, and so
+	// is parity: as long as the longest head (chunk 0's) and the longest
+	// tail (the last chunk's), one dense chunk where those meet.
+	ph, pt := min(len(head), a.chunk), min(len(tail), a.chunk)
+	parity := make([]byte, min(a.chunk, ph+pt))
+	tailAt := a.segSize - len(tail)
 	for i := 0; i < DataDisks; i++ {
-		chunk := data[i*a.chunk : (i+1)*a.chunk]
-		xorInto(parity, chunk)
-		if a.disks[i].Failed() {
-			continue // degraded write: parity covers the lost chunk
+		lo, hi := i*a.chunk, (i+1)*a.chunk
+		var h, t []byte
+		if lo < len(head) {
+			h = head[lo:min(hi, len(head))]
 		}
-		remaining++
-	}
-	if !a.disks[DataDisks].Failed() {
-		remaining++
-	}
-	if remaining == 0 {
-		a.sim.At(a.sim.Now(), func() { done(ErrTooManyFailures) })
-		return
-	}
-	for i := 0; i < DataDisks; i++ {
-		if a.disks[i].Failed() {
-			continue
+		if hi > tailAt {
+			t = tail[max(lo, tailAt)-tailAt : hi-tailAt]
 		}
-		chunk := data[i*a.chunk : (i+1)*a.chunk]
-		a.disks[i].Write(off, chunk, finish)
+		xorInto(parity, h)
+		xorInto(parity[len(parity)-len(t):], t)
+		if i != failed { // degraded write: parity covers the lost chunk
+			a.disks[i].Write(off, a.chunk, h, t, finish)
+		}
 	}
-	if !a.disks[DataDisks].Failed() {
-		a.disks[DataDisks].Write(off, parity, finish)
+	if failed != DataDisks {
+		if len(parity) == a.chunk {
+			ph = a.chunk
+		}
+		a.disks[DataDisks].Write(off, a.chunk, parity[:ph], parity[ph:], finish)
 	}
 }
 
@@ -351,7 +357,7 @@ func (a *Array) Rebuild(i int, done func(error)) {
 				return
 			}
 			a.Stats.RebuildBytes += int64(a.chunk)
-			a.disks[i].Write(off, rec, func(err error) {
+			a.disks[i].Write(off, a.chunk, rec, nil, func(err error) {
 				if err != nil {
 					done(err)
 					return

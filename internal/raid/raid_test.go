@@ -28,7 +28,7 @@ func writeSeg(t *testing.T, s *sim.Sim, a *raid.Array, seg int64, data []byte) {
 	t.Helper()
 	var err error
 	done := false
-	a.WriteSegment(seg, data, func(e error) { err = e; done = true })
+	a.WriteSegment(seg, data, nil, func(e error) { err = e; done = true })
 	s.Run()
 	if !done || err != nil {
 		t.Fatalf("WriteSegment: done=%v err=%v", done, err)
@@ -167,13 +167,13 @@ func TestStripeParallelismBeatsSingleDisk(t *testing.T) {
 		if useArray {
 			a := newArray(s, 32)
 			for i := int64(0); i < 16; i++ {
-				a.WriteSegment(i, make([]byte, segSize), func(error) {})
+				a.WriteSegment(i, make([]byte, segSize), nil, func(error) {})
 			}
 			s.Run()
 		} else {
 			d := disk.New(s, disk.DefaultParams(), 64<<20)
 			for i := int64(0); i < 16; i++ {
-				d.Write(i*segSize, make([]byte, segSize), func(error) {})
+				d.Write(i*segSize, segSize, make([]byte, segSize), nil, func(error) {})
 			}
 			s.Run()
 		}
@@ -195,7 +195,7 @@ func TestRoundTripProperty(t *testing.T) {
 		a := newArray(s, 2)
 		data := fillSegment(seed)
 		ok := true
-		a.WriteSegment(0, data, func(e error) { ok = ok && e == nil })
+		a.WriteSegment(0, data, nil, func(e error) { ok = ok && e == nil })
 		s.Run()
 		if doFail {
 			a.FailDisk(int(failDisk) % raid.TotalDisks)

@@ -3,7 +3,8 @@ package sim
 // Partitioned (parallel) execution of the event kernel.
 //
 // A Cluster shards the simulation across N Sims ("partitions"), each
-// with its own calendar wheel, free list and RNG stream, executed on
+// with its own calendar wheel, free list and RNG stream, executed by
+// the coordinator and, for windows large enough to pay for the handoff,
 // worker goroutines. Synchronisation is conservative lookahead: if the
 // earliest pending event anywhere is at emin, and every cross-partition
 // signal takes at least L (the lookahead) of virtual time to have any
@@ -37,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -138,18 +140,21 @@ func (s *Sim) Defer(fn func()) {
 	s.deferred = append(s.deferred, fn)
 }
 
-// runBefore fires every event with timestamp strictly below h. It does
-// not advance the clock to h — the cluster coordinator owns horizon
-// time; the partition clock only reflects events it actually fired.
-func (s *Sim) runBefore(h Time) {
-	s.stopped = false
-	for !s.stopped {
+// runBefore fires events with timestamp strictly below h, at most n of
+// them, and reports how many it fired: fewer than n means none is left
+// below h (or the partition was stopped). It does not advance the clock
+// to h — the cluster coordinator owns horizon time; the partition clock
+// only reflects events it actually fired.
+func (s *Sim) runBefore(h Time, n int64) (fired int64) {
+	for fired < n && !s.stopped {
 		e := s.peek()
 		if e == nil || e.at >= h {
-			return
+			break
 		}
 		s.Step()
+		fired++
 	}
+	return fired
 }
 
 // globalEvent is one barrier-context callback, heap-ordered by
@@ -194,6 +199,7 @@ type Cluster struct {
 
 	stopflag atomic.Bool
 
+	shares int // worker shares the partitions are dealt into
 	work   []chan Time
 	done   chan struct{}
 	msgbuf []crossMsg
@@ -446,14 +452,38 @@ func (c *Cluster) runGlobals(g Time) {
 }
 
 // window executes one lookahead window: every partition fires its
-// events strictly below h in parallel, then the barrier delivers the
-// staged cross messages and deferred callbacks.
+// events strictly below h, then the barrier delivers the staged cross
+// messages and deferred callbacks.
+//
+// The coordinator starts the window itself, share by share, and calls
+// in the workers only once the window has proved to hold more than
+// handoffGrain events: it then keeps the share it is in and hands the
+// later ones that have work to their goroutines. A handoff is two
+// cross-thread wake-ups, which cost what a few dozen events cost and,
+// on a shared host, whatever the host's scheduler adds; a window of
+// eight events (cluster-vod-p2's mean) is cheaper fired where it
+// stands. Which goroutine fires a partition's events never shows in
+// the simulation, so the results are those of handing off every window.
 func (c *Cluster) window(h Time) {
 	c.inWindow = true
-	for _, ch := range c.work {
-		ch <- h
+	for _, p := range c.parts {
+		p.stopped = false
 	}
-	for range c.work {
+	left, sent := handoffGrain, 0
+	for i := 0; i < c.shares; i++ {
+		if left -= c.runShare(i, h, left); left > 0 {
+			continue // share i is done, inside the grain
+		}
+		for j := i + 1; j < c.shares; j++ {
+			if c.shareBusy(j, h) {
+				c.work[j] <- h
+				sent++
+			}
+		}
+		c.runShare(i, h, math.MaxInt64)
+		break
+	}
+	for ; sent > 0; sent-- {
 		<-c.done
 	}
 	c.inWindow = false
@@ -506,9 +536,10 @@ func (c *Cluster) deliver(h Time) {
 	}
 }
 
-// workerCount is min(partitions, max(2, GOMAXPROCS)): every spare core
-// gets work, and even a 1-core box runs at least two goroutines so the
-// race detector exercises the real concurrent paths.
+// workerCount is how many shares the partitions are dealt into, the
+// coordinator's included: min(partitions, max(2, GOMAXPROCS)). Every
+// spare core gets work, and even a 1-core box runs two goroutines so
+// the race detector exercises the real concurrent paths.
 func (c *Cluster) workerCount() int {
 	w := len(c.parts)
 	if m := max(2, runtime.GOMAXPROCS(0)); w > m {
@@ -517,31 +548,50 @@ func (c *Cluster) workerCount() int {
 	return w
 }
 
-// startWorkers spawns the window workers for one run. Worker i owns
-// partitions i, i+W, i+2W, ... — a static assignment, so which
-// goroutine runs a partition never affects event order and results are
-// independent of the worker count.
+// startWorkers spawns the window workers for one run. Share i is
+// partitions i, i+W, i+2W, ... — a static assignment, and a partition's
+// events fire in the same order on whichever goroutine runs its share,
+// so results are independent of the worker count. Share 0 has no
+// goroutine: window only ever hands off shares after the one the
+// coordinator is in.
 func (c *Cluster) startWorkers() {
-	w := c.workerCount()
-	c.work = make([]chan Time, w)
-	c.done = make(chan struct{}, w)
-	for i := range c.work {
+	c.shares = c.workerCount()
+	c.work = make([]chan Time, c.shares)
+	c.done = make(chan struct{}, c.shares)
+	for i := 1; i < c.shares; i++ {
 		ch := make(chan Time)
 		c.work[i] = ch
 		go func(idx int, ch chan Time) {
 			for h := range ch {
-				for pi := idx; pi < len(c.parts); pi += w {
-					c.parts[pi].runBefore(h)
-				}
+				c.runShare(idx, h, math.MaxInt64)
 				c.done <- struct{}{}
 			}
 		}(i, ch)
 	}
 }
 
+// runShare fires share idx's events below h, at most n of them, and
+// reports how many it fired.
+func (c *Cluster) runShare(idx int, h Time, n int64) (fired int64) {
+	for pi := idx; pi < len(c.parts) && fired < n; pi += c.shares {
+		fired += c.parts[pi].runBefore(h, n-fired)
+	}
+	return fired
+}
+
+// shareBusy reports whether share idx holds an event below h.
+func (c *Cluster) shareBusy(idx int, h Time) bool {
+	for pi := idx; pi < len(c.parts); pi += c.shares {
+		if e := c.parts[pi].peek(); e != nil && e.at < h {
+			return true
+		}
+	}
+	return false
+}
+
 // stopWorkers joins the window workers at the end of a run.
 func (c *Cluster) stopWorkers() {
-	for _, ch := range c.work {
+	for _, ch := range c.work[1:] {
 		close(ch)
 	}
 	c.work = nil

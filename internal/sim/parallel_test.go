@@ -2,6 +2,8 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -178,5 +180,79 @@ func TestClusterGlobalCallAfter(t *testing.T) {
 	}
 	if c.Now() != 1000 {
 		t.Fatalf("clock = %v, want 1000", c.Now())
+	}
+}
+
+// goid reads the running goroutine's id off its stack header.
+func goid() string {
+	b := make([]byte, 64)
+	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
+}
+
+// TestWindowHandoffGrain: the coordinator fires a window's first
+// handoffGrain events itself and calls in a worker only for a share it
+// has not reached by then, and every event fires exactly once either
+// way. (Under -race the grain is zero: the second share always runs on
+// a worker.)
+func TestWindowHandoffGrain(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		events [2]int // per partition, all inside the first window
+		shared bool   // partition 1 runs on a worker
+	}{
+		{"small", [2]int{3, 3}, handoffGrain < 3},
+		{"large", [2]int{200, 200}, true},
+		{"large-last", [2]int{3, 200}, handoffGrain < 3}, // nothing left to hand off
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(2, 1000)
+			var ran [2]map[string]int
+			for p := range ran {
+				ids := map[string]int{}
+				ran[p] = ids
+				for i := 0; i < tc.events[p]; i++ {
+					c.Part(p).At(Time(10+i), func() { ids[goid()]++ })
+				}
+			}
+			me := goid()
+			c.RunUntil(5000)
+			if c.Windows() != 1 {
+				t.Fatalf("%d windows, want 1", c.Windows())
+			}
+			if n := ran[0][me]; n != tc.events[0] || len(ran[0]) != 1 {
+				t.Fatalf("partition 0 fired %v, want %d on the coordinator %s", ran[0], tc.events[0], me)
+			}
+			if n := ran[1][me]; tc.shared && (n != 0 || len(ran[1]) != 1) || !tc.shared && n != tc.events[1] {
+				t.Fatalf("partition 1 fired %v (coordinator is %s), shared = %v", ran[1], me, tc.shared)
+			}
+			if c.Fired() != int64(tc.events[0]+tc.events[1]) {
+				t.Fatalf("fired %d events, want %d", c.Fired(), tc.events[0]+tc.events[1])
+			}
+		})
+	}
+}
+
+// TestPartitionStopEndsItsWindow: Sim.Stop from partition context ends
+// that partition's share of the window it is called in, whether the
+// coordinator or a worker is running it, and no later call in the same
+// window resumes it.
+func TestPartitionStopEndsItsWindow(t *testing.T) {
+	c := NewCluster(2, 1000)
+	var fired [2]int
+	for p := range fired {
+		s := c.Part(p)
+		for i := 0; i < 200; i++ {
+			s.At(Time(10+i), func() {
+				if fired[p]++; fired[p] == 5 {
+					s.Stop()
+				}
+			})
+		}
+	}
+	c.startWorkers()
+	defer c.stopWorkers()
+	c.window(1000)
+	if fired != [2]int{5, 5} {
+		t.Fatalf("fired %v events in the stopped window, want 5 and 5", fired)
 	}
 }

@@ -33,9 +33,10 @@
 package vodsite
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/core"
@@ -255,6 +256,11 @@ type Controller struct {
 	// refused; retried after every stream teardown.
 	restorePending []*Stream
 
+	// probeStore and probes are probeReplicas' scratch: the reports and
+	// their ranking, valid until the next call.
+	probeStore []replicaProbe
+	probes     []*replicaProbe
+
 	// OnReplica fires when a background copy completes and the replica
 	// joins the catalog — the load generator retries refused requests.
 	OnReplica func(t *Title, n *Node)
@@ -327,6 +333,7 @@ func (c *Controller) Place() error {
 	w := Weights(len(c.ranked), c.cfg.ZipfS)
 	for i, t := range c.ranked {
 		r := min(c.cfg.BaseReplicas, len(c.nodes))
+		data := titleData(t) // generated once, read by every replica's write
 		for j := 0; j < r; j++ {
 			n := c.placementTarget(t)
 			if n == nil {
@@ -334,7 +341,7 @@ func (c *Controller) Place() error {
 			}
 			t.replicas = append(t.replicas, n)
 			n.weight += w[i] / float64(r)
-			if err := writeTitle(n, t); err != nil {
+			if err := writeTitle(n, t, data); err != nil {
 				return fmt.Errorf("vodsite: place %s on node %d: %w", t.Name, n.ID, err)
 			}
 		}
@@ -372,27 +379,32 @@ func (t *Title) holds(n *Node) bool {
 	return false
 }
 
-// writeTitle formats a title's bytes onto a node with a deterministic
-// per-rank pattern (replica copies are byte-comparable in tests).
-func writeTitle(n *Node, t *Title) error {
+// writeTitle stores a title's bytes on a node, 64 KiB a write.
+func writeTitle(n *Node, t *Title, data []byte) error {
 	if err := n.SS.Server.Create(t.Name, true); err != nil {
 		return err
 	}
-	chunk := make([]byte, 64<<10)
-	for off := int64(0); off < t.Bytes; off += int64(len(chunk)) {
-		m := min(int64(len(chunk)), t.Bytes-off)
-		for i := int64(0); i < m; i++ {
-			chunk[i] = titleByte(t.Rank, off+i)
-		}
-		if err := n.SS.Server.Write(t.Name, off, chunk[:m]); err != nil {
+	for off := 0; off < len(data); off += 64 << 10 {
+		if err := n.SS.Server.Write(t.Name, int64(off), data[off:min(off+64<<10, len(data))]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func titleByte(rank int, off int64) byte {
-	return byte((off*131 + int64(rank)*37) % 251)
+// titleData generates a title's bytes: the deterministic per-rank pattern
+// byte i = (131 i + 37 rank) mod 251, so replica copies are
+// byte-comparable in tests.
+func titleData(t *Title) []byte {
+	data := make([]byte, t.Bytes)
+	v := t.Rank * 37 % 251
+	for i := range data {
+		data[i] = byte(v)
+		if v += 131; v >= 251 {
+			v -= 251
+		}
+	}
+	return data
 }
 
 // Start enables the continuous-media serving service on every node.
@@ -403,25 +415,23 @@ func (c *Controller) Start(cfg fileserver.CMConfig) {
 	}
 }
 
-// specFor builds the session spec admitting one viewer of t from
-// replica n. A negative viewerPort leaves OutPorts empty — the
-// node-local probe shape (core.Site.Probe then skips the link leg),
+// specFor builds the session spec admitting one viewer of t, at the
+// ports in viewer, from replica n. A nil viewer leaves OutPorts empty —
+// the node-local probe shape (core.Site.Probe then skips the link leg),
 // used for load scoring where no particular viewer is meant.
-func (c *Controller) specFor(t *Title, n *Node, viewerPort int, class core.QoSClass) core.SessionSpec {
+func (c *Controller) specFor(t *Title, n *Node, viewer []int, class core.QoSClass) core.SessionSpec {
 	sp := core.SessionSpec{
 		Class:    class,
 		InPort:   n.SS.Net.Port,
 		PeakRate: c.cfg.PeakRate,
 		CPU:      n.SS.CPU,
+		OutPorts: viewer,
 	}
 	if t != nil {
 		sp.CM = n.SS.CM
 		sp.Title = t.Name
 		sp.FrameBytes = t.FrameBytes
 		sp.FrameHz = t.FrameHz
-	}
-	if viewerPort >= 0 {
-		sp.OutPorts = []int{viewerPort}
 	}
 	return sp
 }
@@ -432,16 +442,19 @@ func (c *Controller) specFor(t *Title, n *Node, viewerPort int, class core.QoSCl
 // means least committed on whichever resource the node is closest to
 // exhausting.
 func (c *Controller) nodeScore(n *Node) float64 {
-	r := c.site.Probe(c.specFor(nil, n, -1, c.cfg.Class))
+	r := c.site.Probe(c.specFor(nil, n, nil, c.cfg.Class))
 	_, h := r.Bottleneck()
 	return 1 - h
 }
 
 // replicaProbe pairs a candidate replica with its admission report for
-// one viewer.
+// one viewer and the two figures it is ranked by, read off the report
+// once.
 type replicaProbe struct {
-	n *Node
-	r core.AdmissionReport
+	n      *Node
+	cached bool    // the report admits from the RAM tier
+	score  float64 // bottleneck commitment, as nodeScore
+	r      core.AdmissionReport
 }
 
 // probeReplicas probes a title's alive replicas for one viewer and
@@ -450,30 +463,32 @@ type replicaProbe struct {
 // every viewer of a hot title on the node already holding its wake,
 // maximising interval overlap — then least bottleneck commitment, ties
 // by node ID. A node without a started serving service cannot hold the
-// disk half of the guarantee and is not a candidate.
-func (c *Controller) probeReplicas(t *Title, viewerPort int) []replicaProbe {
-	out := make([]replicaProbe, 0, len(t.replicas))
+// disk half of the guarantee and is not a candidate. The result is the
+// controller's scratch: it holds until the next call.
+func (c *Controller) probeReplicas(t *Title, viewer []int) []*replicaProbe {
+	if len(c.probeStore) < len(t.replicas) {
+		c.probeStore = make([]replicaProbe, len(t.replicas))
+	}
+	out := c.probes[:0]
 	for _, n := range t.replicas {
 		if n.failed || n.SS.CM == nil {
 			continue
 		}
-		out = append(out, replicaProbe{n, c.site.Probe(c.specFor(t, n, viewerPort, c.cfg.Class))})
-	}
-	score := func(p replicaProbe) float64 {
+		p := &c.probeStore[len(out)]
+		p.n, p.r = n, c.site.Probe(c.specFor(t, n, viewer, c.cfg.Class))
 		_, h := p.r.Bottleneck()
-		return 1 - h
+		p.cached, p.score = p.r.OK && p.r.CacheServed, 1-h
+		out = append(out, p)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ci := out[i].r.OK && out[i].r.CacheServed
-		cj := out[j].r.OK && out[j].r.CacheServed
-		if ci != cj {
-			return ci
+	c.probes = out
+	slices.SortStableFunc(out, func(a, b *replicaProbe) int {
+		if a.cached != b.cached {
+			if a.cached {
+				return -1
+			}
+			return 1
 		}
-		si, sj := score(out[i]), score(out[j])
-		if si != sj {
-			return si < sj
-		}
-		return out[i].n.ID < out[j].n.ID
+		return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.n.ID, b.n.ID))
 	})
 	return out
 }
@@ -490,7 +505,7 @@ func (c *Controller) Probe(title string, viewerPort int) core.AdmissionReport {
 	if t == nil {
 		return core.AdmissionReport{}
 	}
-	probes := c.probeReplicas(t, viewerPort)
+	probes := c.probeReplicas(t, []int{viewerPort})
 	for _, p := range probes {
 		if p.r.OK {
 			return p.r
@@ -516,12 +531,13 @@ func (c *Controller) Probe(title string, viewerPort int) core.AdmissionReport {
 // must reach the refusing leg's own admission (and its refusal
 // counters), which is also what keeps Probe and Admit honest against
 // each other.
-func (c *Controller) tryReplicas(t *Title, viewerPort int) (*Node, *core.Session, []replicaProbe, error) {
-	probes := c.probeReplicas(t, viewerPort)
+func (c *Controller) tryReplicas(t *Title, viewerPort int) (*Node, *core.Session, []*replicaProbe, error) {
+	viewer := []int{viewerPort} // one slice for every probe and the session
+	probes := c.probeReplicas(t, viewer)
 	adaptive := c.cfg.Class == core.Adaptive
-	n, sess, err := c.openOn(t, viewerPort, probes, adaptive)
+	n, sess, err := c.openOn(t, viewer, probes, adaptive)
 	if sess == nil && adaptive && !catalogBug(err) {
-		n, sess, err = c.openOn(t, viewerPort, probes, false)
+		n, sess, err = c.openOn(t, viewer, probes, false)
 	}
 	switch {
 	case sess != nil || catalogBug(err):
@@ -537,13 +553,13 @@ func (c *Controller) tryReplicas(t *Title, viewerPort int) (*Node, *core.Session
 // last refusal otherwise. A replica that cannot serve the title at all
 // is a catalog bug, not an over-subscription: it ends the attempt and
 // surfaces as is.
-func (c *Controller) openOn(t *Title, viewerPort int, probes []replicaProbe, fullOnly bool) (*Node, *core.Session, error) {
+func (c *Controller) openOn(t *Title, viewer []int, probes []*replicaProbe, fullOnly bool) (*Node, *core.Session, error) {
 	var lastErr error
 	for _, p := range probes {
 		if fullOnly && !p.r.OK {
 			continue
 		}
-		sess, err := c.site.OpenSession(c.specFor(t, p.n, viewerPort, c.cfg.Class))
+		sess, err := c.site.OpenSession(c.specFor(t, p.n, viewer, c.cfg.Class))
 		if err == nil {
 			return p.n, sess, nil
 		}
@@ -596,7 +612,7 @@ func (c *Controller) Admit(title string, viewerPort int) (*Stream, error) {
 // link leg covers exactly the viewer's port, so any replica's report
 // answers); with no live replica probed, a link-only site probe asks
 // about the port directly.
-func (c *Controller) downlinkOK(viewerPort int, probes []replicaProbe) bool {
+func (c *Controller) downlinkOK(viewerPort int, probes []*replicaProbe) bool {
 	if len(probes) > 0 {
 		return probes[0].r.Leg(core.LegLink).OK
 	}

@@ -280,3 +280,27 @@ func TestFailoverRecoversOntoSurvivors(t *testing.T) {
 		t.Fatalf("second FailNode moved streams: %+v", rep2)
 	}
 }
+
+// A copy onto a node whose array cannot take the writes (two members
+// down) must not join a catalog: the target's Sync reports the failed
+// segment writes, so the copy aborts and removes its partial file.
+func TestTitleCopyAbortsWhenTargetSyncFails(t *testing.T) {
+	h := build(t, 2, 1, 1, vodsite.Config{ReplicationDisabled: true}, fileserver.CMConfig{})
+	src := h.ctrl.Catalog()[titleName(0)][0]
+	dst := h.ctrl.Nodes()[1-src.ID]
+	dst.SS.Server.FS().Array().FailDisk(0)
+	dst.SS.Server.FS().Array().FailDisk(1)
+	var done, aborted int
+	cp := &vodsite.TitleCopy{
+		Src: src, Dst: dst, Name: titleName(0), Bytes: titleBytes(), Chunk: 64 << 10,
+		Done: func() { done++ }, Aborted: func() { aborted++ },
+	}
+	cp.Start()
+	h.site.Sim.RunFor(5 * sim.Second) // CM tickers never stop; bounded drain
+	if done != 0 || aborted != 1 {
+		t.Fatalf("copy onto a dead array: Done %d, Aborted %d; want 0, 1", done, aborted)
+	}
+	if dst.SS.Server.Exists(titleName(0)) {
+		t.Fatal("the aborted copy left its file on the target")
+	}
+}
