@@ -351,6 +351,11 @@ func BenchmarkCleanerPegasusVsSprite(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cpu sim.Duration
+			// One source for every file and iteration: the store only reads
+			// what it is handed, and a fresh buffer per write would be counted
+			// here (Write keeps its argument, so it is heap-allocated).
+			data := make([]byte, segSize-1024)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := sim.New()
 				arr := raid.New(s, disk.DefaultParams(), segSize, cfg.nseg)
@@ -359,7 +364,7 @@ func BenchmarkCleanerPegasusVsSprite(b *testing.B) {
 				for j := 0; j < 8; j++ {
 					pn := fs.Create(false)
 					pns = append(pns, pn)
-					fs.Write(pn, 0, make([]byte, segSize-1024))
+					fs.Write(pn, 0, data)
 				}
 				fs.Sync(func(error) {})
 				s.Run()
@@ -802,6 +807,33 @@ func BenchmarkSiteAdmission(b *testing.B) {
 					site.Sim.RunFor(20 * sim.Second)
 					b.StartTimer()
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlacement measures initial placement of one 192 000-byte title
+// (metro-flash's size) on a site of as many nodes as replicas:
+// vodsite.Place and the drain of its segment writes. B/op per replica
+// beyond the first is what a replica costs the host.
+func BenchmarkPlacement(b *testing.B) {
+	for _, replicas := range []int{1, 16} {
+		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				siteCfg := core.DefaultSiteConfig()
+				siteCfg.Ports = replicas + 1
+				site := core.NewSite(siteCfg)
+				ctrl := vodsite.New(site, vodsite.Config{PeakRate: 5_300_000, BaseReplicas: replicas})
+				for n := 0; n < replicas; n++ {
+					ctrl.AddNode(site.NewStorageServer("n", 256<<10, 16))
+				}
+				ctrl.AddTitle("t", 192_000, 4800, 100)
+				b.StartTimer()
+				if err := ctrl.Place(); err != nil {
+					b.Fatal(err)
+				}
+				site.Sim.Run()
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package fileserver_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/disk"
@@ -462,5 +463,103 @@ func TestOverlayLeavesTheLogAlone(t *testing.T) {
 	s.Run() // the write-behind window closes
 	if !bytes.Equal(logRead(), want) {
 		t.Fatal("applied piece missing from the log")
+	}
+}
+
+// A write-behind buffer the log refuses is still the server's copy of
+// acknowledged data: Flush reports the failure, keeps what it could not
+// apply pending (reads still see it) and tells no agent to drop its copy —
+// from the timer-driven drain as much as from Flush's own.
+func TestFlushReportsWhatItCouldNotLog(t *testing.T) {
+	for _, timerFirst := range []bool{false, true} {
+		s := sim.New()
+		sv := newServer(s, 6) // four 64 KiB log segments under 1.25 MiB of writes
+		sv.WriteDelay = sim.Second
+		notified := 0
+		sv.SubscribeFlush(func(string) { notified++ })
+		sv.Create("/big", false)
+		var want []byte
+		for i := 0; i < 40; i++ {
+			p := pat(byte(i), 32<<10)
+			want = append(want, p...)
+			if err := sv.Write("/big", int64(i)*32<<10, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if timerFirst {
+			s.Run() // the window closes: the drain runs out of log on its own
+		}
+		var ferr error
+		done := false
+		sv.Flush(func(e error) { ferr, done = e, true })
+		s.Run()
+		if !done || !errors.Is(ferr, lfs.ErrNoSpace) {
+			t.Fatalf("timerFirst=%v: Flush done=%v err=%v, want ErrNoSpace", timerFirst, done, ferr)
+		}
+		if notified != 0 {
+			t.Fatalf("timerFirst=%v: %d flush notifications after a failed flush", timerFirst, notified)
+		}
+		if sv.Stats.AppliedBytes >= int64(len(want)) {
+			t.Fatalf("applied %d of %d bytes: the log was meant to run out", sv.Stats.AppliedBytes, len(want))
+		}
+		if got := srvRead(t, s, sv, "/big", 0, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("timerFirst=%v: acknowledged bytes lost after the failed flush", timerFirst)
+		}
+	}
+}
+
+// The log keeps the slice it is handed (a continuous file's open segment
+// is those bytes), so the entries whose callers may reuse their buffer —
+// the io.Writer-style v-node layer and recorder, and a write-behind
+// Server.Write — hand it a copy: scribbling on the buffer afterwards
+// changes nothing, before the segment is sealed or after.
+func TestEdgeWritersCopyOnce(t *testing.T) {
+	s := sim.New()
+	sv := newServer(s, 32)
+	want := pat(1, 20<<10)
+	reused := make([]byte, len(want))
+	scribble := func() {
+		for i := range reused {
+			reused[i] = 0xEE
+		}
+	}
+
+	sv.Create("/vnode", true)
+	v := fileserver.NewVNodeLayer(sv)
+	fd, err := v.Open("/vnode", fileserver.ORdWr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(reused, want)
+	if _, err := v.Write(fd, reused); err != nil {
+		t.Fatal(err)
+	}
+	scribble()
+
+	rec, err := sv.NewRecorder("/recorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(reused, want)
+	if err := rec.Append(reused); err != nil {
+		t.Fatal(err)
+	}
+	scribble()
+
+	sv.WriteDelay = sim.Second
+	sv.Create("/behind", true)
+	copy(reused, want)
+	if err := sv.Write("/behind", 0, reused); err != nil {
+		t.Fatal(err)
+	}
+	scribble()
+
+	for _, when := range []string{"open segment", "sealed"} {
+		for _, path := range []string{"/vnode", "/recorder", "/behind"} {
+			if got := srvRead(t, s, sv, path, 0, len(want)); !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: the store kept the caller's buffer", path, when)
+			}
+		}
+		flush(t, s, sv)
 	}
 }

@@ -49,12 +49,14 @@ func (sv *Server) NewRecorder(name string) (*Recorder, error) {
 	return &Recorder{sv: sv, name: name}, nil
 }
 
-// Append stores payload bytes at the tail of the stream.
+// Append stores payload bytes at the tail of the stream. b stays the
+// caller's (a reassembly buffer may be reused): the store is handed a copy
+// taken here.
 func (r *Recorder) Append(b []byte) error {
 	if r.closed {
 		return errors.New("fileserver: recorder closed")
 	}
-	if err := r.sv.Write(r.name, r.off, b); err != nil {
+	if err := r.sv.Write(r.name, r.off, append([]byte(nil), b...)); err != nil {
 		return err
 	}
 	r.off += int64(len(b))

@@ -145,10 +145,12 @@ func (sv *Server) List() []string {
 
 // Write buffers (or applies) a write. The returned error is the
 // acceptance acknowledgement: once Write returns nil the server holds
-// the data in memory and the two-copy invariant is in force. data stays
-// the caller's and is not kept: write-through, the log copies it into
-// its open segment before this returns; write-behind, the buffer takes
-// its own copy.
+// the data in memory and the two-copy invariant is in force. data is
+// moved in: the slice belongs to the store from this call on; it may be
+// shared with other writes, it may never be written again; the store
+// keeps its whole backing array alive. Write-through hands it to the log
+// as it is (lfs.FS.Write); write-behind buffers a copy of its own and
+// hands that on when the window closes.
 func (sv *Server) Write(path string, off int64, data []byte) error {
 	st, ok := sv.files[path]
 	if !ok {
@@ -166,7 +168,9 @@ func (sv *Server) Write(path string, off int64, data []byte) error {
 	if st.applyEv == nil {
 		st.applyEv = sv.sim.After(sv.WriteDelay, func() {
 			st.applyEv = nil
-			sv.drain(st)
+			// What a failed drain leaves pending is the next Flush's to
+			// retry and report.
+			_ = sv.drain(st)
 		})
 	}
 	return nil
@@ -198,18 +202,19 @@ func (sv *Server) bufferWrite(st *fileState, off int64, data []byte) {
 	st.pending = out
 }
 
-// drain applies all buffered writes of one file to the log.
-func (sv *Server) drain(st *fileState) {
-	if len(st.pending) == 0 {
-		return
-	}
-	pending := st.pending
-	st.pending = nil
-	for _, p := range pending {
+// drain applies the buffered writes of one file to the log, in offset
+// order. At the first error it stops and returns it; that write and the
+// ones after it stay pending, so the data is still the server's copy.
+func (sv *Server) drain(st *fileState) error {
+	for len(st.pending) > 0 {
+		p := st.pending[0]
 		if err := sv.applyWrite(st, p.off, p.data); err != nil {
-			return
+			return err
 		}
+		st.pending = st.pending[1:]
 	}
+	st.pending = nil
+	return nil
 }
 
 func (sv *Server) applyWrite(st *fileState, off int64, data []byte) error {
@@ -289,18 +294,28 @@ func (sv *Server) Delete(path string) error {
 // Flush drains every buffer, seals the log and checkpoints; done fires
 // when everything (including the name map, via the checkpoint) is
 // durable, after which agents are notified they may drop their copies.
+// If a buffer or the name map could not be logged, done gets that error
+// and nobody is notified: what was not applied is still pending.
 func (sv *Server) Flush(done func(error)) {
 	names := sv.List()
+	var first error
 	for _, p := range names {
 		st := sv.files[p]
 		if st.applyEv != nil {
 			sv.sim.Cancel(st.applyEv)
 			st.applyEv = nil
 		}
-		sv.drain(st)
+		if err := sv.drain(st); err != nil && first == nil {
+			first = fmt.Errorf("fileserver: flush of %s: %w", p, err)
+		}
 	}
-	sv.writeNameMap()
+	if err := sv.writeNameMap(); err != nil && first == nil {
+		first = fmt.Errorf("fileserver: flush of the name map: %w", err)
+	}
 	sv.fs.Checkpoint(func(err error) {
+		if first != nil {
+			err = first
+		}
 		if err != nil {
 			done(err)
 			return
@@ -320,7 +335,7 @@ func (sv *Server) Flush(done func(error)) {
 // ever allocated, which recovery relies on.
 const nameMapMagic = "PGNM"
 
-func (sv *Server) writeNameMap() {
+func (sv *Server) writeNameMap() error {
 	blob := []byte(nameMapMagic)
 	names := sv.List()
 	blob = append(blob, byte(len(names)>>8), byte(len(names)))
@@ -350,7 +365,7 @@ func (sv *Server) writeNameMap() {
 	}
 	// The map is rewritten wholesale each flush; the entry count in the
 	// header makes any stale tail from a longer previous map harmless.
-	_ = sv.fs.Write(nameMapPnode, 0, blob)
+	return sv.fs.Write(nameMapPnode, 0, blob)
 }
 
 // nameMapPnode is the reserved core-layer file holding the name map;

@@ -88,7 +88,8 @@ func (v *VNodeLayer) Close(fd int) error {
 	return nil
 }
 
-// Write appends at the descriptor's offset, advancing it.
+// Write appends at the descriptor's offset, advancing it. p stays the
+// caller's, as with any io.Writer: the store is handed a copy taken here.
 func (v *VNodeLayer) Write(fd int, p []byte) (int, error) {
 	n, ok := v.fds[fd]
 	if !ok {
@@ -97,7 +98,7 @@ func (v *VNodeLayer) Write(fd int, p []byte) (int, error) {
 	if !n.rdwr {
 		return 0, ErrReadOnly
 	}
-	if err := v.sv.Write(n.path, n.off, p); err != nil {
+	if err := v.sv.Write(n.path, n.off, append([]byte(nil), p...)); err != nil {
 		return 0, err
 	}
 	n.off += int64(len(p))

@@ -206,9 +206,11 @@ func (fs *FS) evacuate(st *segState, entries []summaryEntry, buf []byte, stats *
 
 // relocate appends live bytes at the log head and repoints the file's
 // extents — an address change, not a logical overwrite, so no garbage
-// is generated (the donor segment is about to be freed wholesale).
+// is generated (the donor segment is about to be freed wholesale). data is
+// a fragment of a transient whole-segment read and is copied, never
+// borrowed: a small survivor must not keep the whole read buffer alive.
 func (fs *FS) relocate(pi *pnodeInfo, fileOff int64, data []byte) error {
-	return fs.place(pi, fileOff, data, func(off, addr, n int64) { fs.repoint(pi, off, n, addr) })
+	return fs.place(pi, fileOff, data, false, func(off, addr, n int64) { fs.repoint(pi, off, n, addr) })
 }
 
 // repoint rewrites the address of [fileOff, fileOff+n) in the extent

@@ -101,12 +101,13 @@ type segState struct {
 
 // openSeg is a segment being filled in memory.
 type openSeg struct {
-	id      int64
-	media   bool
-	owner   Pnode  // owning file for media segments (0 for shared)
-	buf     []byte // the payload so far; grows with it, never to SegSize up front
-	dead    int64  // bytes already obsolete before sealing
-	entries []summaryEntry
+	id       int64
+	media    bool
+	owner    Pnode  // owning file for media segments (0 for shared)
+	buf      []byte // the payload so far; grows with it, never to SegSize up front
+	borrowed bool   // buf is bytes Write was handed: its capacity is not ours to append into
+	dead     int64  // bytes already obsolete before sealing
+	entries  []summaryEntry
 }
 
 // Stats is the core layer's accounting, consumed by the experiments.
@@ -318,9 +319,12 @@ func (fs *FS) segOf(addr int64) int64 { return addr / int64(fs.cfg.SegSize) }
 // segment (normal or media); sealed segments go to the array
 // asynchronously. The call itself is synchronous in-memory work —
 // exactly the paper's delayed-write design, where durability is the
-// job of Sync/Checkpoint and the client-agent protocol above. data stays
-// the caller's: it is copied into the open segment here — the only copy
-// the write path makes — and is not kept.
+// job of Sync/Checkpoint and the client-agent protocol above. data is
+// moved into the log: the slice belongs to the store from this call on;
+// it may be shared with other writes, it may never be written again; the
+// store keeps its whole backing array alive. A continuous file's open
+// segment is those very bytes for as long as each write continues the
+// previous one in memory; anything else is copied (see place).
 func (fs *FS) Write(pn Pnode, off int64, data []byte) error {
 	pi, ok := fs.pnodes[pn]
 	if !ok {
@@ -329,7 +333,7 @@ func (fs *FS) Write(pn Pnode, off int64, data []byte) error {
 	if off < 0 {
 		return ErrBadExtent
 	}
-	return fs.place(pi, off, data, func(off, addr, n int64) {
+	return fs.place(pi, off, data, true, func(off, addr, n int64) {
 		fs.insertExtent(pi, Extent{FileOff: off, Addr: addr, Len: n})
 		fs.Stats.BytesAppended += n
 		fs.Stats.LiveBytes += n
@@ -339,9 +343,13 @@ func (fs *FS) Write(pn Pnode, off int64, data []byte) error {
 	})
 }
 
-// place copies file bytes into the file's open segment, sealing full ones
-// on the way, and reports each piece laid down to placed.
-func (fs *FS) place(pi *pnodeInfo, off int64, data []byte, placed func(off, addr, n int64)) error {
+// place lays file bytes into the file's open segment, sealing full ones
+// on the way, and reports each piece laid down to placed. With owned set
+// (data is the store's to keep) a media segment borrows its first piece
+// and stays borrowed while every later piece begins where the run ends in
+// memory; any other piece — and every piece of the shared log head, where
+// many files' small writes interleave — is copied.
+func (fs *FS) place(pi *pnodeInfo, off int64, data []byte, owned bool, placed func(off, addr, n int64)) error {
 	for len(data) > 0 {
 		seg, err := fs.openFor(pi)
 		if err != nil {
@@ -353,14 +361,24 @@ func (fs *FS) place(pi *pnodeInfo, off int64, data []byte, placed func(off, addr
 			continue
 		}
 		segOff := len(seg.buf)
-		if seg.buf != nil && n > cap(seg.buf)-segOff {
-			// The first piece sized the buffer to itself, so a segment
-			// sealed after one small write costs its fill. A later piece
-			// that does not fit means the segment is being streamed into:
-			// make all the room it can use, once.
-			seg.buf = append(make([]byte, 0, segOff+fs.roomIn(seg)), seg.buf...)
+		switch {
+		case owned && seg.media && seg.buf == nil:
+			seg.buf, seg.borrowed = data[:n], true
+		case owned && seg.borrowed && n <= cap(seg.buf)-segOff && &seg.buf[:segOff+1][segOff] == &data[0]:
+			seg.buf = seg.buf[:segOff+n]
+		default:
+			if seg.borrowed || seg.buf != nil && n > cap(seg.buf)-segOff {
+				// The first piece sized the buffer to itself, so a segment
+				// sealed after one small write costs its fill. A later piece
+				// that does not fit means the segment is being streamed into:
+				// make all the room it can use, once. A borrowed run always
+				// moves out first: its spare capacity is the rest of the
+				// caller's buffer, which other segments may alias.
+				seg.buf = append(make([]byte, 0, segOff+fs.roomIn(seg)), seg.buf...)
+				seg.borrowed = false
+			}
+			seg.buf = append(seg.buf, data[:n]...)
 		}
-		seg.buf = append(seg.buf, data[:n]...)
 		seg.entries = append(seg.entries, summaryEntry{
 			kind: entData, pn: pi.pn, fileOff: off,
 			segOff: int32(segOff), length: int32(n), media: pi.continuous,

@@ -3,6 +3,7 @@ package vodsite_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -303,4 +304,48 @@ func TestTitleCopyAbortsWhenTargetSyncFails(t *testing.T) {
 	if dst.SS.Server.Exists(titleName(0)) {
 		t.Fatal("the aborted copy left its file on the target")
 	}
+}
+
+// Every replica of a title is written from the one buffer Place generated,
+// and the write path borrows it all the way into the disk images: a replica
+// beyond the first costs its parity, summaries and part pages — under half
+// the title — not another copy of the title.
+func TestReplicasShareTheTitleBytes(t *testing.T) {
+	const size = 1 << 20
+	placed := func(replicas int) int64 {
+		siteCfg := core.DefaultSiteConfig()
+		siteCfg.Ports = replicas + 1
+		site := core.NewSite(siteCfg)
+		ctrl := vodsite.New(site, vodsite.Config{PeakRate: peakRate, BaseReplicas: replicas})
+		for i := 0; i < replicas; i++ {
+			ctrl.AddNode(site.NewStorageServer("node", 256<<10, 16))
+		}
+		ctrl.AddTitle("film", size, frameBytes, frameHz)
+		before := heapAlloc()
+		if err := ctrl.Place(); err != nil {
+			t.Fatal(err)
+		}
+		site.Sim.Run()
+		held := heapAlloc() - before
+		if got := len(ctrl.Catalog()["film"]); got != replicas {
+			t.Fatalf("%d replicas placed, want %d", got, replicas)
+		}
+		return held
+	}
+	one := placed(1)
+	if one < size {
+		t.Fatalf("one replica holds %d bytes, less than the title's %d", one, size)
+	}
+	for _, n := range []int{4, 16} {
+		if per := (placed(n) - one) / int64(n-1); per >= size/2 {
+			t.Errorf("%d replicas: %d bytes held per replica beyond the first, want < %d", n, per, size/2)
+		}
+	}
+}
+
+func heapAlloc() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

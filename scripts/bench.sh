@@ -64,11 +64,29 @@ awk '
 }
 ' "$tmp/e.txt" "$tmp/micro.txt" > "$tmp/rows.json"
 
+# Stamp what was measured, not what it was built on: a record is usually
+# taken before the change is committed, so HEAD alone names the parent.
+# "source" fingerprints the Go files as they are in the working tree (docs
+# and the record itself do not move it); "commit" is HEAD, marked -dirty
+# when HEAD's sources are not these. The commit a record belongs to is
+# the one where `source_of` below, run on that commit, prints its "source".
+source_of() { # tree-ish, or nothing for the working files
+    GIT_INDEX_FILE="$tmp/index" sh -c 'git read-tree "${1:-HEAD}" && { [ -n "$1" ] || git add -A; } &&
+        git ls-files -s -- "*.go" go.mod go.sum | git hash-object --stdin' sh "${1:-}"
+}
+commit=unknown src=unknown
+if head=$(git rev-parse --short HEAD 2>/dev/null); then
+    src=$(source_of)
+    commit=$head
+    [ "$src" = "$(source_of HEAD)" ] || commit=$head-dirty
+fi
+
 cat > "$out" <<EOF
 {
   "date": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
   "go": "$(go env GOVERSION)",
-  "commit": "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)",
+  "commit": "$commit",
+  "source": "$src",
   "benchmarks": [
     $(cat "$tmp/rows.json")
   ]
