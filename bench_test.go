@@ -392,7 +392,7 @@ func BenchmarkCleanerPegasusVsSprite(b *testing.B) {
 func BenchmarkProtectedCall(b *testing.B) {
 	s := sim.New()
 	k := nemesis.NewKernel(s, nemesis.Config{SwitchCost: 10 * sim.Microsecond, SingleAddressSpace: true}, sched.NewRoundRobin())
-	iface := NewInterface("echo")
+	iface := invoke.NewInterface("echo")
 	iface.Define("op", func(arg []byte) ([]byte, error) { return arg, nil })
 	srv := invoke.NewProtectedServer(k, "echo", nemesis.SchedParams{BestEffort: true}, iface)
 	var elapsed sim.Duration
@@ -421,7 +421,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	tb := rpc.NewTransport(s)
 	ta.SetOutput(fabric.NewLink(s, fabric.Rate100M, 5*sim.Microsecond, 0, tb))
 	tb.SetOutput(fabric.NewLink(s, fabric.Rate100M, 5*sim.Microsecond, 0, ta))
-	iface := NewInterface("echo")
+	iface := invoke.NewInterface("echo")
 	iface.Define("op", func(arg []byte) ([]byte, error) { return arg, nil })
 	rpc.NewServer(tb, 100, iface)
 	client := rpc.NewClient(ta, 100)
@@ -534,8 +534,8 @@ func BenchmarkDirSemanticCache(b *testing.B) {
 // wall-clock cost of the data structure itself).
 func BenchmarkNameResolve(b *testing.B) {
 	ns := names.New()
-	iface := NewInterface("x")
-	h := LocalHandle(iface, 0)
+	iface := invoke.NewInterface("x")
+	h := invoke.LocalHandle(iface, 0)
 	if err := ns.Bind("/svc/storage/volumes/v0", h); err != nil {
 		b.Fatal(err)
 	}

@@ -231,7 +231,7 @@ var assertions = []assertion{
 type options struct {
 	cfg                                          loadgen.Config
 	pattern                                      string
-	noCache, asJSON                              bool
+	asJSON                                       bool
 	metricsEvery                                 sim.Duration
 	metricsOut, traceOut, cpuProfile, memProfile string
 }
@@ -281,17 +281,10 @@ func register(fs *flag.FlagSet) *options {
 			"admission is the full link AND disk AND cpu conjunction and the processor "+
 			"refuses/degrades strictly before the disks fill; combine with -adaptive for "+
 			"degrade-instead-of-refuse on CPU")
-	fs.Int64Var(&c.CPUBytesPerSec, "cpu-throughput", 0,
-		"node protocol-processing throughput in bytes/s for -cpu-bound (0 = 1 MiB/s)")
-	secondsVar(fs, &c.ReleaseAt, "release-at", 0,
-		"`seconds` into an -adaptive run to close every third stream (0 = half the run)")
 	fs.IntVar(&c.Titles, "titles", 0, "cluster catalog size (0 = 2x servers)")
 	fs.Float64Var(&c.ZipfS, "zipf", 0, "cluster Zipf popularity exponent (0 = 1.3)")
 	fs.Int64Var(&c.Seed, "seed", 0, "cluster request-sampling seed (0 = 1)")
 	fs.IntVar(&c.BaseReplicas, "base-replicas", 0, "initial replicas per title (0 = 1)")
-	fs.IntVar(&c.RefusalThreshold, "refusal-threshold", 0,
-		"title refusals before reactive replication (0 = 3)")
-	fs.IntVar(&c.MaxReplicas, "max-replicas", 0, "replica cap per title (0 = every node)")
 	fs.BoolVar(&c.ReplicationDisabled, "no-replication", false,
 		"disable reactive replication (the hot-title ablation)")
 	secondsVar(fs, &c.FailNodeAt, "fail-node-at", 0,
@@ -305,8 +298,6 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&c.Sites, "sites", 0, "metro federation size (0 = 3)")
 	fs.IntVar(&c.SiteReplicas, "site-replicas", 0,
 		"sites holding each title's bytes (0 = 2, capped at -sites)")
-	fs.Int64Var(&c.TrunkRate, "trunk-rate", 0,
-		"per-direction inter-site trunk bits/s (0 = 4x link rate)")
 	fs.BoolVar(&c.NoSpill, "no-spill", false,
 		"disable cross-site spill admission (the single-site ablation): "+
 			"home-site refusals are final")
@@ -330,8 +321,6 @@ func register(fs *flag.FlagSet) *options {
 		"per-node RAM buffer tier in MiB (storage-backed modes; 0 = no cache): a "+
 			"request trailing another viewer of the same title is served from the "+
 			"leader's wake in memory, charging no disk round budget")
-	fs.BoolVar(&o.noCache, "no-cache", false,
-		"force the RAM tier off regardless of -cache-mb (the cache ablation)")
 	fs.BoolVar(&o.asJSON, "json", false, "emit the scoreboard as JSON")
 	fs.StringVar(&o.metricsOut, "metrics-out", "",
 		"write the telemetry time series (columnar JSON, one values column per "+
@@ -447,9 +436,6 @@ func main() {
 		if cfg.MetricsEvery = o.metricsEvery; cfg.MetricsEvery <= 0 {
 			die(2, "-metrics-every must be positive with -metrics-out")
 		}
-	}
-	if o.noCache {
-		cfg.CacheMB = 0
 	}
 	if err := o.usage(fs); err != nil {
 		die(2, err)

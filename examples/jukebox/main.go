@@ -82,8 +82,8 @@ func main() {
 	if rerr != nil {
 		panic(rerr)
 	}
-	fmt.Printf("cold request for /jukebox/news: recalled in %v (robot %v, wind %v of it)\n",
-		site.Sim.Now()-t0, lib.Stats.RobotTime-robot0, lib.Stats.WindTime-wind0)
+	fmt.Printf("cold request for /jukebox/news: recalled in %v (robot %v, wind %v of it; exchanges so far: %d)\n",
+		site.Sim.Now()-t0, lib.Stats.RobotTime-robot0, lib.Stats.WindTime-wind0, lib.Stats.Exchanges)
 
 	// Now resident again: playback through the index at disk latency.
 	var player *fileserver.Player

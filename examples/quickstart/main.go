@@ -44,10 +44,10 @@ func main() {
 	fmt.Printf("  frames captured:     %d\n", cam.Stats.Frames)
 	fmt.Printf("  raw pixel bytes:     %.1f MB\n", float64(cam.Stats.BytesRaw)/1e6)
 	fmt.Printf("  bytes on the wire:   %.1f MB (compressed)\n", float64(cam.Stats.BytesSent)/1e6)
-	fmt.Printf("  cells switched:      %d\n", site.Switch.Stats().Switched)
+	fmt.Printf("  cells switched:      %d (%d unrouted)\n", site.Switch.Stats().Switched, site.Switch.Stats().Unrouted)
 	fmt.Printf("  tiles on screen:     %d (window at %d,%d)\n", disp.Stats.Tiles, x, y)
-	fmt.Printf("  tile latency:        mean %v, p99 %v\n",
-		sim.Duration(lat.Mean()), sim.Duration(lat.Quantile(0.99)))
+	fmt.Printf("  tile latency:        mean %v, p99 %v, max %v\n",
+		sim.Duration(lat.Mean()), sim.Duration(lat.Quantile(0.99)), sim.Duration(lat.Max()))
 	cpu := sim.Duration(0)
 	for _, d := range ws.Kernel.Domains() {
 		cpu += d.Stats.Used

@@ -92,9 +92,9 @@ func main() {
 		fmt.Printf("%s sees:\n", s.name)
 		fmt.Printf("  video tiles rendered: %d (mean latency %v)\n",
 			s.disp.Stats.Tiles, sim.Duration(s.vidLat.Mean()))
-		fmt.Printf("  audio blocks played:  %d (late after sync: %d, gaps %d, max jitter %v)\n",
+		fmt.Printf("  audio blocks played:  %d (late after sync: %d, gaps %d, mean transit %v, max jitter %v)\n",
 			s.spkr.Stats.Played, s.spkr.Stats.Late-lateAtCommit[s], s.spkr.Stats.Gaps,
-			sim.Duration(s.spkr.Stats.JitterNS.Max()))
+			sim.Duration(s.spkr.Stats.TransitNS.Mean()), sim.Duration(s.spkr.Stats.JitterNS.Max()))
 	}
 	fmt.Printf("\ncells through the switch: %d; CPU bytes copied: 0\n",
 		site.Switch.Stats().Switched)

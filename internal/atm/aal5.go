@@ -85,9 +85,6 @@ func (r *Reassembler) Push(c Cell) (*Frame, error) {
 	return &Frame{VCI: c.VCI, UU: tr[0], Payload: buf[:length]}, nil
 }
 
-// PartialVCs reports circuits with an incomplete CS-PDU (diagnostics).
-func (r *Reassembler) PartialVCs() int { return len(r.partial) }
-
 // CellsFor reports how many cells Segment will produce for n payload bytes.
 func CellsFor(n int) int {
 	return (n + trailerSize + PayloadSize - 1) / PayloadSize

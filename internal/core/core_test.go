@@ -55,6 +55,28 @@ func TestVideoPhonePathEndToEnd(t *testing.T) {
 	}
 }
 
+// TestQuickTour is examples/quickstart as a test: one workstation, a
+// camera plumbed to a display, a fifth of a second of video.
+func TestQuickTour(t *testing.T) {
+	site := core.NewSite(core.DefaultSiteConfig())
+	ws := site.NewWorkstation("desk")
+	cam, camEP := ws.AttachCamera(devices.CameraConfig{W: 64, H: 48, FPS: 25})
+	disp, dispEP := ws.AttachDisplay(640, 480)
+	if win := site.PlumbVideo(cam, camEP, disp, dispEP, 32, 32); win == nil {
+		t.Fatal("no window created")
+	}
+	cam.Start()
+	site.Sim.RunFor(sim.Second / 5)
+	cam.Stop()
+	site.Sim.Run()
+	if disp.Stats.Tiles == 0 {
+		t.Fatal("nothing rendered")
+	}
+	if cam.Stats.Frames < 4 {
+		t.Fatalf("frames = %d", cam.Stats.Frames)
+	}
+}
+
 func TestRecordAndReplayStream(t *testing.T) {
 	// Camera -> file server (data + control) -> index -> replay.
 	site := core.NewSite(core.DefaultSiteConfig())

@@ -71,7 +71,6 @@ func (st *Site) registerSiteGauges() {
 	site("admission", "degraded", func() float64 { return float64(q.Degraded) })
 	site("admission", "restored", func() float64 { return float64(q.Restored) })
 	for l := Leg(0); l < numLegs; l++ {
-		l := l
 		site("admission", "refused_"+l.String(), func() float64 { return float64(q.RefusedLeg[l]) })
 	}
 	site("admission", "refused_other", func() float64 { return float64(q.RefusedOther) })

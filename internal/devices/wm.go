@@ -46,13 +46,6 @@ func (wm *WindowManager) Move(w *Window, x, y int) {
 	wm.redecorate()
 }
 
-// Raise brings a managed window to the front (above other clients; the
-// decoration window stays at the bottom).
-func (wm *WindowManager) Raise(w *Window) {
-	wm.d.RaiseWindow(w)
-	wm.redecorate()
-}
-
 // redecorate paints a title bar above every managed window by blitting
 // tiles through the whole-screen window — the manager is just another
 // tile source as far as the display is concerned.

@@ -218,7 +218,6 @@ func (d *Disk) Failed() bool { return d.failed }
 func (d *Disk) Fail() {
 	d.failed = true
 	for _, r := range d.queue {
-		r := r
 		d.sim.At(d.sim.Now(), func() { r.done(nil, ErrFailed) })
 	}
 	d.queue = nil

@@ -47,7 +47,7 @@ func E15CachePolicy() Result {
 		if err := fs.Write(video, 0, make([]byte, videoSize)); err != nil {
 			panic(err)
 		}
-		fs.Sync(func(error) {})
+		fs.Sync(res.done)
 		s.Run()
 
 		read := func(pn lfs.Pnode, off int64, n int) {
@@ -110,14 +110,14 @@ func E15CachePolicy() Result {
 			switch {
 			case i%10 == 9: // 10% mutations, alternating insert/remove
 				if temp%2 == 0 {
-					dc.Insert("/home", fmt.Sprintf("tmp%04d", temp), lfs.Pnode(9000+temp), func(error) {})
+					dc.Insert("/home", fmt.Sprintf("tmp%04d", temp), lfs.Pnode(9000+temp), res.done)
 				} else {
-					dc.Remove("/home", fmt.Sprintf("tmp%04d", temp-1), func(error) {})
+					dc.Remove("/home", fmt.Sprintf("tmp%04d", temp-1), res.done)
 				}
 				temp++
 			default:
 				name := fmt.Sprintf("f%03d", rng.Intn(entries))
-				dc.Lookup("/home", name, func(lfs.Pnode, error) {})
+				dc.Lookup("/home", name, func(_ lfs.Pnode, err error) { res.done(err) })
 			}
 			s.Run()
 		}

@@ -11,6 +11,17 @@ import (
 // full system and runs a workload. These tests assert the claims the
 // tables encode, not just that the harnesses produce output.
 
+// run runs one harness and fails the test if the harness's own
+// operations reported an error.
+func run(t *testing.T, harness func() experiments.Result) experiments.Result {
+	t.Helper()
+	r := harness()
+	if r.Err != nil {
+		t.Fatalf("%s failed: %v", r.ID, r.Err)
+	}
+	return r
+}
+
 func findRow(t *testing.T, r experiments.Result, name string) experiments.Row {
 	t.Helper()
 	for _, row := range r.Rows {
@@ -23,7 +34,7 @@ func findRow(t *testing.T, r experiments.Result, name string) experiments.Row {
 }
 
 func TestE4SchedulingClaims(t *testing.T) {
-	r := experiments.E4Scheduling()
+	r := run(t, experiments.E4Scheduling)
 	edf := findRow(t, r, "EDF over shares (Nemesis)")
 	if !strings.Contains(edf.Measured, "audio miss 0.0%") ||
 		!strings.Contains(edf.Measured, "video miss 0.0%") {
@@ -40,7 +51,7 @@ func TestE4SchedulingClaims(t *testing.T) {
 }
 
 func TestE5EventClaims(t *testing.T) {
-	r := experiments.E5Events()
+	r := run(t, experiments.E5Events)
 	// Structural check: sync latency < async latency; async demux
 	// throughput > sync. Parse the leading duration loosely.
 	syncLat := findRow(t, r, "sync call latency").Measured
@@ -54,7 +65,7 @@ func TestE5EventClaims(t *testing.T) {
 }
 
 func TestE7LadderOrdering(t *testing.T) {
-	r := experiments.E7Invocation()
+	r := run(t, experiments.E7Invocation)
 	ratio := findRow(t, r, "ladder ratio").Measured
 	if !strings.HasPrefix(ratio, "1 : ") {
 		t.Fatalf("ratio row malformed: %s", ratio)
@@ -65,7 +76,7 @@ func TestE9StorageClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full storage harness in short mode")
 	}
-	r := experiments.E9SegmentIO()
+	r := run(t, experiments.E9SegmentIO)
 	oh := findRow(t, r, "seek+rotation overhead").Measured
 	if !strings.HasPrefix(oh, "5.") && !strings.HasPrefix(oh, "6.") &&
 		!strings.HasPrefix(oh, "7.") && !strings.HasPrefix(oh, "8.") &&
@@ -75,7 +86,7 @@ func TestE9StorageClaims(t *testing.T) {
 }
 
 func TestE10CleanerFlatVsLinear(t *testing.T) {
-	r := experiments.E10Cleaner()
+	r := run(t, experiments.E10Cleaner)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -92,8 +103,8 @@ func TestE10CleanerFlatVsLinear(t *testing.T) {
 }
 
 func TestE11WriteBehindSaves(t *testing.T) {
-	r := experiments.E11WriteBuffering()
-	row30 := r.Rows[len(r.Rows)-1].Measured
+	r := run(t, experiments.E11WriteBuffering)
+	row30 := findRow(t, r, "write-behind 30.000s").Measured
 	if !strings.Contains(row30, "saved") {
 		t.Fatalf("no savings reported: %s", row30)
 	}
@@ -103,7 +114,7 @@ func TestE11WriteBehindSaves(t *testing.T) {
 }
 
 func TestE12NothingLost(t *testing.T) {
-	r := experiments.E12FaultTolerance()
+	r := run(t, experiments.E12FaultTolerance)
 	crash := findRow(t, r, "server crash + agent replay").Measured
 	if !strings.HasPrefix(crash, "40/40") {
 		t.Fatalf("files lost: %s", crash)
@@ -115,7 +126,7 @@ func TestE12NothingLost(t *testing.T) {
 }
 
 func TestE14ReloadCheaperAndCollisionFree(t *testing.T) {
-	r := experiments.E14Relocation()
+	r := run(t, experiments.E14Relocation)
 	cold := findRow(t, r, "cold load (full relocation)").Measured
 	warm := findRow(t, r, "warm reload (cached, same VA)").Measured
 	if cold == warm {
@@ -131,7 +142,7 @@ func TestE14ReloadCheaperAndCollisionFree(t *testing.T) {
 }
 
 func TestE15CachePolicyClaims(t *testing.T) {
-	r := experiments.E15CachePolicy()
+	r := run(t, experiments.E15CachePolicy)
 	peg := findRow(t, r, "file-data hit rate, CM bypassed (Pegasus)").Measured
 	all := findRow(t, r, "file-data hit rate, CM cached (LRU)").Measured
 	if peg <= all { // "95.0%" vs "0.0%" compare fine lexically here
@@ -151,7 +162,7 @@ func TestE15CachePolicyClaims(t *testing.T) {
 }
 
 func TestE16ProtectionModes(t *testing.T) {
-	r := experiments.E16PowerFailure()
+	r := run(t, experiments.E16PowerFailure)
 	unprot := findRow(t, r, "unprotected").Measured
 	if strings.HasPrefix(unprot, "40/40") {
 		t.Fatalf("unprotected server lost nothing: %s", unprot)
@@ -168,7 +179,7 @@ func TestE17TertiaryClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tape-library harness in short mode")
 	}
-	r := experiments.E17TertiaryStorage()
+	r := run(t, experiments.E17TertiaryStorage)
 	ratio := findRow(t, r, "data ingested vs disk capacity").Measured
 	if !strings.Contains(ratio, "4.0x") && !strings.Contains(ratio, "4.1x") {
 		t.Fatalf("capacity ratio unexpected: %s", ratio)
@@ -184,7 +195,7 @@ func TestE17TertiaryClaims(t *testing.T) {
 }
 
 func TestE18AdmissionClaims(t *testing.T) {
-	r := experiments.E18Admission()
+	r := run(t, experiments.E18Admission)
 	verdicts := findRow(t, r, "CBR admission verdicts").Measured
 	if verdicts != "3 admitted, 2 refused" {
 		t.Fatalf("verdicts = %s", verdicts)
@@ -206,6 +217,9 @@ func TestAllResultsHaveRows(t *testing.T) {
 	for _, r := range experiments.All() {
 		if r.ID == "" || r.Title == "" || len(r.Rows) == 0 {
 			t.Fatalf("experiment %q incomplete", r.ID)
+		}
+		if r.Err != nil {
+			t.Fatalf("%s failed: %v", r.ID, r.Err)
 		}
 		for _, row := range r.Rows {
 			if row.Measured == "" || row.Measured == "FAILED" {

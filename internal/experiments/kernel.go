@@ -19,7 +19,9 @@ func E4Scheduling() Result {
 	}
 	type outcome struct {
 		missAudio, missVideo float64
+		p99Audio, p99Video   sim.Duration
 		hogShare             float64
+		kernel               nemesis.KernelStats
 	}
 	run := func(mk func() nemesis.Scheduler, guaranteed bool) outcome {
 		s := sim.New()
@@ -51,7 +53,10 @@ func E4Scheduling() Result {
 		return outcome{
 			missAudio: audioRep.MissRate(),
 			missVideo: videoRep.MissRate(),
+			p99Audio:  sim.Duration(audioRep.ResponseNS.Quantile(0.99)),
+			p99Video:  sim.Duration(videoRep.ResponseNS.Quantile(0.99)),
 			hogShare:  float64(hogUsed) / float64(2*sim.Second),
+			kernel:    k.Stats,
 		}
 	}
 	edf := run(func() nemesis.Scheduler { return sched.NewEDFShares() }, true)
@@ -67,6 +72,11 @@ func E4Scheduling() Result {
 	row("round-robin (timesharing)", rr, "misses deadlines under load")
 	row("static priority", prio, "AV ok only by starving others")
 	row("pure EDF (no shares)", pure, "no isolation between classes")
+	res.Addf("EDF over shares: p99 response", "inside each period",
+		"audio %v of 10ms, video %v of 40ms", edf.p99Audio, edf.p99Video)
+	ks := edf.kernel
+	res.Addf("EDF over shares: kernel", "(no claim)", "%d dispatches, %d switches, %d preemptions, %d donations, idle %v",
+		ks.Dispatches, ks.Switches, ks.Preemptions, ks.Donations, ks.IdleNS)
 
 	// Priority's failure mode needs greed to show: a high-priority
 	// domain that always has work starves everything below it; EDF

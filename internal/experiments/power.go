@@ -46,7 +46,7 @@ func E16PowerFailure() Result {
 			write(i)
 		}
 		s.RunUntil(sim.Second)
-		sv.Flush(func(error) {}) // first batch is durable
+		sv.Flush(res.done) // first batch is durable
 		s.Run()
 		for i := 20; i < 40; i++ {
 			write(i)

@@ -18,12 +18,23 @@ type Row struct {
 	Measured string
 }
 
-// Result is one experiment's output.
+// Result is one experiment's output. Err is the first error one of the
+// harness's own operations reported; a result with one has failed, and
+// its rows measured a system that did not do what the harness asked.
 type Result struct {
 	ID    string
 	Title string
 	Notes string
 	Rows  []Row
+	Err   error
+}
+
+// done is the completion for harness operations that report only an
+// error: it records the first one.
+func (r *Result) done(err error) {
+	if r.Err == nil {
+		r.Err = err
+	}
 }
 
 // Add appends a row.
@@ -56,6 +67,9 @@ func (r *Result) Print(w io.Writer) {
 	}
 	if r.Notes != "" {
 		fmt.Fprintf(w, "  note: %s\n", r.Notes)
+	}
+	if r.Err != nil {
+		fmt.Fprintf(w, "  FAILED: %v\n", r.Err)
 	}
 	fmt.Fprintln(w)
 }

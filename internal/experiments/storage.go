@@ -29,7 +29,7 @@ func E9SegmentIO() Result {
 	seg := make([]byte, segMB) // given to the store many times over: never written again
 	for i := 0; i < 64; i++ {
 		off := int64((i*37)%256) * 2 * segMB
-		d.Write(off, len(seg), seg, nil, func(error) {})
+		d.Write(off, len(seg), seg, nil, res.done)
 	}
 	s.Run()
 	overhead := float64(d.Stats.SeekTime+d.Stats.RotTime) / float64(d.Stats.BusyTime())
@@ -42,7 +42,7 @@ func E9SegmentIO() Result {
 	small := make([]byte, 4096)
 	for i := 0; i < 64*256; i++ {
 		off := int64((i*2654435761)%(256*segMB)) &^ 4095
-		d2.Write(off, len(small), small, nil, func(error) {})
+		d2.Write(off, len(small), small, nil, res.done)
 	}
 	s2.Run()
 	smallRate := float64(d2.Stats.BytesWrite) / d2.Stats.BusyTime().Seconds() / 1e6
@@ -52,7 +52,7 @@ func E9SegmentIO() Result {
 	arr := raid.New(s3, disk.DefaultParams(), segMB, 64)
 	start := s3.Now()
 	for i := int64(0); i < 32; i++ {
-		arr.WriteSegment(i, seg, nil, func(error) {})
+		arr.WriteSegment(i, seg, nil, res.done)
 	}
 	s3.Run()
 	arrRate := float64(32*segMB) / (s3.Now() - start).Seconds() / 1e6
@@ -90,20 +90,20 @@ func E10Cleaner() Result {
 				panic(err)
 			}
 		}
-		fs.Sync(func(error) {})
+		fs.Sync(res.done)
 		s.Run()
 		for i := 0; i < 4; i++ {
 			if err := fs.Delete(pns[i]); err != nil {
 				panic(err)
 			}
 		}
-		fs.Sync(func(error) {})
+		fs.Sync(res.done)
 		s.Run()
 		var cs lfs.CleanStats
 		if pegasus {
-			fs.CleanPegasus(func(c lfs.CleanStats, err error) { cs = c })
+			fs.CleanPegasus(func(c lfs.CleanStats, err error) { cs = c; res.done(err) })
 		} else {
-			fs.CleanSprite(8, func(c lfs.CleanStats, err error) { cs = c })
+			fs.CleanSprite(8, func(c lfs.CleanStats, err error) { cs = c; res.done(err) })
 		}
 		s.Run()
 		return cs
@@ -129,7 +129,7 @@ func E11WriteBuffering() Result {
 		Title: "delayed writes on a Baker-91 workload (§5)",
 		Notes: "500 synthetic files, 70% dying within 30 s; identical op schedule per row",
 	}
-	run := func(delay sim.Duration) (logBytes, garbageEntries, absorbed int64) {
+	run := func(delay sim.Duration) (*sim.Sim, *lfs.FS, *fileserver.Server) {
 		s := sim.New()
 		arr := raid.New(s, disk.DefaultParams(), 64<<10, 1024)
 		fs := lfs.New(s, arr, lfs.DefaultConfig(64<<10))
@@ -137,7 +137,6 @@ func E11WriteBuffering() Result {
 		sv.WriteDelay = delay
 		ops := trace.Baker(sim.NewRand(4242), trace.DefaultBaker(500))
 		for _, op := range ops {
-			op := op
 			s.At(op.At, func() {
 				switch op.Kind {
 				case trace.OpCreate:
@@ -155,18 +154,33 @@ func E11WriteBuffering() Result {
 			})
 		}
 		s.Run()
-		return fs.Stats.BytesAppended, fs.Stats.GarbageEntries, sv.Stats.AbsorbedBytes
+		return s, fs, sv
 	}
-	wtLog, wtGarb, _ := run(0)
+	_, fs, _ := run(0)
+	wt := fs.Stats
 	res.Addf("write-through", "every byte hits the log",
-		"%.1f MB logged, %d garbage entries", float64(wtLog)/1e6, wtGarb)
+		"%.1f MB logged, %d garbage entries", float64(wt.BytesAppended)/1e6, wt.GarbageEntries)
+	var s *sim.Sim
+	var sv *fileserver.Server
 	for _, delay := range []sim.Duration{5 * sim.Second, 30 * sim.Second} {
-		log, garb, abs := run(delay)
+		s, fs, sv = run(delay)
 		res.Addf(fmt.Sprintf("write-behind %v", delay),
 			"~70% of data never reaches disk at 30s",
 			"%.1f MB logged (%.0f%% saved), %d garbage entries, %.1f MB absorbed",
-			float64(log)/1e6, 100*(1-float64(log)/float64(wtLog)), garb, float64(abs)/1e6)
+			float64(fs.Stats.BytesAppended)/1e6, 100*(1-float64(fs.Stats.BytesAppended)/float64(wt.BytesAppended)),
+			fs.Stats.GarbageEntries, float64(sv.Stats.AbsorbedBytes)/1e6)
 	}
+	// The 30 s run, flushed and given one Pegasus cleaning pass.
+	sv.Flush(res.done)
+	s.Run()
+	live, garbage := fs.Stats.LiveBytes, fs.Stats.GarbageBytes
+	var c lfs.CleanStats
+	fs.CleanPegasus(func(cs lfs.CleanStats, err error) { c = cs; res.done(err) })
+	s.Run()
+	res.Addf("then one Pegasus clean (30 s)", "cost follows the garbage",
+		"%.2f MB live, %.2f MB garbage; %d segments cleaned, %.2f MB freed, %.2f MB live copied in %v",
+		float64(live)/1e6, float64(garbage)/1e6, c.SegmentsCleaned,
+		float64(c.BytesFreed)/1e6, float64(c.BytesCopied)/1e6, c.Elapsed)
 	return res
 }
 
@@ -191,25 +205,25 @@ func E12FaultTolerance() Result {
 		name := fmt.Sprintf("/f%d", i)
 		data := bytes.Repeat([]byte{byte(i + 1)}, 4000+i*137)
 		content[name] = data
-		ag.Create(name, false, func(error) {})
-		ag.Write(name, 0, data, func(error) {})
+		ag.Create(name, false, res.done)
+		ag.Write(name, 0, data, res.done)
 	}
 	s.RunUntil(sim.Second)
 	// Flush half the work, then crash with the rest still buffered.
-	sv.Flush(func(error) {})
+	sv.Flush(res.done)
 	s.Run()
 	for i := 20; i < 40; i++ {
 		name := fmt.Sprintf("/f%d", i)
 		data := bytes.Repeat([]byte{byte(i + 1)}, 4000+i*137)
 		content[name] = data
-		ag.Create(name, false, func(error) {})
-		ag.Write(name, 0, data, func(error) {})
+		ag.Create(name, false, res.done)
+		ag.Write(name, 0, data, res.done)
 	}
 	s.RunUntil(2 * sim.Second)
 	sv.Crash()
-	sv.Recover(func(error) {})
+	sv.Recover(res.done)
 	s.Run()
-	ag.Replay(func(error) {})
+	ag.Replay(res.done)
 	s.Run()
 	intact := 0
 	for name, want := range content {
@@ -232,7 +246,7 @@ func E12FaultTolerance() Result {
 	data := bytes.Repeat([]byte{0x5A}, 200_000)
 	sv2.Create("/big", false)
 	sv2.Write("/big", 0, data)
-	sv2.Flush(func(error) {})
+	sv2.Flush(res.done)
 	s2.Run()
 	arr2.FailDisk(1)
 	var got []byte
@@ -244,7 +258,7 @@ func E12FaultTolerance() Result {
 
 	// (c) Rebuild onto a replacement disk.
 	t0 := s2.Now()
-	arr2.Rebuild(1, func(error) {})
+	arr2.Rebuild(1, res.done)
 	s2.Run()
 	res.Addf("array rebuild", "straightforward with RAID",
 		"%.1f MB reconstructed in %v", float64(arr2.Stats.RebuildBytes)/1e6, s2.Now()-t0)

@@ -75,7 +75,6 @@ type BurstHandler interface {
 // TAXI links; the display's framebuffer port runs at 960 Mb/s (Fig 3).
 const (
 	Rate100M = 100_000_000
-	Rate160M = 160_000_000
 	Rate960M = 960_000_000
 )
 
@@ -173,17 +172,6 @@ func (l *Link) SetCellAccurate(v bool) { l.cellAccurate = v }
 
 // CellAccurate reports whether the batched fast path is disabled.
 func (l *Link) CellAccurate() bool { return l.cellAccurate }
-
-// QueueLen reports cells waiting to be serialised (excluding the one on
-// the wire). With nonzero propagation delay, cells still propagating
-// count too: the schedule is arithmetic, so the link only learns a cell
-// is done at delivery.
-func (l *Link) QueueLen() int {
-	if l.pending > 0 {
-		return l.pending - 1
-	}
-	return 0
-}
 
 // Send queues a cell for transmission. Cells beyond the queue capacity
 // are dropped and counted.

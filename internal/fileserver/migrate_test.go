@@ -230,3 +230,27 @@ func TestMigrateStoreCapacityScaling(t *testing.T) {
 		t.Fatalf("library holds %d, catalogue says %d", lib.StoredBytes(), m.ArchivedBytes())
 	}
 }
+
+// The storage tiers together: a UPS-protected server flushes a file, the
+// migrator archives it to tape, and a semantic directory cache records
+// an entry.
+func TestStorageHierarchy(t *testing.T) {
+	s, sv, mig, _ := newMigrated(t)
+	sv.Power = fileserver.UPS
+	if err := sv.Create("/f", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Write("/f", 0, make([]byte, 10_000)); err != nil {
+		t.Fatal(err)
+	}
+	flush(t, s, sv)
+	archive(t, s, mig, "/f")
+	if !mig.Archived("/f") {
+		t.Fatal("/f not archived")
+	}
+	ds := fileserver.NewDirServer(s)
+	if err := ds.MkDir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	dirInsert(t, s, fileserver.NewDirClient(s, ds, fileserver.SemanticDirCache), "/d", "x", 100)
+}

@@ -97,7 +97,7 @@ func TestBorrowedEqualsCopied(t *testing.T) {
 		shared := [][]byte{pattern(byte(seed), 160<<10), pattern(byte(seed)+100, 160<<10)}
 		var pns []lfs.Pnode
 		next := map[lfs.Pnode][2]int{} // where the file's last piece ended: buffer, offset
-		failed, cleaned := -1, false
+		failed := -1
 		for step := 0; step < 300; step++ {
 			switch op := rng.Intn(100); {
 			case op < 4 || len(pns) == 0:
@@ -137,16 +137,12 @@ func TestBorrowedEqualsCopied(t *testing.T) {
 				run(func(w *twin, done func(error)) { w.fs.Sync(done) })
 			case op < 89:
 				run(func(w *twin, done func(error)) { w.fs.Checkpoint(done) })
-				cleaned = false
 			case op < 92:
 				run(func(w *twin, done func(error)) {
 					w.fs.CleanPegasus(func(cs lfs.CleanStats, err error) { done(fmt.Errorf("%+v %v", cs, err)) })
 				})
-				cleaned = true
 			case op < 94:
-				// Survivors relocated since the last checkpoint are only
-				// recoverable once sealed (their old segments may be reused).
-				if cleaned || rng.Intn(2) == 0 {
+				if rng.Intn(2) == 0 {
 					run(func(w *twin, done func(error)) { w.fs.Sync(done) })
 				}
 				run(func(w *twin, done func(error)) { w.fs.Crash(); w.fs.Recover(done) })

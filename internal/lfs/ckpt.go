@@ -224,7 +224,7 @@ func (fs *FS) Crash() {
 	fs.open = make(map[int64]*openSeg)
 	fs.cur = nil
 	fs.mediaCur = make(map[Pnode]*openSeg)
-	fs.freeSegs = nil
+	fs.freeSegs, fs.cleaned = nil, nil
 	fs.garbage = nil
 	fs.nextPn = FirstPnode
 	fs.nextSeq = 0
@@ -246,7 +246,6 @@ func (fs *FS) Recover(done func(error)) {
 	remaining := 2
 	var readErr error
 	for slot := int64(0); slot < 2; slot++ {
-		slot := slot
 		fs.arr.ReadSegment(slot, func(b []byte, err error) {
 			if err != nil {
 				readErr = err

@@ -120,10 +120,12 @@ func (fs *FS) CleanSprite(maxSegs int, done func(CleanStats, error)) {
 }
 
 // cleanSegments processes targets one at a time: read the segment,
-// copy its live data to the log head, free it.
+// copy its live data to the log head, free it. It ends with a Sync, so
+// the survivors are on disk — and the cleaned segments free — by done;
+// a pass short of room syncs early to reuse the segments it has emptied.
 func (fs *FS) cleanSegments(targets []int64, stats *CleanStats, done func(error)) {
 	if len(targets) == 0 {
-		done(nil)
+		fs.Sync(done)
 		return
 	}
 	id := targets[0]
@@ -147,7 +149,21 @@ func (fs *FS) cleanSegments(targets []int64, stats *CleanStats, done func(error)
 			fs.cleanSegments(rest, stats, done)
 			return
 		}
-		if err := fs.evacuate(st, entries, buf, stats); err != nil {
+		err = fs.evacuate(st, entries, buf, stats)
+		if err == ErrNoSpace && len(fs.cleaned) > 0 {
+			// Segments this pass emptied wait only on their survivors
+			// reaching disk: put them there, then take this target again.
+			// Pieces already moved no longer count as live in it.
+			fs.Sync(func(err error) {
+				if err != nil {
+					done(err)
+					return
+				}
+				fs.cleanSegments(targets, stats, done)
+			})
+			return
+		}
+		if err != nil {
 			done(err)
 			return
 		}
@@ -195,11 +211,9 @@ func (fs *FS) evacuate(st *segState, entries []summaryEntry, buf []byte, stats *
 	}
 	// Phase 2: copy to the log head.
 	for _, p := range live {
-		if err := fs.relocate(p.pi, p.fileOff, p.data); err != nil {
+		if err := fs.relocate(p.pi, p.fileOff, p.data, stats); err != nil {
 			return err
 		}
-		stats.BytesCopied += int64(len(p.data))
-		fs.Stats.CleanerCopied += int64(len(p.data))
 	}
 	return nil
 }
@@ -209,8 +223,12 @@ func (fs *FS) evacuate(st *segState, entries []summaryEntry, buf []byte, stats *
 // is generated (the donor segment is about to be freed wholesale). data is
 // a fragment of a transient whole-segment read and is copied, never
 // borrowed: a small survivor must not keep the whole read buffer alive.
-func (fs *FS) relocate(pi *pnodeInfo, fileOff int64, data []byte) error {
-	return fs.place(pi, fileOff, data, false, func(off, addr, n int64) { fs.repoint(pi, off, n, addr) })
+func (fs *FS) relocate(pi *pnodeInfo, fileOff int64, data []byte, stats *CleanStats) error {
+	return fs.place(pi, fileOff, data, false, func(off, addr, n int64) {
+		fs.repoint(pi, off, n, addr)
+		stats.BytesCopied += n
+		fs.Stats.CleanerCopied += n
+	})
 }
 
 // repoint rewrites the address of [fileOff, fileOff+n) in the extent
@@ -246,7 +264,8 @@ func (fs *FS) repoint(pi *pnodeInfo, fileOff, n, newAddr int64) {
 	pi.extents = merged
 }
 
-// freeSegment returns a cleaned segment to the free pool.
+// freeSegment retires a cleaned segment; it rejoins the free pool at the
+// next Sync that completes (see FS.cleaned).
 func (fs *FS) freeSegment(st *segState, stats *CleanStats) {
 	dead := st.dataBytes - st.live
 	if dead > 0 {
@@ -256,6 +275,6 @@ func (fs *FS) freeSegment(st *segState, stats *CleanStats) {
 	// The cache is keyed by file offset, not disk address, so live data
 	// relocated out of this segment stays cached; nothing to invalidate.
 	delete(fs.segs, st.id)
-	fs.freeSegs = append(fs.freeSegs, st.id)
+	fs.cleaned = append(fs.cleaned, st.id)
 	fs.Stats.SegmentsFreed++
 }

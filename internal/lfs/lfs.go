@@ -43,7 +43,6 @@ const FirstPnode Pnode = 8
 var (
 	ErrNoSpace   = errors.New("lfs: no free segments")
 	ErrNoFile    = errors.New("lfs: no such pnode")
-	ErrTooLarge  = errors.New("lfs: write exceeds segment capacity")
 	ErrCorrupt   = errors.New("lfs: corrupt on-disk structure")
 	ErrBadExtent = errors.New("lfs: bad extent")
 )
@@ -170,8 +169,13 @@ type FS struct {
 
 	segs     map[int64]*segState
 	freeSegs []int64
-	open     map[int64]*openSeg
-	cur      *openSeg // normal data + metadata
+	// cleaned holds segments the cleaner emptied whose relocated
+	// survivors may not be on disk yet: until a Sync covers them, a
+	// crash recovers those survivors at their old addresses, so the
+	// segments must not be written again.
+	cleaned []int64
+	open    map[int64]*openSeg
+	cur     *openSeg // normal data + metadata
 	// mediaCur holds one open segment per continuous file: streams do
 	// not share segments, so a stream's data stays contiguous on disk
 	// (sequential reads at the guaranteed rate) and its extents merge.

@@ -470,6 +470,71 @@ func TestCleaningMakesSpaceReusable(t *testing.T) {
 	}
 }
 
+// A pass short of free segments reuses the ones it has already emptied:
+// here three half-live segments are cleaned with one segment free, so
+// the third segment's survivors land in the first one cleaned.
+func TestCleanReusesOwnSegmentsWhenShort(t *testing.T) {
+	s := sim.New()
+	fs := newFS(s, 7) // 2 ckpt + 3 half-live + 1 for delete records + 1 free
+	half := segSize/2 - 2048
+	var keep, doomed []lfs.Pnode
+	for i := 0; i < 3; i++ {
+		k, d := fs.Create(false), fs.Create(false)
+		write(t, fs, k, 0, pattern(byte(i), half))
+		write(t, fs, d, 0, pattern(byte(i+10), half))
+		syncFS(t, s, fs)
+		keep, doomed = append(keep, k), append(doomed, d)
+	}
+	for _, d := range doomed {
+		if err := fs.Delete(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncFS(t, s, fs)
+	if n := fs.FreeSegments(); n != 1 {
+		t.Fatalf("setup left %d free segments, want 1", n)
+	}
+	if st := cleanPegasus(t, s, fs); st.SegmentsCleaned != 3 || st.BytesCopied != int64(3*half) {
+		t.Fatalf("clean: %+v, want 3 segments and %d bytes copied", st, 3*half)
+	}
+	invariants(t, fs, "after clean")
+	for i, k := range keep {
+		if got := read(t, s, fs, k, 0, half); !bytes.Equal(got, pattern(byte(i), half)) {
+			t.Fatalf("survivor %d lost its data", i)
+		}
+	}
+}
+
+// A crash straight after a clean must not recover a survivor at its old
+// address once a later write has reused that segment: the cleaned
+// segment is not free until the survivor's new copy is on disk.
+func TestCrashAfterCleanRecoversSurvivors(t *testing.T) {
+	s := sim.New()
+	fs := newFS(s, 16)
+	keep, doomed := fs.Create(false), fs.Create(false)
+	keepData := pattern(3, 9000)
+	write(t, fs, keep, 0, keepData)
+	write(t, fs, doomed, 0, pattern(4, segSize))
+	checkpoint(t, s, fs) // records keep in the segment about to be cleaned
+	if err := fs.Delete(doomed); err != nil {
+		t.Fatal(err)
+	}
+	syncFS(t, s, fs)
+	cleanPegasus(t, s, fs)
+	// Two full media segments and a partial one: the writes take the
+	// segments at the top of the free list — the cleaned ones, were they
+	// freed at once — and seal without a Sync.
+	media := fs.Create(true)
+	write(t, fs, media, 0, pattern(5, 5*segSize/2))
+	s.Run()
+	fs.Crash()
+	recover2(t, s, fs)
+	invariants(t, fs, "after recovery")
+	if got := read(t, s, fs, keep, 0, len(keepData)); !bytes.Equal(got, keepData) {
+		t.Fatal("the survivor lost its data")
+	}
+}
+
 // TestModelEquivalence drives the FS with a deterministic random
 // workload, mirroring every operation in a flat in-memory model, with
 // periodic sync/checkpoint/clean/crash/recover, and verifies contents

@@ -138,8 +138,18 @@ func (fs *FS) ioDone(err error) {
 
 // Sync seals every open segment and calls done once every outstanding
 // segment write has reached the array, with the first error any of them
-// (or any since the last Sync) met.
+// (or any since the last Sync) met. Segments cleaned before the call
+// return to the free pool once their survivors are safely written.
 func (fs *FS) Sync(done func(error)) {
+	cleaned := fs.cleaned
+	fs.cleaned = nil
+	release := func(err error) {
+		if err != nil {
+			fs.cleaned = append(fs.cleaned, cleaned...)
+		} else {
+			fs.freeSegs = append(fs.freeSegs, cleaned...)
+		}
+	}
 	if fs.cur != nil {
 		fs.seal(fs.cur)
 	}
@@ -152,11 +162,12 @@ func (fs *FS) Sync(done func(error)) {
 		fs.seal(fs.mediaCur[pn])
 	}
 	if fs.pendingIO != 0 {
-		fs.ioWaiters = append(fs.ioWaiters, done)
+		fs.ioWaiters = append(fs.ioWaiters, func(err error) { release(err); done(err) })
 		return
 	}
 	err := fs.ioErr
 	fs.ioErr = nil
+	release(err)
 	fs.sim.At(fs.sim.Now(), func() { done(err) })
 }
 

@@ -126,11 +126,9 @@ type Config struct {
 	ZipfS  float64
 	Seed   int64
 
-	// BaseReplicas / RefusalThreshold / MaxReplicas /
-	// ReplicationDisabled pass through to vodsite.Config.
+	// BaseReplicas and ReplicationDisabled pass through to
+	// vodsite.Config.
 	BaseReplicas        int
-	RefusalThreshold    int
-	MaxReplicas         int
 	ReplicationDisabled bool
 
 	// FailNodeAt tears node FailNode down that far into the run
@@ -152,12 +150,10 @@ type Config struct {
 	Sites        int
 	SiteReplicas int
 	// NoSpill runs the single-site ablation: home-site refusals are
-	// final. TrunkRate overrides the per-direction trunk capacity.
-	// SpillThreshold passes through to metro.Config (cross-site lazy
-	// replication trigger). FailSiteAt kills whole site FailSite that
-	// far into the run (0: never).
+	// final. SpillThreshold passes through to metro.Config (cross-site
+	// lazy replication trigger). FailSiteAt kills whole site FailSite
+	// that far into the run (0: never).
 	NoSpill        bool
-	TrunkRate      int64
 	SpillThreshold int
 	FailSiteAt     sim.Duration
 	FailSite       int
@@ -189,15 +185,6 @@ type Config struct {
 	// meet every EDF deadline.
 	CPUBound bool
 
-	// CPUBytesPerSec is the nodes' protocol-processing throughput in
-	// bytes/s (default 1 MiB/s — CPU-bound on purpose). CPUPerFrame is
-	// the fixed per-frame protocol cost (default 1 ms); it does not
-	// shrink with a degraded tier, which is what keeps the CPU — not
-	// the disks — the binding constraint even when every Adaptive
-	// session sits at its floor.
-	CPUBytesPerSec int64
-	CPUPerFrame    sim.Duration
-
 	// Live runs the live-broadcast flash crowd: Channels switch-level
 	// multicast channels on the air, a Zipf-popularity churn of viewer
 	// joins and leaves (Workstations × StreamsPerWS join attempts, hold
@@ -223,11 +210,9 @@ type Config struct {
 	// state what the multicast tree bought.
 	Unicast bool
 
-	// ReleaseAt closes every ReleaseEvery'th admitted stream that far
-	// into an Adaptive run (defaults: half the duration, every 3rd;
-	// ReleaseEvery < 0 disables), freeing budget the site uses to
-	// restore degraded survivors.
-	ReleaseAt    sim.Duration
+	// ReleaseEvery closes every ReleaseEvery'th admitted stream half
+	// way through an Adaptive run (default every 3rd; < 0 disables),
+	// freeing budget the site uses to restore degraded survivors.
 	ReleaseEvery int
 
 	// Partitions shards the event kernel across that many conservative-

@@ -100,7 +100,6 @@ var modes = []mode{
 		with: []string{"adaptive", "from-storage"},
 		defaults: Config{
 			Servers: 1, Round: 500 * sim.Millisecond, TitleRounds: 2, FrameBytes: 1200,
-			CPUBytesPerSec: 1 << 20, CPUPerFrame: sim.Millisecond,
 		},
 		storage: always, segSize: 64 << 10, logSlack: 16,
 		topology: (*Scenario).serverSite, workload: (*Scenario).unicastRequests,
@@ -116,7 +115,6 @@ var modes = []mode{
 			Servers: 1, Round: 500 * sim.Millisecond, TitleRounds: 2, FrameBytes: 19200,
 			ReleaseEvery: 3,
 		},
-		derive:  func(c *Config) { setDefault(&c.ReleaseAt, c.Duration/2) },
 		storage: always, segSize: 64 << 10, logSlack: 16,
 		topology: (*Scenario).serverSite, workload: (*Scenario).unicastRequests,
 	},

@@ -17,6 +17,16 @@ import (
 	"repro/internal/vodsite"
 )
 
+// The cpu-bound mode's node CPU: a protocol-processing throughput of
+// 1 MiB/s (CPU-bound on purpose) and a fixed per-frame cost that does
+// not shrink with a degraded tier, which is what keeps the CPU — not
+// the disks — the binding constraint even when every Adaptive session
+// sits at its floor.
+const (
+	cpuBytesPerSec = 1 << 20
+	cpuPerFrame    = sim.Millisecond
+)
+
 // fastDiskParams is the FastDisks geometry: flash-era mechanics
 // (microsecond repositioning, 500 MB/s media rate). With the 1994
 // drive, AvgPosition ≈ 12.6 ms caps a node at ~50 streams/round; this
@@ -54,8 +64,6 @@ func (c *Config) vodConfig() vodsite.Config {
 		PeakRate:            c.PeakRate,
 		ZipfS:               c.ZipfS,
 		BaseReplicas:        c.BaseReplicas,
-		RefusalThreshold:    c.RefusalThreshold,
-		MaxReplicas:         c.MaxReplicas,
 		ReplicationDisabled: c.ReplicationDisabled,
 	}
 }
@@ -109,10 +117,7 @@ func (sc *Scenario) addServers(site *core.Site, prefix string, perServer int, ct
 			// deliberately small throughput: every session carries the CPU
 			// leg, so the node refuses (or degrades) on CPU strictly
 			// before its disks fill.
-			ss.EnableCPU(core.CPUConfig{
-				BytesPerSec: sc.cfg.CPUBytesPerSec,
-				PerFrame:    sc.cfg.CPUPerFrame,
-			})
+			ss.EnableCPU(core.CPUConfig{BytesPerSec: cpuBytesPerSec, PerFrame: cpuPerFrame})
 		}
 		if ctrl != nil {
 			ctrl.AddNode(ss)
@@ -269,7 +274,6 @@ func (sc *Scenario) metroSites() {
 		// (the metro adds the trunk port itself).
 		Site:           cfg.siteConfig(cfg.Workstations + cfg.Servers),
 		Vod:            cfg.vodConfig(),
-		TrunkRate:      cfg.TrunkRate,
 		NoSpill:        cfg.NoSpill,
 		SpillThreshold: cfg.SpillThreshold,
 	})

@@ -65,7 +65,7 @@ func (sc *Scenario) newStoredRequest(t, idx int, viewers ...*core.Endpoint) {
 // spread across the catalog, each on its title's own server. Unlike the
 // shared fan-out, disk and link load scale with requests — the
 // over-subscription the Adaptive class and the CPU leg exist for. With
-// a release schedule (ReleaseAt, ReleaseEvery), streams close mid-run
+// a release schedule (ReleaseEvery), streams close half way through
 // and the freed budget restores degraded survivors.
 func (sc *Scenario) unicastRequests() {
 	cfg := &sc.cfg
@@ -75,8 +75,8 @@ func (sc *Scenario) unicastRequests() {
 			sc.newStoredRequest(idx%sc.titles, idx, viewer)
 		}
 	}
-	if cfg.ReleaseAt > 0 && cfg.ReleaseEvery > 0 {
-		sc.atRun = append(sc.atRun, func() { sc.clock.CallAfter(cfg.ReleaseAt, sc.releaseSome) })
+	if cfg.ReleaseEvery > 0 {
+		sc.atRun = append(sc.atRun, func() { sc.clock.CallAfter(cfg.Duration/2, sc.releaseSome) })
 	}
 }
 

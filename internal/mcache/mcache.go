@@ -188,12 +188,3 @@ func (c *LRU[K, V]) evictOver() {
 		c.drop(e)
 	}
 }
-
-// Keys returns the resident keys, hottest first (tests and debugging).
-func (c *LRU[K, V]) Keys() []K {
-	out := make([]K, 0, len(c.items))
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.key)
-	}
-	return out
-}

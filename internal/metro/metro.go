@@ -725,7 +725,6 @@ func (m *Controller) Sessions() []*Session { return m.sessions }
 func (m *Controller) registerGauges() {
 	reg := m.reg
 	for _, mb := range m.members {
-		mb := mb
 		node := mb.Site.Config.Name
 		g := func(name string, fn func() float64) {
 			reg.Gauge(telemetry.Key{Node: node, Subsystem: "metro", Name: name}, fn)

@@ -146,16 +146,6 @@ func (d *Domain) State() DomainState { return d.state }
 // String identifies the domain in traces.
 func (d *Domain) String() string { return fmt.Sprintf("dom%d(%s)", d.ID, d.Name) }
 
-// pendingEvents reports whether any receive channel has undelivered events.
-func (d *Domain) pendingEvents() bool {
-	for _, ch := range d.channels {
-		if ch.pending > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // collectEvents drains pending event counts into a Pending slice.
 func (d *Domain) collectEvents() []Pending {
 	var out []Pending

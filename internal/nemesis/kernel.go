@@ -7,10 +7,6 @@ import (
 // NoEvent is the Decision.NextEvent value meaning "nothing scheduled".
 const NoEvent sim.Time = -1
 
-// Unbounded is a budget value large enough to never expire in practice;
-// schedulers without reservations (round-robin quanta excepted) use it.
-const Unbounded sim.Duration = 1 << 60
-
 // Decision is a scheduler's answer to "who runs now".
 type Decision struct {
 	// D is the domain to run; nil means idle.

@@ -124,27 +124,6 @@ func (m *Manager) CommittedUplink(port int) int64 { return m.committedIn[port] }
 // UplinkCapacity reports an input port's uplink capacity.
 func (m *Manager) UplinkCapacity(port int) int64 { return m.capacityIn[port] }
 
-// CanEstablish reports whether Establish would admit the circuit right
-// now — the same leaf and uplink checks, holding nothing. Keep it next
-// to Establish: the two are one admission formula.
-func (m *Manager) CanEstablish(inPort int, outPorts []int, peakRate int64) bool {
-	if len(outPorts) == 0 {
-		return false
-	}
-	if peakRate <= 0 {
-		return true
-	}
-	for _, p := range outPorts {
-		if m.committed[p]+peakRate > m.capacity[p] {
-			return false
-		}
-	}
-	if m.uplink && m.committedIn[inPort]+peakRate > m.capacityIn[inPort] {
-		return false
-	}
-	return true
-}
-
 // Establish sets up a circuit from inPort to one or more output ports
 // at the given peak rate, allocating a fresh VCI. With zero peakRate
 // the circuit is best-effort (no admission, no guarantee) — the class

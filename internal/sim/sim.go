@@ -237,11 +237,6 @@ func (s *Sim) Post(t Time, fn func()) {
 	s.At(t, fn)
 }
 
-// PostAfter schedules fn d nanoseconds from now on the no-handle lane.
-func (s *Sim) PostAfter(d Duration, fn func()) {
-	s.After(d, fn)
-}
-
 // push enqueues a freshly stamped event, maintaining the invariant that
 // s.next, when non-nil, is the minimum of all queued events.
 func (s *Sim) push(e *Event) {

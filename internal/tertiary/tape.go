@@ -127,9 +127,6 @@ func (l *Library) Size(id string) (int64, error) {
 	return it.size, nil
 }
 
-// Items reports the number of stored objects.
-func (l *Library) Items() int { return len(l.items) }
-
 // StoredBytes reports total bytes on tape.
 func (l *Library) StoredBytes() int64 {
 	var n int64

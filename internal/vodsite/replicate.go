@@ -17,17 +17,13 @@ func (c *Controller) maybeReplicate(t *Title) {
 	if t.pendingRefusals < c.cfg.RefusalThreshold {
 		return
 	}
-	limit := len(c.nodes)
-	if c.cfg.MaxReplicas > 0 && c.cfg.MaxReplicas < limit {
-		limit = c.cfg.MaxReplicas
-	}
 	alive := 0
 	for _, n := range t.replicas {
 		if !n.failed {
 			alive++
 		}
 	}
-	if alive >= limit {
+	if alive >= len(c.nodes) {
 		return
 	}
 	target := c.replicationTarget(t)

@@ -85,9 +85,6 @@ type Config struct {
 	// triggers a reactive replication (default 3).
 	RefusalThreshold int
 
-	// MaxReplicas caps a title's replica set (default: every node).
-	MaxReplicas int
-
 	// ReplicationDisabled turns reactive replication off — the ablation
 	// that shows why a hot title must not stay on one array.
 	ReplicationDisabled bool

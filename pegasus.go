@@ -5,188 +5,22 @@
 // maillon object invocation, and the log-structured Pegasus File Server.
 //
 // Everything timing-sensitive runs on a deterministic discrete-event
-// simulator in virtual time (see DESIGN.md for the substitution
-// rationale). This package is the public facade: it re-exports the
-// scenario-level API; the implementation lives under internal/.
+// simulator in virtual time. The implementation lives under internal/;
+// this package holds only the benchmarks (bench_test.go) and a
+// camera-to-display determinism test (pegasus_test.go). A first
+// program builds a site with internal/core:
 //
-// A two-minute tour:
-//
-//	site := pegasus.NewSite(pegasus.DefaultSiteConfig())
+//	site := core.NewSite(core.DefaultSiteConfig())
 //	ws := site.NewWorkstation("desk")
-//	cam, camEP := ws.AttachCamera(pegasus.CameraConfig{W: 640, H: 480, FPS: 25})
+//	cam, camEP := ws.AttachCamera(devices.CameraConfig{W: 640, H: 480, FPS: 25})
 //	disp, dispEP := ws.AttachDisplay(1024, 768)
 //	site.PlumbVideo(cam, camEP, disp, dispEP, 32, 32)
 //	cam.Start()
-//	site.Sim.RunFor(pegasus.Second) // one second of virtual time
+//	site.Sim.RunFor(sim.Second) // one second of virtual time
 //
-// The examples/ directory holds five runnable scenarios (quickstart,
-// videophone, tvdirector, vodserver, jukebox) and cmd/experiments
-// regenerates every evaluation artefact of the paper.
+// examples/quickstart is that program, runnable. The examples/ directory
+// holds six scenarios (quickstart, videophone, qossession, tvdirector,
+// vodserver, jukebox), cmd/experiments regenerates every evaluation
+// artefact of the paper, and cmd/pegload runs the site-scale load
+// generator.
 package pegasus
-
-import (
-	"repro/internal/core"
-	"repro/internal/devices"
-	"repro/internal/fileserver"
-	"repro/internal/invoke"
-	"repro/internal/names"
-	"repro/internal/nemesis"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/tertiary"
-)
-
-// Virtual-time units (nanoseconds-based, mirroring time.Duration).
-const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
-)
-
-// Core simulation and system composition types.
-type (
-	// Sim is the deterministic discrete-event simulator driving a site.
-	Sim = sim.Sim
-	// Time is a virtual timestamp in nanoseconds.
-	Time = sim.Time
-	// Duration is a span of virtual time.
-	Duration = sim.Duration
-
-	// Site is one Pegasus installation: switch, workstations, servers.
-	Site = core.Site
-	// SiteConfig parameterises link rates and kernel costs.
-	SiteConfig = core.SiteConfig
-	// Workstation is a Nemesis machine with network-attached devices.
-	Workstation = core.Workstation
-	// StorageServer is the Pegasus file server node.
-	StorageServer = core.StorageServer
-	// UnixNode is the non-real-time control-plane machine.
-	UnixNode = core.UnixNode
-	// Endpoint is an attachment point on the site switch.
-	Endpoint = core.Endpoint
-
-	// CameraConfig parameterises an ATM camera.
-	CameraConfig = devices.CameraConfig
-	// Camera is the tile-producing ATM camera.
-	Camera = devices.Camera
-	// Display is the window-descriptor ATM display.
-	Display = devices.Display
-	// Window is one display window descriptor.
-	Window = devices.Window
-	// AudioSourceConfig parameterises the DSP node's capture side.
-	AudioSourceConfig = devices.AudioSourceConfig
-	// AudioSource captures timestamped audio blocks.
-	AudioSource = devices.AudioSource
-	// AudioSink plays blocks through a dejitter buffer.
-	AudioSink = devices.AudioSink
-	// SyncGroup merges control streams into a common playout delay.
-	SyncGroup = devices.SyncGroup
-
-	// Kernel is a Nemesis kernel instance.
-	Kernel = nemesis.Kernel
-	// Domain is a Nemesis schedulable entity.
-	Domain = nemesis.Domain
-	// Ctx is the in-domain system-call surface.
-	Ctx = nemesis.Ctx
-	// SchedParams is a domain's {slice, period} contract.
-	SchedParams = nemesis.SchedParams
-	// EventChannel is the counted-event IPC primitive.
-	EventChannel = nemesis.EventChannel
-
-	// QoSManager adapts scheduler allocations over time.
-	QoSManager = sched.QoSManager
-
-	// NameSpace is a per-process Plan-9-style name space.
-	NameSpace = names.NameSpace
-	// Maillon is an object handle (opaque ref + resolver).
-	Maillon = invoke.Maillon
-	// Interface is an object's method table.
-	Interface = invoke.Interface
-
-	// FileServer is the Pegasus storage service stack.
-	FileServer = fileserver.Server
-	// FileAgent is the client-side reliability agent.
-	FileAgent = fileserver.Agent
-	// StreamRecorder ingests a continuous-media stream.
-	StreamRecorder = fileserver.Recorder
-	// StreamPlayer replays a stored stream through its index.
-	StreamPlayer = fileserver.Player
-	// PowerProtection selects the server's power-failure guard (§5).
-	PowerProtection = fileserver.PowerProtection
-	// DirServer is the server half of the directory service.
-	DirServer = fileserver.DirServer
-	// DirClient is a directory agent with a pluggable cache policy.
-	DirClient = fileserver.DirClient
-	// DirCachePolicy selects how a DirClient keeps coherent.
-	DirCachePolicy = fileserver.DirCachePolicy
-	// TapeLibrary is the tertiary storage tier (§5).
-	TapeLibrary = tertiary.Library
-	// TapeParams is the tape library's cost model.
-	TapeParams = tertiary.Params
-	// Migrator moves files between the log and the tape tier.
-	Migrator = fileserver.Migrator
-
-	// Loader places images in the single address space, caching
-	// relocation results (§3.1).
-	Loader = nemesis.Loader
-	// LoaderConfig is the relocation cost model.
-	LoaderConfig = nemesis.LoaderConfig
-	// Image is an executable image for the Loader.
-	Image = nemesis.Image
-)
-
-// Power-failure protection modes (§5).
-const (
-	Unprotected   = fileserver.Unprotected
-	UPS           = fileserver.UPS
-	BatteryBacked = fileserver.BatteryBacked
-)
-
-// Directory cache policies (§5).
-const (
-	NoDirCache       = fileserver.NoDirCache
-	DataDirCache     = fileserver.DataDirCache
-	SemanticDirCache = fileserver.SemanticDirCache
-)
-
-// NewSite builds an empty Pegasus site on a fresh simulator.
-func NewSite(cfg SiteConfig) *Site { return core.NewSite(cfg) }
-
-// DefaultSiteConfig matches the paper's testbed (100 Mb/s links).
-func DefaultSiteConfig() SiteConfig { return core.DefaultSiteConfig() }
-
-// NewNameSpace returns an empty per-process name space.
-func NewNameSpace() *NameSpace { return names.New() }
-
-// NewInterface creates an empty object interface.
-func NewInterface(name string) *Interface { return invoke.NewInterface(name) }
-
-// LocalHandle wraps an interface in a same-protection-domain handle
-// (direct procedure call with the given modelled overhead).
-func LocalHandle(i *Interface, perCall Duration) *Maillon {
-	return invoke.LocalHandle(i, perCall)
-}
-
-// NewLoader builds a single-address-space image loader.
-func NewLoader(cfg LoaderConfig) *Loader { return nemesis.NewLoader(cfg) }
-
-// NewTapeLibrary builds a tertiary-storage tape library on a site's
-// simulator.
-func NewTapeLibrary(s *Sim, p TapeParams) *TapeLibrary { return tertiary.New(s, p) }
-
-// DefaultTapeParams sizes an era-appropriate 8 mm library.
-func DefaultTapeParams() TapeParams { return tertiary.DefaultParams() }
-
-// NewMigrator binds a migrator to a file server and a tape library.
-func NewMigrator(s *Sim, srv *FileServer, lib *TapeLibrary) *Migrator {
-	return fileserver.NewMigrator(s, srv, lib)
-}
-
-// NewDirServer builds an empty directory service.
-func NewDirServer(s *Sim) *DirServer { return fileserver.NewDirServer(s) }
-
-// NewDirClient binds a caching directory agent to a directory server.
-func NewDirClient(s *Sim, srv *DirServer, policy DirCachePolicy) *DirClient {
-	return fileserver.NewDirClient(s, srv, policy)
-}

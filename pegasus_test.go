@@ -1,130 +1,25 @@
-package pegasus_test
+package pegasus
 
 import (
 	"testing"
 
-	pegasus "repro"
+	"repro/internal/core"
+	"repro/internal/devices"
+	"repro/internal/sim"
 )
 
-// TestFacadeQuickTour exercises the documented public API end to end:
-// what a downstream user's first program looks like.
-func TestFacadeQuickTour(t *testing.T) {
-	site := pegasus.NewSite(pegasus.DefaultSiteConfig())
-	ws := site.NewWorkstation("desk")
-	cam, camEP := ws.AttachCamera(pegasus.CameraConfig{W: 64, H: 48, FPS: 25})
-	disp, dispEP := ws.AttachDisplay(640, 480)
-	win := site.PlumbVideo(cam, camEP, disp, dispEP, 32, 32)
-	if win == nil {
-		t.Fatal("no window created")
-	}
-	cam.Start()
-	site.Sim.RunFor(pegasus.Second / 5)
-	cam.Stop()
-	site.Sim.Run()
-	if disp.Stats.Tiles == 0 {
-		t.Fatal("facade path rendered nothing")
-	}
-	if cam.Stats.Frames < 4 {
-		t.Fatalf("frames = %d", cam.Stats.Frames)
-	}
-}
-
-func TestFacadeKernelAndNames(t *testing.T) {
-	site := pegasus.NewSite(pegasus.DefaultSiteConfig())
-	ws := site.NewWorkstation("box")
-
-	var ran bool
-	ws.Kernel.Spawn("app", pegasus.SchedParams{Slice: pegasus.Millisecond, Period: 10 * pegasus.Millisecond},
-		func(c *pegasus.Ctx) {
-			c.Consume(3 * pegasus.Millisecond)
-			ran = true
-		})
-	site.Sim.RunFor(pegasus.Second / 10)
-	ws.Kernel.Shutdown()
-	if !ran {
-		t.Fatal("domain never completed")
-	}
-
-	ns := pegasus.NewNameSpace()
-	iface := pegasus.NewInterface("thing")
-	iface.Define("ping", func(arg []byte) ([]byte, error) { return []byte("pong"), nil })
-	// Bind through the facade types.
-	h := localHandle(iface)
-	if err := ns.Bind("/dev/thing", h); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ns.Resolve("/dev/thing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := got.Invoke(nil, "ping", nil)
-	if err != nil || string(res) != "pong" {
-		t.Fatalf("invoke = %q, %v", res, err)
-	}
-}
-
-// localHandle builds a handle without reaching into internal packages —
-// checking that the facade surface is sufficient for basic use.
-func localHandle(i *pegasus.Interface) *pegasus.Maillon {
-	return pegasus.LocalHandle(i, 0)
-}
-
-// TestFacadeStorageHierarchy drives the new storage-tier surface —
-// loader, tape library, migrator, directory cache, power protection —
-// entirely through the facade.
-func TestFacadeStorageHierarchy(t *testing.T) {
-	site := pegasus.NewSite(pegasus.DefaultSiteConfig())
-	store := site.NewStorageServer("s", 64<<10, 128)
-	store.Server.Power = pegasus.UPS
-
-	lib := pegasus.NewTapeLibrary(site.Sim, pegasus.DefaultTapeParams())
-	mig := pegasus.NewMigrator(site.Sim, store.Server, lib)
-	if err := store.Server.Create("/f", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Server.Write("/f", 0, make([]byte, 10_000)); err != nil {
-		t.Fatal(err)
-	}
-	var ferr error
-	store.Server.Flush(func(e error) { ferr = e })
-	site.Sim.Run()
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	var aerr error
-	mig.Archive("/f", func(e error) { aerr = e })
-	site.Sim.Run()
-	if aerr != nil || !mig.Archived("/f") {
-		t.Fatalf("archive: %v", aerr)
-	}
-
-	ds := pegasus.NewDirServer(site.Sim)
-	if err := ds.MkDir("/d"); err != nil {
-		t.Fatal(err)
-	}
-	dc := pegasus.NewDirClient(site.Sim, ds, pegasus.SemanticDirCache)
-	var ierr error
-	dc.Insert("/d", "x", 100, func(e error) { ierr = e })
-	site.Sim.Run()
-	if ierr != nil {
-		t.Fatal(ierr)
-	}
-
-	l := pegasus.NewLoader(pegasus.LoaderConfig{MapCost: pegasus.Microsecond, RelocCost: pegasus.Microsecond})
-	if _, err := l.Load(pegasus.Image{Name: "app", Relocs: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestDeterminismAcrossRuns plays a compressed camera into a display
+// twice and checks both runs deliver the same tiles and switch the same
+// cells.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (int64, int64) {
-		site := pegasus.NewSite(pegasus.DefaultSiteConfig())
+		site := core.NewSite(core.DefaultSiteConfig())
 		ws := site.NewWorkstation("a")
-		cam, camEP := ws.AttachCamera(pegasus.CameraConfig{W: 64, H: 48, FPS: 25, Compress: true})
+		cam, camEP := ws.AttachCamera(devices.CameraConfig{W: 64, H: 48, FPS: 25, Compress: true})
 		disp, dispEP := ws.AttachDisplay(640, 480)
 		site.PlumbVideo(cam, camEP, disp, dispEP, 0, 0)
 		cam.Start()
-		site.Sim.RunFor(pegasus.Second / 5)
+		site.Sim.RunFor(sim.Second / 5)
 		cam.Stop()
 		site.Sim.Run()
 		return disp.Stats.Tiles, site.Switch.Stats().Switched
