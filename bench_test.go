@@ -159,45 +159,6 @@ func BenchmarkSimEvents(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkParallelEvents measures the sharded engine: parts
-// partitions each burn a µs-stride event chain, every 16th event
-// crossing to its neighbour at +lookahead (16 µs — cell-flight scale).
-// ns/op is wall clock per chain event, so aggregate events/sec/core =
-// 1e9 / (ns/op) / min(parts, GOMAXPROCS). On a multicore host parts=4
-// should show >2x the parts=1 aggregate rate; on one core it instead
-// prices the window/barrier overhead.
-func BenchmarkParallelEvents(b *testing.B) {
-	for _, parts := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			const lookahead = 16 * sim.Microsecond
-			c := sim.NewCluster(parts, lookahead)
-			per := b.N / parts
-			if per == 0 {
-				per = 1
-			}
-			for p := 0; p < parts; p++ {
-				s := c.Part(p)
-				dst := c.Part((p + 1) % parts)
-				n := 0
-				var fire func()
-				fire = func() {
-					n++
-					if n >= per {
-						return
-					}
-					if n%16 == 0 {
-						s.Cross(dst, s.Now()+lookahead, func() {})
-					}
-					s.After(sim.Microsecond, fire)
-				}
-				s.After(sim.Microsecond, fire)
-			}
-			b.ResetTimer()
-			c.Run()
-		})
-	}
-}
-
 // BenchmarkSwitchForwarding measures cell switching (wall clock per
 // simulated cell hop).
 func BenchmarkSwitchForwarding(b *testing.B) {
@@ -966,13 +927,13 @@ func BenchmarkCatalogSync(b *testing.B) {
 }
 
 // BenchmarkTelemetryCounter measures the telemetry hot path: one
-// pre-resolved counter handle incremented from its owning partition's
-// event context, the way instrumented producers count. The registry's
-// contract is that this costs a plain non-atomic add — 0 allocs/op —
-// so instrumentation can sit on the event kernel's fast path.
+// pre-resolved counter handle incremented from an event, the way
+// instrumented producers count. The registry's contract is that this
+// costs a plain non-atomic add — 0 allocs/op — so instrumentation can
+// sit on the event kernel's fast path.
 func BenchmarkTelemetryCounter(b *testing.B) {
-	reg := telemetry.NewRegistry(4)
-	c := reg.Counter(2, telemetry.Key{Node: "vod0", Subsystem: "net", Name: "cells"})
+	reg := telemetry.NewRegistry()
+	c := reg.Counter(telemetry.Key{Node: "vod0", Subsystem: "net", Name: "cells"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

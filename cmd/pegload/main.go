@@ -10,7 +10,6 @@
 //	pegload -from-storage -ws 100 -streams 25 -servers 4
 //	pegload -cluster -ws 24 -streams 2 -servers 4 -titles 8 -zipf 1.6
 //	pegload -cluster -base-replicas 2 -fail-node-at 3 -fail-node 0
-//	pegload -cluster -partitions 4 -ws 64 -streams 4  # sharded kernel, one goroutine per core
 //	pegload -metro -sites 3 -site-replicas 2 -spill-ablation  # federated sites, flash crowd on site 0
 //	pegload -adaptive -ws 6 -streams 2 -seconds 4 -expect-degraded
 //	pegload -cell-accurate -ws 8 -seconds 1   # exact per-cell model
@@ -262,10 +261,9 @@ func register(fs *flag.FlagSet) *options {
 	fs.BoolVar(&c.Cluster, "cluster", false,
 		"run the multi-server VoD site: -servers nodes under the vodsite controller, "+
 			"Zipf title requests admitted on whichever replica has room, reactive replication")
-	fs.IntVar(&c.Partitions, "partitions", 0,
-		"shard the event kernel across this many conservative-lookahead partitions, one "+
-			"goroutine each (requires -cluster; 0 = serial kernel; 1 = cluster machinery, "+
-			"bit-identical to serial; N>1 deterministic per N)")
+	fs.Int("partitions", 0,
+		"ignored: the event kernel runs on one goroutine; the flag still parses so "+
+			"older command lines run unchanged")
 	fs.BoolVar(&c.FastDisks, "fast-disks", false,
 		"flash-era disk mechanics instead of the 1994 drive (storage-backed modes); "+
 			"lifts per-node stream ceilings from tens to tens of thousands")
@@ -439,6 +437,9 @@ func main() {
 	}
 	if err := o.usage(fs); err != nil {
 		die(2, err)
+	}
+	if v := fs.Lookup("partitions").Value.String(); v != "0" {
+		fmt.Fprintf(os.Stderr, "pegload: -partitions %s ignored: the event kernel runs on one goroutine\n", v)
 	}
 
 	var folds []func(*loadgen.Result)

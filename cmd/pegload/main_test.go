@@ -132,7 +132,7 @@ func TestUsage(t *testing.T) {
 		{[]string{"-cluster", "-spill-ablation"}, "-spill-ablation requires -metro"},
 		{[]string{"-metro", "-spill-ablation", "-no-spill"}, "nothing to ablate"},
 		{[]string{"-live", "-from-storage"}, "live cannot be combined with from-storage"},
-		{[]string{"-partitions", "2"}, "cannot shard"},
+		{[]string{"-partitions", "2"}, ""},
 	} {
 		fs := flag.NewFlagSet("pegload", flag.ContinueOnError)
 		o := register(fs)
@@ -146,5 +146,39 @@ func TestUsage(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%v: error %v, want one mentioning %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestPartitionsIsIgnored: -partitions still parses, so a command line
+// that names it keeps running, but it sets nothing — cluster-vod's
+// flags with and without -partitions 2 build the same Config and print
+// the same scoreboard.
+func TestPartitionsIsIgnored(t *testing.T) {
+	clusterVod := []string{
+		"-cluster", "-servers", "16", "-ws", "500", "-streams", "50", "-hz", "8", "-bytes", "480",
+		"-round", "1", "-title-rounds", "2", "-fast-disks", "-base-replicas", "16", "-no-replication",
+		"-seconds", "1",
+	}
+	scoreboard := func(args ...string) (loadgen.Config, string) {
+		fs := flag.NewFlagSet("pegload", flag.ContinueOnError)
+		o := register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		res := loadgen.Build(o.cfg).Run()
+		res.WallSeconds, res.EventsPerSec, res.CellsPerSec = 0, 0, 0
+		out, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o.cfg, string(out)
+	}
+	serialCfg, serial := scoreboard(clusterVod...)
+	p2Cfg, p2 := scoreboard(append(clusterVod, "-partitions", "2")...)
+	if serialCfg != p2Cfg {
+		t.Fatalf("-partitions 2 changed the Config:\n%+v\n%+v", serialCfg, p2Cfg)
+	}
+	if serial != p2 {
+		t.Fatalf("-partitions 2 changed the scoreboard:\n%s\n%s", serial, p2)
 	}
 }

@@ -370,7 +370,7 @@ func (st *Site) Broadcasts() []*Broadcast {
 }
 
 // noteJoinRefusal attributes a refused join to its admission leg and
-// records the trace event. Global context only.
+// records the trace event.
 func (st *Site) noteJoinRefusal(b *Broadcast, err error) {
 	st.LiveStats.JoinRefused++
 	if leg, over := RefusalLeg(err); over {

@@ -52,15 +52,6 @@ type SiteConfig struct {
 	// cost of one event per cell. Leave it false for site-scale runs;
 	// see the fabric package docs for when cell-accurate mode matters.
 	CellAccurate bool
-	// Partitions shards the event kernel: nodes are distributed
-	// round-robin over this many sim partitions, synchronised with a
-	// lookahead window equal to the node-to-node cell latency
-	// (FabricDelay + one cell's serialisation time + LinkDelay). Zero
-	// keeps today's serial kernel; one runs the cluster machinery with
-	// results bit-identical to serial. Incompatible with CellAccurate
-	// for more than one partition (the cell-by-cell path replays cells
-	// under the lookahead floor).
-	Partitions int
 	// DiskParams overrides the storage servers' disk geometry (nil =
 	// disk.DefaultParams, the paper's 1994-era drive). Site-scale runs
 	// use this to model modern flash so per-node stream counts reach
@@ -82,16 +73,11 @@ func DefaultSiteConfig() SiteConfig {
 
 // Site is one Pegasus installation: a switch and everything attached.
 type Site struct {
-	// Sim is the control-plane partition (partition 0 of a partitioned
-	// site; the only Sim of a serial one). Site-level services —
-	// signalling, sessions, the VoD control plane — schedule here.
+	// Sim is the site's event kernel: every node, link and service on
+	// the site schedules here, and harnesses run it.
 	Sim    *sim.Sim
 	Switch *fabric.Switch
 	Config SiteConfig
-	// Clock drives the run loop: the serial Sim when Partitions is
-	// zero, the partition cluster otherwise. Harnesses call
-	// Clock.Run/RunUntil/CallAfter instead of touching Sim directly.
-	Clock sim.Scheduler
 	// Signalling is the site's connection manager (§2.2): circuits
 	// established through it are admission-controlled against link
 	// capacity. Patch/PlumbVideo bypass it (pre-provisioned circuits);
@@ -108,10 +94,7 @@ type Site struct {
 	LiveStats BroadcastStats
 
 	// Metrics is the site's telemetry registry, always live: every
-	// subsystem registers its gauges here as it comes up, sharded per
-	// partition with the same ownership rule as the event kernel (see
-	// internal/telemetry). Reading a merged view is only legal from
-	// global or barrier context.
+	// subsystem registers its gauges here as it comes up.
 	Metrics *telemetry.Registry
 
 	sessions   []*Session
@@ -122,12 +105,9 @@ type Site struct {
 	cmNodes    map[*fileserver.CMService]string
 	cmSessions map[*fileserver.CMStream]*Session
 
-	clu        *sim.Cluster
-	hosted     bool // built by NewSiteOn: kernel, registry owned elsewhere
-	trParts    int  // tracer shard count (metro partitions for hosted sites)
-	nextAttach int
-	nextPort   int
-	nextVCI    atm.VCI
+	hosted   bool // built by NewSiteOn: kernel, registry owned elsewhere
+	nextPort int
+	nextVCI  atm.VCI
 }
 
 // NewSite builds an empty site.
@@ -135,59 +115,27 @@ func NewSite(cfg SiteConfig) *Site {
 	if cfg.Name == "" {
 		cfg.Name = "site"
 	}
-	st := &Site{Config: cfg, nextVCI: 100}
-	if cfg.Partitions > 0 {
-		if cfg.CellAccurate && cfg.Partitions > 1 {
-			panic("core: CellAccurate is incompatible with more than one partition")
-		}
-		// The lookahead is the minimum time a cell needs to cross from
-		// one node to another: switch transit + serialisation on the
-		// output link + propagation. fabric's cross-partition sends
-		// stamp messages with exactly this latency.
-		ct := sim.Duration(int64(atm.CellSize*8) * int64(sim.Second) / cfg.LinkRate)
-		st.clu = sim.NewCluster(cfg.Partitions, cfg.FabricDelay+ct+cfg.LinkDelay)
-		st.Sim = st.clu.Part(0)
-		st.Clock = st.clu
-	} else {
-		st.Sim = sim.New()
-		st.Clock = st.Sim
-	}
+	st := &Site{Config: cfg, Sim: sim.New(), nextVCI: 100}
 	st.Switch = fabric.NewSwitch(st.Sim, cfg.Name, cfg.Ports, cfg.FabricDelay)
 	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	st.trParts = parts
-	st.Metrics = telemetry.NewRegistry(parts)
+	st.Metrics = telemetry.NewRegistry()
 	st.cmNodes = make(map[*fileserver.CMService]string)
 	st.cmSessions = make(map[*fileserver.CMStream]*Session)
 	st.registerSiteGauges()
 	return st
 }
 
-// NewSiteOn builds a site hosted on an externally owned event kernel:
-// every attachment lands on owner (the whole site is one partition
-// group), the run loop is clock, and telemetry lands in the caller's
-// shared registry (sharded for the caller's partition count, which
-// traceParts also sizes any tracer to). This is the metro federation's
-// constructor — N hosted sites share one cluster, one registry and
-// one trace, and the metro layer owns cross-site gauges the site
-// cannot see (trunks, catalog, the cluster itself).
-func NewSiteOn(clock sim.Scheduler, owner *sim.Sim, traceParts int, reg *telemetry.Registry, cfg SiteConfig) *Site {
+// NewSiteOn builds a site hosted on an externally owned event kernel s,
+// with its telemetry in the caller's shared registry. This is the metro
+// federation's constructor — N hosted sites share one kernel, one
+// registry and one trace, and the metro layer owns cross-site gauges
+// the site cannot see (trunks, catalog, the kernel itself).
+func NewSiteOn(s *sim.Sim, reg *telemetry.Registry, cfg SiteConfig) *Site {
 	if cfg.Name == "" {
 		cfg.Name = "site"
 	}
-	if cfg.Partitions > 0 {
-		panic("core: NewSiteOn hosts the site on the caller's kernel; SiteConfig.Partitions must be zero")
-	}
-	if traceParts < 1 {
-		traceParts = 1
-	}
-	st := &Site{Config: cfg, nextVCI: 100, hosted: true, trParts: traceParts}
-	st.Sim = owner
-	st.Clock = clock
-	st.Switch = fabric.NewSwitch(owner, cfg.Name, cfg.Ports, cfg.FabricDelay)
+	st := &Site{Config: cfg, Sim: s, nextVCI: 100, hosted: true}
+	st.Switch = fabric.NewSwitch(s, cfg.Name, cfg.Ports, cfg.FabricDelay)
 	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
 	st.Metrics = reg
 	st.cmNodes = make(map[*fileserver.CMService]string)
@@ -200,21 +148,6 @@ func NewSiteOn(clock sim.Scheduler, owner *sim.Sim, traceParts int, reg *telemet
 // endpoint — how a metro takes the trunk port before any node comes
 // up, so the port is deterministic (always port 0) per site.
 func (st *Site) ReservePort() int { return st.allocPort() }
-
-// Cluster returns the site's partition cluster, or nil when the site
-// runs on the serial kernel.
-func (st *Site) Cluster() *sim.Cluster { return st.clu }
-
-// partSim picks the partition for the next attachment (round-robin over
-// the cluster; the serial Sim otherwise).
-func (st *Site) partSim() *sim.Sim {
-	if st.clu == nil {
-		return st.Sim
-	}
-	s := st.clu.Part(st.nextAttach % st.clu.Parts())
-	st.nextAttach++
-	return s
-}
 
 // AllocVCI hands out a site-unique circuit number.
 func (st *Site) AllocVCI() atm.VCI {
@@ -237,9 +170,8 @@ func (st *Site) allocPort() int {
 // into the switch and the switch's output link to the device.
 type Endpoint struct {
 	Port int
-	// Sim is the partition that owns this attachment: its links, demux
-	// and the node behind it all schedule here. On a serial site it is
-	// the site Sim.
+	// Sim is the kernel this attachment's links, demux and the node
+	// behind it schedule on — always the site's Sim.
 	Sim *sim.Sim
 	// ToSwitch carries the device's cells into the fabric.
 	ToSwitch *fabric.Link
@@ -250,15 +182,13 @@ type Endpoint struct {
 	Demux *devices.Demux
 }
 
-// Attach creates an endpoint on a fresh switch port, owned by the next
-// partition in round-robin order.
+// Attach creates an endpoint on a fresh switch port.
 func (st *Site) Attach(name string) *Endpoint {
 	port := st.allocPort()
-	s := st.partSim()
 	dm := devices.NewDemux()
-	ep := &Endpoint{Port: port, Sim: s, Demux: dm}
-	ep.ToSwitch = fabric.NewLink(s, st.Config.LinkRate, st.Config.LinkDelay, 0, st.Switch.BindIn(port, s))
-	ep.FromSwitch = fabric.NewLink(s, st.Config.LinkRate, st.Config.LinkDelay, 0, dm)
+	ep := &Endpoint{Port: port, Sim: st.Sim, Demux: dm}
+	ep.ToSwitch = fabric.NewLink(st.Sim, st.Config.LinkRate, st.Config.LinkDelay, 0, st.Switch.In(port))
+	ep.FromSwitch = fabric.NewLink(st.Sim, st.Config.LinkRate, st.Config.LinkDelay, 0, dm)
 	if st.Config.CellAccurate {
 		ep.ToSwitch.SetCellAccurate(true)
 		ep.FromSwitch.SetCellAccurate(true)
@@ -316,9 +246,7 @@ type Workstation struct {
 	cameraN, displayN, audioN int
 }
 
-// NewWorkstation adds a workstation with an EDF-over-shares kernel. The
-// whole node — kernel, QoS manager, transport — lives on its network
-// endpoint's partition.
+// NewWorkstation adds a workstation with an EDF-over-shares kernel.
 func (st *Site) NewWorkstation(name string) *Workstation {
 	net := st.Attach(name + ".net")
 	edf := sched.NewEDFShares()
@@ -446,8 +374,7 @@ type StorageServer struct {
 	Transport *rpc.Transport
 }
 
-// NewStorageServer adds a storage node with the given log geometry. The
-// node's whole storage stack lives on its network endpoint's partition.
+// NewStorageServer adds a storage node with the given log geometry.
 func (st *Site) NewStorageServer(name string, segSize int, nseg int64) *StorageServer {
 	net := st.Attach(name)
 	p := disk.DefaultParams()
@@ -478,7 +405,7 @@ func (st *Site) NewStorageServer(name string, segSize int, nseg int64) *StorageS
 func (ss *StorageServer) EnableCM(cfg fileserver.CMConfig) *fileserver.CMService {
 	if ss.CM == nil {
 		ss.CM = fileserver.NewCMService(ss.Server, cfg)
-		ss.Site.instrumentCM(ss.Name, ss.CM, ss.Net.Sim)
+		ss.Site.instrumentCM(ss.Name, ss.CM)
 	}
 	return ss.CM
 }

@@ -39,16 +39,15 @@ type ledgerSite struct {
 	trunkIn int
 }
 
-func newLedgerSite(t *testing.T, partitions int) *ledgerSite {
+func newLedgerSite(t *testing.T) *ledgerSite {
 	t.Helper()
 	cfg := DefaultSiteConfig()
 	cfg.Ports = 12
-	cfg.Partitions = partitions
 	st := NewSite(cfg)
 	st.Signalling.EnableUplinkAdmission()
 	ls := &ledgerSite{site: st, trunkIn: st.ReservePort()}
 	coreSw := fabric.NewSwitch(st.Sim, "ledger-core", 1, 0)
-	ls.trunk = fabric.JoinTier(st.Switch, ls.trunkIn, coreSw, 0, st.Sim, 3*ledgerRate, 10*sim.Microsecond)
+	ls.trunk = fabric.JoinTier(st.Switch, ls.trunkIn, coreSw, 0, 3*ledgerRate, 10*sim.Microsecond)
 	data := make([]byte, 2*ledgerFrameHz*int(ledgerRound)/int(sim.Second)*ledgerFrameBytes)
 	for i := 0; i < 2; i++ {
 		ss := st.NewStorageServer(fmt.Sprintf("vod%d", i), 64<<10, ledgerTitles*16+32)
@@ -68,7 +67,7 @@ func newLedgerSite(t *testing.T, partitions int) *ledgerSite {
 		})
 		ls.servers = append(ls.servers, ss)
 	}
-	st.Clock.Run()
+	st.Sim.Run()
 	for i, ss := range ls.servers {
 		ss.EnableCM(fileserver.CMConfig{Round: ledgerRound, CacheBytes: int64(1-i) * 8 << 20})
 		// A slow processor, so the CPU leg refuses before the disks do.
@@ -241,7 +240,7 @@ func (ls *ledgerSite) trace(t *testing.T, seed int64, ops int) {
 				_ = b.AttachTrunk(ls.trunkIn)
 			}
 		default:
-			st.Clock.RunFor(ledgerRound)
+			st.Sim.RunFor(ledgerRound)
 		}
 		ls.audit(t, step)
 	}
@@ -266,14 +265,12 @@ func TestLedgerConservationProperty(t *testing.T) {
 	if testing.Short() {
 		traces = 60
 	}
-	for _, parts := range []int{0, 2} {
-		ls := newLedgerSite(t, parts)
-		for seed := int64(0); seed < int64(traces); seed++ {
-			ls.trace(t, seed, 48)
-		}
-		if q := ls.site.QoSStats; q.RefusedLeg[LegLink] == 0 || q.RefusedLeg[LegDisk] == 0 ||
-			q.RefusedLeg[LegCPU] == 0 || q.RefusedLeg[LegTrunk] == 0 || q.Degraded == 0 || q.Restored == 0 {
-			t.Fatalf("partitions=%d: traces never refused on some leg or never moved a tier: %+v", parts, q)
-		}
+	ls := newLedgerSite(t)
+	for seed := int64(0); seed < int64(traces); seed++ {
+		ls.trace(t, seed, 48)
+	}
+	if q := ls.site.QoSStats; q.RefusedLeg[LegLink] == 0 || q.RefusedLeg[LegDisk] == 0 ||
+		q.RefusedLeg[LegCPU] == 0 || q.RefusedLeg[LegTrunk] == 0 || q.Degraded == 0 || q.Restored == 0 {
+		t.Fatalf("traces never refused on some leg or never moved a tier: %+v", q)
 	}
 }

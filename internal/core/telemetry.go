@@ -11,7 +11,6 @@ import (
 	"repro/internal/fileserver"
 	"repro/internal/netsig"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -41,15 +40,14 @@ func RefusalLeg(err error) (Leg, bool) {
 // trace covers the whole run. Idempotent.
 func (st *Site) EnableTrace() *telemetry.Tracer {
 	if st.tracer == nil {
-		st.tracer = telemetry.NewTracer(st.trParts)
+		st.tracer = telemetry.NewTracer()
 	}
 	return st.tracer
 }
 
 // AdoptTrace points the site at an externally owned tracer — how a
-// metro shares one trace (sized to the metro's partition count)
-// across every hosted site, so events from all sites merge into one
-// deterministic timeline.
+// metro shares one trace across every hosted site, so events from all
+// sites land in one deterministic timeline.
 func (st *Site) AdoptTrace(tr *telemetry.Tracer) { st.tracer = tr }
 
 // Trace returns the site's trace recorder, nil until EnableTrace.
@@ -92,7 +90,7 @@ func (st *Site) registerSiteGauges() {
 		// A hosted site's kernel (and its gauges) belongs to the metro
 		// layer; registering them per site would just re-register the
 		// same keys K times.
-		reg.KernelGauges(node, st.Sim, st.clu)
+		reg.KernelGauges(st.Sim)
 	}
 }
 
@@ -107,9 +105,8 @@ func (st *Site) instrumentUplink(name string, port int) {
 
 // instrumentCM registers a serving node's disk-leg and cache-tier
 // gauges and wires the fileserver's underrun/demotion observers into
-// the trace. s is the node's owning partition: the observers fire in
-// its event context and record into its trace shard.
-func (st *Site) instrumentCM(name string, svc *fileserver.CMService, s *sim.Sim) {
+// the trace.
+func (st *Site) instrumentCM(name string, svc *fileserver.CMService) {
 	st.cmNodes[svc] = name
 	reg := st.Metrics
 	g := func(sub, n string, fn func() float64) {
@@ -143,8 +140,8 @@ func (st *Site) instrumentCM(name string, svc *fileserver.CMService, s *sim.Sim)
 			return float64(svc.Stats.CacheHits) / float64(n)
 		})
 	}
-	svc.OnUnderrun = func(cm *fileserver.CMStream) { st.traceCM(cm, s, name, "underrun") }
-	svc.OnDemote = func(cm *fileserver.CMStream) { st.traceCM(cm, s, name, "demoted") }
+	svc.OnUnderrun = func(cm *fileserver.CMStream) { st.traceCM(cm, name, "underrun") }
+	svc.OnDemote = func(cm *fileserver.CMStream) { st.traceCM(cm, name, "demoted") }
 }
 
 // instrumentCPU registers a node's protocol-processing CPU gauges.
@@ -187,18 +184,17 @@ func (rep AdmissionReport) LegSamples() []telemetry.LegSample {
 	return out
 }
 
-// trace records the event build returns on the global trace shard,
-// stamped with the site clock. build runs only while tracing is on, so
-// an untraced run pays one nil check per call site. Global context
-// only.
+// trace records the event build returns, stamped with the site clock.
+// build runs only while tracing is on, so an untraced run pays one nil
+// check per call site.
 func (st *Site) trace(build func() telemetry.Event) {
 	tr := st.tracer
 	if tr == nil {
 		return
 	}
 	ev := build()
-	ev.T = st.Clock.Now()
-	tr.Record(tr.GlobalShard(), ev)
+	ev.T = st.Sim.Now()
+	tr.Record(ev)
 }
 
 // refusalLeg names err's admission leg for a trace event ("other" for
@@ -239,7 +235,7 @@ func (st *Site) traceAdmitted(s *Session) {
 // noteRefusal attributes a final (end-to-end) open refusal to its
 // admission leg — the same RefusalLeg classification loadgen counts by
 // — and records the trace event with per-leg headrooms. The caller has
-// already counted QoSStats.Refused. Global context only.
+// already counted QoSStats.Refused.
 func (st *Site) noteRefusal(spec *SessionSpec, err error) {
 	if leg, over := RefusalLeg(err); over {
 		st.QoSStats.RefusedLeg[leg]++
@@ -261,23 +257,14 @@ func (st *Site) traceVerb(s *Session, event string) {
 	})
 }
 
-// traceCM records a fileserver-side stream event (underrun, demoted)
-// from the serving node's partition context, attributing it to the
-// owning session when one is known. The session map is written only in
-// global context, so the concurrent read here is safe.
-func (st *Site) traceCM(cm *fileserver.CMStream, s *sim.Sim, node, event string) {
-	tr := st.tracer
-	if tr == nil {
-		return
-	}
-	var id int64
-	if sess := st.cmSessions[cm]; sess != nil {
-		id = int64(sess.id)
-	}
-	tr.Record(s.Partition(), telemetry.Event{
-		T:       s.Now(),
-		Event:   event,
-		Session: id,
-		Node:    node,
+// traceCM records a fileserver-side stream event (underrun, demoted),
+// attributing it to the owning session when one is known.
+func (st *Site) traceCM(cm *fileserver.CMStream, node, event string) {
+	st.trace(func() telemetry.Event {
+		var id int64
+		if sess := st.cmSessions[cm]; sess != nil {
+			id = int64(sess.id)
+		}
+		return telemetry.Event{Event: event, Session: id, Node: node}
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // materialise returns the n dense bytes head ‖ zeros ‖ tail.
@@ -100,7 +101,7 @@ func TestWrittenBufferIsMovedIn(t *testing.T) {
 	if got := syncRead(t, s, d, 0, n); !bytes.Equal(got, materialise(n, head, tail)) {
 		t.Fatal("head ‖ zeros ‖ tail does not read back")
 	}
-	stop := hold(t, hv, tv)
+	stop := testutil.Hold(t, hv, tv)
 	defer stop()
 
 	write(fill(7, n), nil)

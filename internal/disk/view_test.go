@@ -7,36 +7,8 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
-
-// hold watches read results from another goroutine until the returned
-// stop is called. A read result may be a view of the store, so a write
-// to the memory behind it is a data race (-race reports it), and a
-// changed byte fails the test either way.
-func hold(t *testing.T, views ...[]byte) (stop func()) {
-	want := make([][]byte, len(views))
-	for i, v := range views {
-		want[i] = bytes.Clone(v)
-	}
-	quit, exited := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(exited)
-		for last := false; !last; runtime.Gosched() {
-			select {
-			case <-quit:
-				last = true // one more look after the writer has finished
-			default:
-			}
-			for i, v := range views {
-				if !bytes.Equal(v, want[i]) {
-					t.Errorf("held read result %d changed", i)
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(quit); <-exited }
-}
 
 func fill(seed byte, n int) []byte {
 	b := make([]byte, n)
@@ -68,7 +40,7 @@ func TestReadResultIsASnapshot(t *testing.T) {
 		}
 		held = append(held, b)
 	}
-	stop := hold(t, held...)
+	stop := testutil.Hold(t, held...)
 	defer stop()
 
 	fresh := fill(2, n)

@@ -53,7 +53,7 @@ func E16PowerFailure() Result {
 		}
 		s.RunUntil(2 * sim.Second) // second batch still buffered
 
-		sv.PowerFail(func() {})
+		sv.PowerFail(res.done)
 		s.Run()
 		sv.RecoverFromPower(func(err error) {
 			if err != nil {

@@ -335,19 +335,11 @@ type routeVal struct {
 	vci  atm.VCI
 }
 
-// SwitchStats counts switch-level events. Counters are kept per input
-// port (each port belongs to one partition); Switch.Stats sums them.
+// SwitchStats counts switch-level events.
 type SwitchStats struct {
 	Switched  int64 // cells forwarded
 	Unrouted  int64 // cells with no routing entry (dropped)
 	NoOutport int64 // cells routed to a port with no attached link
-}
-
-// add accumulates o into s.
-func (s *SwitchStats) add(o *SwitchStats) {
-	s.Switched += o.Switched
-	s.Unrouted += o.Unrouted
-	s.NoOutport += o.NoOutport
 }
 
 // Switch is an output-queued ATM switch. Each input cell is looked up in
@@ -356,14 +348,6 @@ func (s *SwitchStats) add(o *SwitchStats) {
 //
 // The paper's key architectural point (§2) is that the workstation manages
 // this table, so streams flow device-to-device without touching any CPU.
-//
-// Partitioning: a switch is the one object that spans partitions. Each
-// input port carries its own partition context (see portIn), the routing
-// table is read-only during lookahead windows (Route/Unroute run in
-// global context only), and forwarding onto a link owned by another
-// partition goes through sim.Cross with the fabric + serialisation +
-// propagation latency as the timestamp — which is exactly the cluster's
-// lookahead, so the conservative window is always safe.
 type Switch struct {
 	sim         *sim.Sim
 	name        string
@@ -371,6 +355,7 @@ type Switch struct {
 	outputs     []*Link
 	routes      map[routeKey][]routeVal
 	ins         []*portIn
+	stats       SwitchStats
 }
 
 // NewSwitch builds a switch with nports ports and the given per-cell
@@ -392,17 +377,8 @@ func NewSwitch(s *sim.Sim, name string, nports int, fabricDelay sim.Duration) *S
 // Name returns the switch's name (for diagnostics).
 func (sw *Switch) Name() string { return sw.name }
 
-// Stats sums the per-input-port forwarding counters. Call it in global
-// context (or after a run), not from another partition's events.
-func (sw *Switch) Stats() SwitchStats {
-	var t SwitchStats
-	for _, p := range sw.ins {
-		if p != nil {
-			t.add(&p.stats)
-		}
-	}
-	return t
-}
+// Stats reports the forwarding counters.
+func (sw *Switch) Stats() SwitchStats { return sw.stats }
 
 // Ports reports the port count.
 func (sw *Switch) Ports() int { return len(sw.outputs) }
@@ -419,22 +395,16 @@ func (sw *Switch) Output(port int) *Link {
 	return sw.outputs[port]
 }
 
-// portIn is the receive side of one switch port. It is the per-port
-// partition context: it knows which Sim the feeding link (and therefore
-// the node behind it) belongs to, and it owns the port-local mutable
-// state — the one-entry route cache and the forwarding counters — so
-// input ports on different partitions never write shared memory.
+// portIn is the receive side of one switch port, with its one-entry
+// route cache.
 type portIn struct {
 	sw   *Switch
 	port int
-	sim  *sim.Sim
 
 	// One-entry route cache: streams are bursty, so consecutive cells
 	// overwhelmingly share a circuit. Invalidated by Route/Unroute.
 	cacheKey routeKey
 	cacheVal []routeVal
-
-	stats SwitchStats
 }
 
 // HandleCell forwards one arriving cell through the switch.
@@ -444,25 +414,14 @@ func (p *portIn) HandleCell(c atm.Cell) { p.sw.receive(p, &c) }
 func (p *portIn) HandleBurst(b Burst) { p.sw.receiveBurst(p, &b) }
 
 // In returns the handler for cells arriving on the given input port; wire
-// it as the sink of the link feeding this switch. The port runs on the
-// switch's own Sim; use BindIn when the feeding link belongs to another
-// partition.
+// it as the sink of the link feeding this switch. Handlers are memoised
+// per port.
 func (sw *Switch) In(port int) Handler {
-	return sw.BindIn(port, sw.sim)
-}
-
-// BindIn returns the handler for cells arriving on the given input port,
-// bound to the partition Sim that owns the feeding link. Handlers are
-// memoised per port; binding an already-bound port to a different Sim
-// rebinds it (legal only in global context).
-func (sw *Switch) BindIn(port int, s *sim.Sim) Handler {
 	sw.checkPort(port)
 	p := sw.ins[port]
 	if p == nil {
-		p = &portIn{sw: sw, port: port, sim: s}
+		p = &portIn{sw: sw, port: port}
 		sw.ins[port] = p
-	} else {
-		p.sim = s
 	}
 	return p
 }
@@ -484,9 +443,8 @@ func (sw *Switch) Route(inPort int, inVCI atm.VCI, outPort int, outVCI atm.VCI) 
 // entry, identified by its output port and outgoing VCI — how a
 // multicast tree sheds one branch while the rest keep forwarding. The
 // whole entry is removed when the last leaf goes. It reports whether a
-// matching leg existed. Like Route/Unroute, legal only in global
-// context: the per-port route caches are invalidated so no input keeps
-// forwarding to the pruned leg, even mid-stream.
+// matching leg existed. The per-port route caches are invalidated so no
+// input keeps forwarding to the pruned leg, even mid-stream.
 func (sw *Switch) UnrouteLeaf(inPort int, inVCI atm.VCI, outPort int, outVCI atm.VCI) bool {
 	k := routeKey{inPort, inVCI}
 	leaves := sw.routes[k]
@@ -520,9 +478,7 @@ func (sw *Switch) Unroute(inPort int, inVCI atm.VCI) bool {
 	return ok
 }
 
-// invalidate drops every port's route cache after a table change. Table
-// changes happen only in global context (all partitions quiescent), so
-// touching every port's cache here is race-free.
+// invalidate drops every port's route cache after a table change.
 func (sw *Switch) invalidate() {
 	for _, p := range sw.ins {
 		if p != nil {
@@ -547,9 +503,7 @@ func (sw *Switch) Leaves(inPort int, inVCI atm.VCI) int {
 // RouteEntries reports the number of installed routing-table entries.
 func (sw *Switch) RouteEntries() int { return len(sw.routes) }
 
-// lookup resolves a circuit through the port's one-entry cache. The
-// routes map itself is only read here; writes (Route/Unroute) happen in
-// global context, so concurrent lookups from many ports are safe.
+// lookup resolves a circuit through the port's one-entry cache.
 func (p *portIn) lookup(k routeKey) []routeVal {
 	if p.cacheVal != nil && p.cacheKey == k {
 		return p.cacheVal
@@ -564,62 +518,38 @@ func (p *portIn) lookup(k routeKey) []routeVal {
 func (sw *Switch) receive(p *portIn, c *atm.Cell) {
 	leaves := p.lookup(routeKey{p.port, c.VCI})
 	if leaves == nil {
-		p.stats.Unrouted++
+		sw.stats.Unrouted++
 		return
 	}
 	// The fabric transit delay folds into the output link's earliest
 	// serialisation start — no event per cell.
-	now := p.sim.Now()
-	earliest := now + sw.fabricDelay
+	earliest := sw.sim.Now() + sw.fabricDelay
 	if len(leaves) == 1 {
 		v := &leaves[0]
 		out := sw.outputs[v.port]
 		if out == nil {
-			p.stats.NoOutport++
+			sw.stats.NoOutport++
 			return
 		}
-		p.stats.Switched++
-		if out.sim == p.sim {
-			inVCI := c.VCI
-			c.VCI = v.vci
-			out.sendCellEarliest(c, earliest)
-			c.VCI = inVCI
-			return
-		}
-		sw.crossCell(p, out, c, v.vci, now, earliest)
+		sw.stats.Switched++
+		inVCI := c.VCI
+		c.VCI = v.vci
+		out.sendCellEarliest(c, earliest)
+		c.VCI = inVCI
 		return
 	}
 	for i := range leaves {
 		v := &leaves[i]
 		out := sw.outputs[v.port]
 		if out == nil {
-			p.stats.NoOutport++
+			sw.stats.NoOutport++
 			continue
 		}
-		p.stats.Switched++
-		if out.sim == p.sim {
-			cc := *c
-			cc.VCI = v.vci
-			out.sendCellEarliest(&cc, earliest)
-			continue
-		}
-		sw.crossCell(p, out, c, v.vci, now, earliest)
-	}
-}
-
-// crossCell forwards one cell onto a link owned by another partition.
-// The earliest the destination can observe any effect is the cell's own
-// uncontended arrival — now + fabric transit + serialisation +
-// propagation — which is at least the cluster lookahead, so the message
-// timestamp never lands inside the current window. The closure then
-// replays the send on the owner's timeline; link contention (freeAt)
-// only pushes the delivery later, never earlier.
-func (sw *Switch) crossCell(p *portIn, out *Link, c *atm.Cell, vci atm.VCI, now sim.Time, earliest sim.Time) {
-	cc := *c
-	cc.VCI = vci
-	p.sim.Cross(out.sim, now+sw.fabricDelay+out.ct+out.prop, func() {
+		sw.stats.Switched++
+		cc := *c
+		cc.VCI = v.vci
 		out.sendCellEarliest(&cc, earliest)
-	})
+	}
 }
 
 // sendCellEarliest is Send with a lower bound on the serialisation start
@@ -649,14 +579,13 @@ func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 	n := b.Train.Len()
 	leaves := p.lookup(routeKey{p.port, b.Train.VCI})
 	if leaves == nil {
-		p.stats.Unrouted += int64(n)
+		sw.stats.Unrouted += int64(n)
 		return
 	}
 	// Cut-through: the k-th cell clears the fabric at its own arrival +
 	// fabricDelay; the output link's pacing floor is the input spacing.
 	first := b.First + sw.fabricDelay
-	// Multicast fan-out coalescing: same-partition leaves whose copies
-	// mature at the same instant — idle symmetric output links, the
+	// Multicast fan-out coalescing: leaves whose copies mature at the same instant — idle symmetric output links, the
 	// steady-state CBR broadcast geometry — share one delivery event, so
 	// a cell train costs one event per switch, not one per viewer port.
 	// Leaves under differing contention keep their own exact events. The
@@ -670,17 +599,13 @@ func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 	for _, v := range leaves {
 		out := sw.outputs[v.port]
 		if out == nil {
-			p.stats.NoOutport += int64(n)
+			sw.stats.NoOutport += int64(n)
 			continue
 		}
-		p.stats.Switched += int64(n)
+		sw.stats.Switched += int64(n)
 		// The VCI rewrite is this one store; each leaf then takes its own
-		// copy of the descriptor (into its ring slot or cross closure).
+		// copy of the descriptor into its ring slot.
 		b.Train.VCI = v.vci
-		if out.sim != p.sim {
-			sw.crossTrain(p, out, b.Train, first, b.Gap)
-			continue
-		}
 		if out.cellAccurate {
 			out.sendBurstShaped(b.Train, first, b.Gap)
 			continue
@@ -690,7 +615,7 @@ func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 			continue
 		}
 		if coFirst != nil && due != coDue {
-			p.postDeliveries(coDue, coFirst, coRest)
+			sw.postDeliveries(coDue, coFirst, coRest)
 			coFirst, coRest = nil, nil
 		}
 		if coFirst == nil {
@@ -700,30 +625,18 @@ func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 		}
 	}
 	if coFirst != nil {
-		p.postDeliveries(coDue, coFirst, coRest)
+		sw.postDeliveries(coDue, coFirst, coRest)
 	}
-}
-
-// crossTrain forwards a train onto a link owned by another partition.
-// The calling delivery event fired at the last cell's arrival (now =
-// First + (n-1)*Gap), and the replayed send's earliest completion is
-// first cell + fabric + ct + last cell's pacing + prop ≥ now + fabric +
-// ct + prop — the cluster lookahead — so the timestamp is safe, and the
-// closure (which holds the train by value) schedules nothing before it.
-func (sw *Switch) crossTrain(p *portIn, out *Link, t atm.Train, first sim.Time, gap sim.Duration) {
-	p.sim.Cross(out.sim, p.sim.Now()+sw.fabricDelay+out.ct+out.prop, func() {
-		out.sendBurstShaped(t, first, gap)
-	})
 }
 
 // postDeliveries schedules the one event that delivers the trains queued
 // on first and rest, all due at the same instant.
-func (p *portIn) postDeliveries(due sim.Time, first *Link, rest []*Link) {
+func (sw *Switch) postDeliveries(due sim.Time, first *Link, rest []*Link) {
 	if len(rest) == 0 {
-		p.sim.Post(due, first.deliverF)
+		sw.sim.Post(due, first.deliverF)
 		return
 	}
-	p.sim.Post(due, func() {
+	sw.sim.Post(due, func() {
 		first.deliverNext()
 		for _, l := range rest {
 			l.deliverNext()

@@ -27,7 +27,7 @@ func burstOf(t testing.TB, vci atm.VCI, bytes int) []atm.Cell {
 // recorder-backed output links on ports 1..n-1.
 func fanoutSwitch(s *sim.Sim, n int) (*Switch, *Link, []*Recorder) {
 	sw := NewSwitch(s, "fan", n, 0)
-	in := NewLink(s, Rate100M, 0, 0, sw.BindIn(0, s))
+	in := NewLink(s, Rate100M, 0, 0, sw.In(0))
 	recs := make([]*Recorder, n)
 	for p := 1; p < n; p++ {
 		recs[p] = NewRecorder(s)
@@ -276,7 +276,7 @@ func FuzzMulticastRouteTable(f *testing.F) {
 		sw := NewSwitch(s, "fz", nports, 0)
 		ins := make([]*Link, nports)
 		for p := 0; p < nports; p++ {
-			ins[p] = NewLink(s, Rate100M, 0, 0, sw.BindIn(p, s))
+			ins[p] = NewLink(s, Rate100M, 0, 0, sw.In(p))
 			sw.AttachOutput(p, NewLink(s, Rate100M, 0, 0, HandlerFunc(func(atm.Cell) {})))
 		}
 		model := make(map[routeKey][]routeVal)

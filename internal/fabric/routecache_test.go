@@ -14,7 +14,7 @@ import (
 func TestRouteCacheInvalidatedOnReroute(t *testing.T) {
 	s := sim.New()
 	sw := NewSwitch(s, "sw", 3, 0)
-	in := NewLink(s, Rate100M, 0, 0, sw.BindIn(0, s))
+	in := NewLink(s, Rate100M, 0, 0, sw.In(0))
 	recA := NewRecorder(s)
 	recB := NewRecorder(s)
 	sw.AttachOutput(1, NewLink(s, Rate100M, 0, 0, recA))
@@ -73,7 +73,7 @@ func TestTrunkBudget(t *testing.T) {
 	s := sim.New()
 	edge := NewSwitch(s, "edge", 2, 0)
 	core := NewSwitch(s, "core", 1, 0)
-	tr := JoinTier(edge, 1, core, 0, s, Rate100M, 10*sim.Microsecond)
+	tr := JoinTier(edge, 1, core, 0, Rate100M, 10*sim.Microsecond)
 
 	if !tr.UpBudget.Commit(60_000_000) || !tr.DownBudget.Commit(40_000_000) {
 		t.Fatal("commit within budget refused")

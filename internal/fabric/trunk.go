@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"repro/internal/atm"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Trunk is one edge switch's uplink into a core switch: a pair of
 // links (edge→core and core→edge) plus one admission Budget per
@@ -71,28 +68,15 @@ func (b *Budget) Headroom() float64 {
 // JoinTier wires an edge switch into a core switch over a new trunk:
 // the up link forwards the edge's trunk-port output into the core's
 // in-port, the down link forwards the core's out-port back into the
-// edge's trunk in-port. Both links (and the core in-port binding) run
-// on owner — the edge site's event kernel — so the only
-// cross-partition hop in a sharded metro is the core switch's output
-// forwarding, whose latency (core fabric delay + trunk cell time +
-// prop) is therefore the cluster lookahead bound.
-func JoinTier(edge *Switch, edgePort int, core *Switch, corePort int, owner *sim.Sim, rate int64, prop sim.Duration) *Trunk {
+// edge's trunk in-port. Both links run on the edge switch's kernel.
+func JoinTier(edge *Switch, edgePort int, core *Switch, corePort int, rate int64, prop sim.Duration) *Trunk {
 	t := &Trunk{EdgePort: edgePort, CorePort: corePort,
 		UpBudget: Budget{capacity: rate}, DownBudget: Budget{capacity: rate}}
-	t.Up = NewLink(owner, rate, prop, 0, core.BindIn(corePort, owner))
+	t.Up = NewLink(edge.sim, rate, prop, 0, core.In(corePort))
 	edge.AttachOutput(edgePort, t.Up)
-	t.Down = NewLink(owner, rate, prop, 0, edge.BindIn(edgePort, owner))
+	t.Down = NewLink(edge.sim, rate, prop, 0, edge.In(edgePort))
 	core.AttachOutput(corePort, t.Down)
 	return t
-}
-
-// TierLookahead is the core→edge forwarding latency of a trunk built
-// with the given geometry: the minimum timestamp distance of any
-// cross-partition send in a metro cluster, and therefore the
-// conservative lookahead bound to shard it under.
-func TierLookahead(coreFabricDelay sim.Duration, rate int64, prop sim.Duration) sim.Duration {
-	ct := sim.Duration(int64(atm.CellSize*8) * int64(sim.Second) / rate)
-	return coreFabricDelay + ct + prop
 }
 
 // Capacity is the trunk's per-direction admission budget in bits/s.

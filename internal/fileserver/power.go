@@ -7,6 +7,8 @@ package fileserver
 // server has time to write its volatile-memory buffers to disk and
 // halt."
 
+import "fmt"
+
 // PowerProtection selects the server's guard against losing volatile
 // write-behind buffers when the whole site loses power.
 type PowerProtection int
@@ -46,23 +48,27 @@ type nvramFile struct {
 // PowerFail models a site-wide power failure: the client is gone (its
 // agent copies with it) and the server halts. What survives depends on
 // sv.Power. done fires when the failure is complete — for a UPS server
-// that is after the emergency flush has reached the disks.
-func (sv *Server) PowerFail(done func()) {
+// that is after the emergency flush has reached the disks, with that
+// flush's error: buffered writes it could not log are lost.
+func (sv *Server) PowerFail(done func(error)) {
 	sv.Stats.PowerFailures++
 	switch sv.Power {
 	case UPS:
 		// The UPS window: drain everything and checkpoint, then halt.
-		sv.Flush(func(error) {
+		sv.Flush(func(err error) {
 			sv.Crash()
-			done()
+			if err != nil {
+				err = fmt.Errorf("fileserver: UPS flush before halting: %w", err)
+			}
+			done(err)
 		})
 	case BatteryBacked:
 		sv.nvram = sv.snapshotVolatile()
 		sv.Crash()
-		done()
+		done(nil)
 	default:
 		sv.Crash()
-		done()
+		done(nil)
 	}
 }
 

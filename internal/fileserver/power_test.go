@@ -2,20 +2,23 @@ package fileserver_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fileserver"
+	"repro/internal/lfs"
 	"repro/internal/sim"
 )
 
 // powerFail drives a PowerFail to completion.
 func powerFail(t *testing.T, s *sim.Sim, sv *fileserver.Server) {
 	t.Helper()
+	var err error
 	done := false
-	sv.PowerFail(func() { done = true })
+	sv.PowerFail(func(e error) { err, done = e, true })
 	s.Run()
-	if !done {
-		t.Fatal("PowerFail did not complete")
+	if !done || err != nil {
+		t.Fatalf("PowerFail: done=%v err=%v", done, err)
 	}
 }
 
@@ -146,6 +149,31 @@ func TestPowerFailUPSWithNothingBuffered(t *testing.T) {
 	recoverPower(t, s, sv)
 	if got := srvRead(t, s, sv, "/f", 0, 100); !bytes.Equal(got, pat(3, 100)) {
 		t.Fatal("idle UPS failure damaged a durable file")
+	}
+}
+
+// A UPS server whose log cannot hold its buffered writes (the geometry
+// of TestFlushReportsWhatItCouldNotLog) halts with those writes lost,
+// and its power failure says so instead of reporting a clean halt.
+func TestPowerFailUPSReportsFailedFlush(t *testing.T) {
+	s := sim.New()
+	sv := newServer(s, 6) // four 64 KiB log segments under 1.25 MiB of writes
+	sv.WriteDelay = sim.Second
+	sv.Power = fileserver.UPS
+	if err := sv.Create("/big", false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := sv.Write("/big", int64(i)*32<<10, pat(byte(i), 32<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	done := false
+	sv.PowerFail(func(e error) { err, done = e, true })
+	s.Run()
+	if !done || !errors.Is(err, lfs.ErrNoSpace) {
+		t.Fatalf("PowerFail done=%v err=%v, want ErrNoSpace", done, err)
 	}
 }
 

@@ -147,12 +147,10 @@ type CMService struct {
 	Stats CMStats
 
 	// OnUnderrun, when set, observes every playout tick that found no
-	// buffered data. It runs in the serving node's event context and
-	// must only touch that partition's state.
+	// buffered data.
 	OnUnderrun func(*CMStream)
 	// OnDemote, when set, observes every cache-served stream re-admitted
-	// against the disks (wake evaporated). Same context rule as
-	// OnUnderrun.
+	// against the disks (wake evaporated).
 	OnDemote func(*CMStream)
 }
 

@@ -6,13 +6,13 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/disk"
 	"repro/internal/lfs"
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // twin is one of two stores driven by the same operations: one is handed
@@ -199,13 +199,7 @@ func TestBorrowedCapacityIsNeverAppendedInto(t *testing.T) {
 // segment and one segment of slack — not 8 MiB of segment reads as well.
 func TestRelocationDoesNotPinTheSegmentRead(t *testing.T) {
 	const segSize, files, fileSize, keep = 1 << 20, 8, 800 << 10, 40 << 10
-	heap := func() int64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
-	empty := heap()
+	empty := testutil.HeapAlloc()
 	s := sim.New()
 	fs := lfs.New(s, raid.New(s, disk.DefaultParams(), segSize, 3*files+4), lfs.DefaultConfig(segSize))
 	first, second := pattern(1, fileSize), pattern(2, fileSize-keep)
@@ -224,7 +218,7 @@ func TestRelocationDoesNotPinTheSegmentRead(t *testing.T) {
 	}
 	syncFS(t, s, fs)
 	const limit = files*fileSize + files*segSize/raid.DataDisks + segSize
-	if held := heap() - empty; held > limit {
+	if held := testutil.HeapAlloc() - empty; held > limit {
 		t.Errorf("after cleaning %d segments 5%% live the store holds %d bytes, want <= live + parity + one segment = %d", files, held, limit)
 	}
 	invariants(t, fs, "after cleaning")
@@ -260,7 +254,7 @@ func TestBorrowedPagesAreShared(t *testing.T) {
 	if &tail[0] != &title[90<<10] {
 		t.Fatal("the piece that spilled into the next segment was not borrowed")
 	}
-	stop := hold(t, va, vb, tail, title)
+	stop := testutil.Hold(t, va, vb, tail, title)
 	defer stop()
 
 	addr, _ := fs.AddrOf(a, 0)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 func invariants(t *testing.T, fs *lfs.FS, when string) {
@@ -167,7 +168,7 @@ func TestSealedSegmentIsMovedIn(t *testing.T) {
 	if cap(first) != 8<<10 || !bytes.Equal(first, old[100:100+8<<10]) || !bytes.Equal(second, old[16<<10+10:26<<10+10]) {
 		t.Fatal("read mismatch")
 	}
-	stop := hold(t, first, second)
+	stop := testutil.Hold(t, first, second)
 	defer stop()
 
 	write(t, fs, pn, 0, pattern(2, size))

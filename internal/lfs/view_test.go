@@ -2,40 +2,11 @@ package lfs_test
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
-
-// hold watches read results from another goroutine until the returned
-// stop is called. A read result may be a view of the store, so a write
-// to the memory behind it is a data race (-race reports it), and a
-// changed byte fails the test either way.
-func hold(t *testing.T, views ...[]byte) (stop func()) {
-	want := make([][]byte, len(views))
-	for i, v := range views {
-		want[i] = bytes.Clone(v)
-	}
-	quit, exited := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(exited)
-		for last := false; !last; runtime.Gosched() {
-			select {
-			case <-quit:
-				last = true // one more look after the writer has finished
-			default:
-			}
-			for i, v := range views {
-				if !bytes.Equal(v, want[i]) {
-					t.Errorf("held read result %d changed", i)
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(quit); <-exited }
-}
 
 // A window read off a continuous file is a view of the disk, and stays
 // the bytes it was while the file is overwritten and deleted, its
@@ -55,7 +26,7 @@ func TestReadResultIsASnapshot(t *testing.T) {
 	if !bytes.Equal(window, old[100:100+8<<10]) || !bytes.Equal(whole, old) {
 		t.Fatal("read mismatch")
 	}
-	stop := hold(t, window, whole)
+	stop := testutil.Hold(t, window, whole)
 	defer stop()
 
 	fresh := pattern(2, size)

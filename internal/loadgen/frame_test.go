@@ -12,55 +12,55 @@ import (
 )
 
 // framePath wires one source to one sink by hand — source -> uplink ->
-// switch (VCI rewrite) -> downlink -> demux -> sink — with the source,
-// the uplink and the switch's input port on src's timeline and the
-// downlink and the sink on dst's. latency is what every frame must
-// measure on the otherwise idle path.
-func framePath(src, dst *sim.Sim, frameBytes int, period, prop sim.Duration) (s *source, tl *traffic, latency sim.Duration) {
+// switch (VCI rewrite) -> downlink -> demux -> sink. latency is what
+// every frame must measure on the otherwise idle path.
+func framePath(s *sim.Sim, frameBytes int, period, prop sim.Duration) (src *source, tl *traffic, latency sim.Duration) {
 	const fabricDelay = sim.Microsecond
-	reg := telemetry.NewRegistry(max(src.Partition(), dst.Partition()) + 1)
+	reg := telemetry.NewRegistry()
 	tl = &traffic{
-		sim:             dst,
-		framesDelivered: reg.Counter(dst.Partition(), trafficKey("frames_delivered")),
-		cellsDelivered:  reg.Counter(dst.Partition(), trafficKey("cells_delivered")),
-		latency:         reg.Sample(dst.Partition(), trafficKey("latency_ns")),
-		jitter:          reg.Sample(dst.Partition(), trafficKey("jitter_ns")),
+		framesDelivered: reg.Counter(trafficKey("frames_delivered")),
+		cellsDelivered:  reg.Counter(trafficKey("cells_delivered")),
+		latency:         reg.Sample(trafficKey("latency_ns")),
+		jitter:          reg.Sample(trafficKey("jitter_ns")),
 	}
-	sw := fabric.NewSwitch(src, "sw", 2, fabricDelay)
+	sw := fabric.NewSwitch(s, "sw", 2, fabricDelay)
 	dm := devices.NewDemux()
-	dm.Register(20, &sink{sim: dst, tl: tl, period: period})
-	down := fabric.NewLink(dst, fabric.Rate100M, prop, 0, dm)
+	dm.Register(20, &sink{sim: s, tl: tl, period: period})
+	down := fabric.NewLink(s, fabric.Rate100M, prop, 0, dm)
 	sw.AttachOutput(1, down)
-	up := fabric.NewLink(src, fabric.Rate100M, prop, 0, sw.BindIn(0, src))
+	up := fabric.NewLink(s, fabric.Rate100M, prop, 0, sw.In(0))
 	sw.Route(0, 10, 1, 20)
-	s = &source{
-		sim:     src,
+	src = &source{
+		sim:     s,
 		out:     up,
 		vci:     10,
 		period:  period,
 		payload: make([]byte, frameBytes),
-		sent:    reg.Counter(src.Partition(), trafficKey("frames_sent")),
+		sent:    reg.Counter(trafficKey("frames_sent")),
 	}
 	// Cut-through: the first cell crosses uplink, fabric and downlink;
 	// the other n-1 follow one cell time apart.
 	n := sim.Duration(atm.CellsFor(frameBytes))
 	latency = up.CellTime() + prop + fabricDelay + down.CellTime() + prop + (n-1)*down.CellTime()
-	return s, tl, latency
+	return src, tl, latency
 }
 
 // TestFrameInFlightNeverSeesLaterStamp: with a propagation delay of
 // several frame periods, three or four frames of one source are on the
 // wire at once, all borrowing the same payload bytes. Each must still
 // carry the stamp it was sent with: every latency sample equals the
-// path latency exactly, serial and across two partitions.
+// path latency exactly.
 func TestFrameInFlightNeverSeesLaterStamp(t *testing.T) {
 	const (
 		period = 10 * sim.Millisecond
 		prop   = 17 * sim.Millisecond
 		frames = 200
 	)
-	check := func(t *testing.T, tl *traffic, want sim.Duration) {
-		t.Helper()
+	t.Run("serial", func(t *testing.T) {
+		s := sim.New()
+		src, tl, want := framePath(s, 960, period, prop)
+		src.start(0)
+		s.RunFor(frames * period)
 		if got := tl.framesDelivered.Value(); got < frames-4 {
 			t.Fatalf("%d frames delivered, want at least %d", got, frames-4)
 		}
@@ -71,25 +71,6 @@ func TestFrameInFlightNeverSeesLaterStamp(t *testing.T) {
 		if tl.jitter.Max() != 0 {
 			t.Fatalf("jitter max %v on an idle path", sim.Duration(tl.jitter.Max()))
 		}
-	}
-	t.Run("serial", func(t *testing.T) {
-		s := sim.New()
-		src, tl, want := framePath(s, s, 960, period, prop)
-		src.start(0)
-		s.RunFor(frames * period)
-		check(t, tl, want)
-	})
-	t.Run("partitions=2", func(t *testing.T) {
-		// The lookahead is the switch's cross-partition forwarding
-		// latency: fabric delay + one downlink cell time + propagation.
-		clu := sim.NewCluster(2, sim.Microsecond+4240*sim.Nanosecond+prop)
-		src, tl, want := framePath(clu.Part(0), clu.Part(1), 960, period, prop)
-		src.start(0)
-		clu.RunFor(frames * period)
-		if clu.CrossDelivered() == 0 {
-			t.Fatal("no train crossed partitions")
-		}
-		check(t, tl, want)
 	})
 }
 
@@ -100,7 +81,7 @@ func TestFrameSendAllocatesNothing(t *testing.T) {
 	for _, frameBytes := range []int{960, 4800} {
 		t.Run(fmt.Sprintf("cells=%d", atm.CellsFor(frameBytes)), func(t *testing.T) {
 			s := sim.New()
-			src, tl, want := framePath(s, s, frameBytes, sim.Millisecond, sim.Microsecond)
+			src, tl, want := framePath(s, frameBytes, sim.Millisecond, sim.Microsecond)
 			src.start(0)
 			// Warm-up grows the event arena and the links' flight rings
 			// and opens the samples' first chunk.
@@ -138,7 +119,7 @@ func TestPlayoutNeverWritesTheWake(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the feeder's wake is not resident: %v", title, err)
 		}
-		sc.clock.RunFor(2 * cfg.Round) // cross a round boundary: playout may begin
+		sc.sim.RunFor(2 * cfg.Round) // cross a round boundary: playout may begin
 		for {
 			frame, ok := cm.NextFrame()
 			if !ok {

@@ -12,10 +12,6 @@ package loadgen
 // ladder instead of refusing, and the unicast ablation twin — one
 // circuit and one transmitted copy per viewer — admits strictly fewer
 // viewers at the same budgets.
-//
-// All churn runs in global (barrier) context via the Scheduler facade,
-// so the mode shards: -partitions 1 is bit-identical to serial and
-// -partitions N is deterministic per N.
 
 import (
 	"fmt"
@@ -29,16 +25,15 @@ import (
 	"repro/internal/vodsite"
 )
 
-// liveKey names the live plane's partition-sharded counters.
+// liveKey names the live plane's counters.
 func liveKey(name string) telemetry.Key {
 	return telemetry.Key{Node: "loadgen", Subsystem: "live", Name: name}
 }
 
 // liveSource is one channel's encoder: a CBR frame generator that
 // transmits each frame once onto the shared tree (or once per viewer
-// circuit in the unicast ablation). The vcis and viewers fields are
-// written only in global context by the churn engine; the tick reads
-// them from its partition between barriers.
+// circuit in the unicast ablation). The churn engine keeps the vcis and
+// viewers fields current.
 type liveSource struct {
 	sim     *sim.Sim
 	out     *fabric.Link
@@ -128,15 +123,14 @@ func (sc *Scenario) liveChurn() {
 		if err != nil {
 			panic(fmt.Sprintf("loadgen: channel ch%d refused at open: %v", c, err))
 		}
-		part := cam.Sim.Partition()
 		src := &liveSource{
-			sim:     cam.Sim,
+			sim:     sc.sim,
 			out:     cam.ToSwitch,
 			period:  period,
 			payload: make([]byte, cfg.FrameBytes),
-			sent:    sc.trafficFor(cam.Sim).framesSent,
-			cells:   sc.reg.Counter(part, liveKey("source_cells")),
-			saved:   sc.reg.Counter(part, liveKey("fanout_saved")),
+			sent:    sc.traffic().framesSent,
+			cells:   sc.reg.Counter(liveKey("source_cells")),
+			saved:   sc.reg.Counter(liveKey("fanout_saved")),
 		}
 		if !cfg.Unicast {
 			src.vcis = []atm.VCI{b.VCI()}
@@ -144,7 +138,7 @@ func (sc *Scenario) liveChurn() {
 			// viewer endpoint can carry it, so the sinks register once up
 			// front and branches route cells to them as joins come and go.
 			for _, vp := range viewers {
-				vp.Demux.Register(b.VCI(), &sink{sim: vp.Sim, tl: sc.trafficFor(vp.Sim), period: period})
+				vp.Demux.Register(b.VCI(), &sink{sim: sc.sim, tl: sc.traffic(), period: period})
 			}
 		}
 		sc.channels[c] = &liveChannel{b: b, src: src}
@@ -182,11 +176,11 @@ func (sc *Scenario) startLive() {
 		lc.src.start(sim.Duration(int64(c)*7919) % period)
 	}
 	for _, p := range sc.livePlan {
-		sc.clock.CallAfter(p.at, func() { sc.liveJoin(p) })
+		sc.sim.After(p.at, func() { sc.liveJoin(p) })
 	}
 }
 
-// liveJoin executes one planned join in global context: admit the
+// liveJoin executes one planned join: admit the
 // viewer (the core layer runs the subtree ladder and counts
 // refusals), wire the ablation's per-viewer circuit, and schedule the
 // leave. Refused joins are final — a flash-crowd viewer who cannot get
@@ -199,13 +193,13 @@ func (sc *Scenario) liveJoin(p liveJoinPlan) {
 		return
 	}
 	if sc.cfg.Unicast {
-		ep.Demux.Register(j.VCI(), &sink{sim: ep.Sim, tl: sc.trafficFor(ep.Sim), period: lc.src.period})
+		ep.Demux.Register(j.VCI(), &sink{sim: sc.sim, tl: sc.traffic(), period: lc.src.period})
 		lc.src.vcis = append(lc.src.vcis, j.VCI())
 	} else {
 		lc.src.viewers = lc.b.Viewers()
 	}
 	vci := j.VCI()
-	sc.clock.CallAfter(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
+	sc.sim.After(p.hold, func() { sc.liveLeave(lc, ep, j, vci) })
 }
 
 // liveLeave executes one viewer's departure: the broadcast prunes the

@@ -64,76 +64,33 @@ func TestLiveMulticastBeatsUnicastAblation(t *testing.T) {
 	}
 }
 
-// TestLivePartitionsOneBitIdentical extends the determinism contract
-// to the live plane: -partitions=1 routes every join, leave, degrade
-// and frame train through the Cluster machinery and must reproduce
-// both the serial scoreboard and the serial trace artifact byte for
-// byte.
-func TestLivePartitionsOneBitIdentical(t *testing.T) {
-	run := func(partitions int) (Result, []byte) {
+// TestLiveDeterminism: the live run — joins, leaves, ladder moves and
+// frame trains — is a pure function of its configuration, scoreboard
+// and trace artifact alike.
+func TestLiveDeterminism(t *testing.T) {
+	run := func() (Result, []byte) {
 		cfg := liveCfg()
 		cfg.Trace = true
-		cfg.Partitions = partitions
 		sc := Build(cfg)
 		res := sc.Run()
 		var buf bytes.Buffer
 		if err := sc.WriteTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
+		stripWall(&res)
 		return res, buf.Bytes()
 	}
-	serial, serialTrace := run(0)
-	part1, part1Trace := run(1)
-
+	a, aTrace := run()
+	b, bTrace := run()
 	// The comparison must cover real churn: joins, leaves, at least one
 	// ladder move.
-	if serial.LiveJoins == 0 || serial.LiveLeaves == 0 || serial.SubtreeDegraded == 0 {
-		t.Fatalf("quiet run proves nothing: %+v", serial)
+	if a.LiveJoins == 0 || a.LiveLeaves == 0 || a.SubtreeDegraded == 0 {
+		t.Fatalf("quiet run proves nothing: %+v", a)
 	}
-
-	stripWall(&serial)
-	stripWall(&part1)
-	if !reflect.DeepEqual(serial, part1) {
-		t.Fatalf("-partitions=1 diverged from serial:\nserial: %+v\npart1:  %+v", serial, part1)
-	}
-	if !bytes.Equal(serialTrace, part1Trace) {
-		t.Fatalf("-partitions=1 trace artifact diverged from serial (%d vs %d bytes)",
-			len(serialTrace), len(part1Trace))
-	}
-}
-
-// TestLivePartitionsDeterministic: the sharded live run is a pure
-// function of the seed for a given partition count.
-func TestLivePartitionsDeterministic(t *testing.T) {
-	cfg := liveCfg()
-	cfg.Partitions = 3
-
-	a := Build(cfg).Run()
-	b := Build(cfg).Run()
-	stripWall(&a)
-	stripWall(&b)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two -partitions=3 runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
+		t.Fatalf("two runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
-}
-
-// TestLivePartitionsSmoke is the short-lane sharded live run; under
-// `go test -race -short` it proves the fan-out, churn and coalesced
-// delivery paths are race-free across partition threads.
-func TestLivePartitionsSmoke(t *testing.T) {
-	cfg := liveCfg()
-	cfg.Partitions = 2
-	cfg.StreamsPerWS = 4
-	cfg.Duration = sim.Second
-
-	res := Build(cfg).Run()
-	if res.LiveJoins == 0 {
-		t.Fatal("sharded live run admitted no viewer")
-	}
-	if res.FramesDelivered == 0 {
-		t.Fatal("sharded live run delivered no frames")
-	}
-	if res.Underruns != 0 {
-		t.Fatalf("%d underruns in sharded live run", res.Underruns)
+	if !bytes.Equal(aTrace, bTrace) {
+		t.Fatalf("two runs' trace artifacts diverged (%d vs %d bytes)", len(aTrace), len(bTrace))
 	}
 }

@@ -191,8 +191,7 @@ type Config struct {
 	// times exponential around HoldMean), and VodStreams disk-backed
 	// Guaranteed VoD sessions sharing the viewer links and server disks.
 	// A join the link budget refuses degrades that channel's subtree
-	// down the tier ladder instead of refusing. Shards: Partitions is
-	// allowed, with the usual determinism contract.
+	// down the tier ladder instead of refusing.
 	Live bool
 	// Channels is the number of live channels (default 4). Each gets
 	// its own camera port and one uplink reservation however many
@@ -214,15 +213,6 @@ type Config struct {
 	// way through an Adaptive run (default every 3rd; < 0 disables),
 	// freeing budget the site uses to restore degraded survivors.
 	ReleaseEvery int
-
-	// Partitions shards the event kernel across that many conservative-
-	// lookahead partitions (see core.SiteConfig.Partitions): nodes are
-	// spread round-robin, each partition runs on its own goroutine, and
-	// the run is deterministic for a given (Seed, Partitions) pair — with
-	// Partitions == 1 bit-identical to the serial kernel. Zero keeps the
-	// serial kernel. Requires Cluster mode, where every stream is
-	// unicast and node-owned; the shared-fabric patterns stay serial.
-	Partitions int
 
 	// FastDisks swaps the 1994 drive mechanics for flash-era ones
 	// (~35 µs repositioning, 500 MB/s media rate), lifting per-node
@@ -481,8 +471,6 @@ func stampedTrain(vci atm.VCI, payload []byte, now sim.Time, seq uint32) atm.Tra
 // source is a CBR frame generator on one circuit. With cm set, each
 // frame's payload is pulled from the storage read-ahead buffer instead
 // of synthesized; an underrun skips the frame (counted by the service).
-// A source lives on the partition of the node whose uplink it feeds;
-// migrate moves it when failover rewires the stream to another node.
 type source struct {
 	sim     *sim.Sim
 	out     *fabric.Link
@@ -495,7 +483,7 @@ type source struct {
 	chained bool
 	ev      *sim.Event         // pending tick (nil between ticks)
 	tickF   func()             // s.tick, bound once: a method value allocates per use
-	sent    *telemetry.Counter // partition-owned frames-sent counter
+	sent    *telemetry.Counter // frames-sent counter
 }
 
 func (s *source) start(phase sim.Duration) {
@@ -509,18 +497,15 @@ func (s *source) start(phase sim.Duration) {
 
 func (s *source) stop() { s.running = false }
 
-// migrate rebinds the source to another partition's timeline (the node
-// a failover re-admitted the stream on). Global context only: the
-// pending tick on the old partition is cancelled, so no event chain
-// survives on a timeline the source no longer belongs to.
-func (s *source) migrate(to *sim.Sim, sent *telemetry.Counter) {
+// unchain cancels the pending tick, so the next start chains afresh at
+// the stream's phase — what every (re)wiring of the stream does, the
+// first one included.
+func (s *source) unchain() {
 	if s.ev != nil {
 		s.sim.Cancel(s.ev)
 		s.ev = nil
 		s.chained = false
 	}
-	s.sim = to
-	s.sent = sent
 }
 
 func (s *source) tick() {
@@ -547,8 +532,7 @@ func (s *source) tick() {
 // sink measures one stream leg at its receiving endpoint. It is
 // burst-aware (one callback per frame on the fast path) and falls back
 // to per-cell reassembly bookkeeping in cell-accurate mode; both paths
-// observe identical frame-completion times. A sink runs on its viewer's
-// partition and counts into that partition's registry shard.
+// observe identical frame-completion times.
 type sink struct {
 	sim    *sim.Sim
 	tl     *traffic
@@ -607,13 +591,12 @@ type Scenario struct {
 	mode *mode
 
 	// site is the single site — in a metro, the viewers' home site.
-	// clock, reg, clu and tracer are the run loop, metrics registry,
-	// partition cluster (nil when serial) and session tracer (nil unless
-	// Config.Trace) of whichever topology owns them.
+	// sim, reg and tracer are the event kernel, metrics registry and
+	// session tracer (nil unless Config.Trace) of whichever topology
+	// owns them.
 	site   *core.Site
-	clock  sim.Scheduler
+	sim    *sim.Sim
 	reg    *telemetry.Registry
-	clu    *sim.Cluster
 	tracer *telemetry.Tracer
 
 	// Servers are the storage nodes (nil for mesh); viewers the
@@ -641,20 +624,17 @@ type Scenario struct {
 	livePlan []liveJoinPlan
 
 	admitted, rejected, tornDown int
-	traffics                     []*traffic
+	tl                           *traffic
 	sampler                      *telemetry.Sampler
 	runStart                     sim.Time
 	firedStart                   int64
 	ticksStart                   int64
 }
 
-// traffic is one partition's share of the frame scoreboard, now a view
-// over the site's metrics registry: the handles resolve to the shard of
-// the partition the sources and sinks run on, so hot-path counting
-// stays single-writer and collect reads the merged totals after the
-// run.
+// traffic is the frame scoreboard's hot-path handles into the metrics
+// registry; collect reads the totals back out of the registry after
+// the run.
 type traffic struct {
-	sim             *sim.Sim
 	framesSent      *telemetry.Counter
 	framesDelivered *telemetry.Counter
 	cellsDelivered  *telemetry.Counter
@@ -665,30 +645,22 @@ func trafficKey(name string) telemetry.Key {
 	return telemetry.Key{Node: "loadgen", Subsystem: "traffic", Name: name}
 }
 
-// trafficFor returns (creating on first use) the registry handles for a
-// partition's timeline. Global context only; the handful of partitions
-// makes the linear scan irrelevant.
-func (sc *Scenario) trafficFor(s *sim.Sim) *traffic {
-	for _, t := range sc.traffics {
-		if t.sim == s {
-			return t
+// traffic returns (resolving on first use) the registry handles.
+func (sc *Scenario) traffic() *traffic {
+	if sc.tl == nil {
+		sc.tl = &traffic{
+			framesSent:      sc.reg.Counter(trafficKey("frames_sent")),
+			framesDelivered: sc.reg.Counter(trafficKey("frames_delivered")),
+			cellsDelivered:  sc.reg.Counter(trafficKey("cells_delivered")),
+			latency:         sc.reg.Sample(trafficKey("latency_ns")),
+			jitter:          sc.reg.Sample(trafficKey("jitter_ns")),
 		}
 	}
-	p := s.Partition()
-	t := &traffic{
-		sim:             s,
-		framesSent:      sc.reg.Counter(p, trafficKey("frames_sent")),
-		framesDelivered: sc.reg.Counter(p, trafficKey("frames_delivered")),
-		cellsDelivered:  sc.reg.Counter(p, trafficKey("cells_delivered")),
-		latency:         sc.reg.Sample(p, trafficKey("latency_ns")),
-		jitter:          sc.reg.Sample(p, trafficKey("jitter_ns")),
-	}
-	sc.traffics = append(sc.traffics, t)
-	return t
+	return sc.tl
 }
 
-// framesDeliveredTotal sums delivered frames across partitions (for
-// tests probing mid-run progress). Quiescent context only.
+// framesDeliveredTotal reads delivered frames (for tests probing
+// mid-run progress).
 func (sc *Scenario) framesDeliveredTotal() int64 {
 	return sc.reg.CounterValue(trafficKey("frames_delivered"))
 }
@@ -751,44 +723,35 @@ func (sc *Scenario) Run() Result {
 			r.src.start(r.phase)
 		}
 	}
-	// Churn, release and failure are control-plane verbs that touch many
-	// partitions' state: they run in global (barrier) context.
+	// Churn, release and failure: the run-time verbs.
 	for _, verb := range sc.atRun {
 		verb()
 	}
-	// The sampler attaches to lookahead barriers when the kernel is
-	// actually parallel (zero events, zero perturbation); serial and
-	// single-partition runs chain a self-rescheduling tick instead,
-	// whose firings collect subtracts back out of EventsFired.
+	// The sampler chains a self-rescheduling tick, whose firings collect
+	// subtracts back out of EventsFired.
 	if sc.cfg.MetricsEvery > 0 && sc.sampler == nil {
 		sc.sampler = telemetry.NewSampler(sc.reg, sc.cfg.MetricsEvery)
-		if sc.clu != nil && sc.clu.Parts() > 1 {
-			sc.sampler.AttachBarrier(sc.clu)
-		} else {
-			sc.sampler.Chain(sc.clock)
-		}
+		sc.sampler.Chain(sc.sim)
 	}
-	sc.runStart = sc.clock.Now()
-	sc.firedStart = sc.clock.Fired()
+	sc.runStart = sc.sim.Now()
+	sc.firedStart = sc.sim.Fired()
 	if sc.sampler != nil {
 		sc.ticksStart = sc.sampler.Ticks()
 	}
 	wall := time.Now()
-	sc.clock.RunFor(sc.cfg.Duration)
+	sc.sim.RunFor(sc.cfg.Duration)
 	if sc.sampler != nil {
-		sc.sampler.Final(sc.clock.Now())
+		sc.sampler.Final(sc.sim.Now())
 	}
 	return sc.collect(time.Since(wall))
 }
 
 func (sc *Scenario) collect(wall time.Duration) Result {
-	// The scoreboard is a view over the registry: merge the per-shard
-	// counters and samples. Quantiles sort the merged sample, so the
-	// result is independent of merge order. A chained sampler's own
+	// The scoreboard is a view over the registry. A chained sampler's own
 	// tick events are subtracted back out of the events-fired score so
 	// telemetry on vs off yields byte-identical scoreboards.
-	latency := sc.reg.MergedSample(trafficKey("latency_ns"))
-	jitter := sc.reg.MergedSample(trafficKey("jitter_ns"))
+	latency := sc.reg.Sample(trafficKey("latency_ns"))
+	jitter := sc.reg.Sample(trafficKey("jitter_ns"))
 	var ticks int64
 	if sc.sampler != nil {
 		ticks = sc.sampler.Ticks() - sc.ticksStart
@@ -801,8 +764,8 @@ func (sc *Scenario) collect(wall time.Duration) Result {
 		FramesSent:      sc.reg.CounterValue(trafficKey("frames_sent")),
 		FramesDelivered: sc.reg.CounterValue(trafficKey("frames_delivered")),
 		CellsDelivered:  sc.reg.CounterValue(trafficKey("cells_delivered")),
-		EventsFired:     sc.clock.Fired() - sc.firedStart - ticks,
-		SimSeconds:      (sc.clock.Now() - sc.runStart).Seconds(),
+		EventsFired:     sc.sim.Fired() - sc.firedStart - ticks,
+		SimSeconds:      (sc.sim.Now() - sc.runStart).Seconds(),
 		WallSeconds:     wall.Seconds(),
 		LatencyP50:      latency.Quantile(0.5),
 		LatencyP99:      latency.Quantile(0.99),

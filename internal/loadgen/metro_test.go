@@ -158,60 +158,15 @@ func TestMetroSpillTraceHasTrunkLeg(t *testing.T) {
 	}
 }
 
-// TestMetroPartitionsOneBitIdentical extends the determinism contract
-// across the federation: -partitions=1 routes every event — spill
-// admission, trunk crossings, anti-entropy, cross-site copies —
-// through the Cluster machinery and must reproduce the serial
-// scoreboard bit for bit.
-func TestMetroPartitionsOneBitIdentical(t *testing.T) {
-	serial := Build(metroCfg()).Run()
-
-	cfg := metroCfg()
-	cfg.Partitions = 1
-	part1 := Build(cfg).Run()
-
-	stripWall(&serial)
-	stripWall(&part1)
-	if !reflect.DeepEqual(serial, part1) {
-		t.Fatalf("-partitions=1 diverged from serial:\nserial: %+v\npart1:  %+v", serial, part1)
-	}
-}
-
-// TestMetroPartitionsDeterministic: one partition group per site, and
-// the sharded federation is a pure function of the seed.
-func TestMetroPartitionsDeterministic(t *testing.T) {
-	cfg := metroCfg()
-	cfg.Partitions = 3
-
-	a := Build(cfg).Run()
-	b := Build(cfg).Run()
+// TestMetroDeterminism: spill admission, trunk crossings, anti-entropy
+// and cross-site copies make the federation's run a pure function of
+// its configuration.
+func TestMetroDeterminism(t *testing.T) {
+	a := Build(metroCfg()).Run()
+	b := Build(metroCfg()).Run()
 	stripWall(&a)
 	stripWall(&b)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two -partitions=3 runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
-	}
-}
-
-// TestMetroPartitionsSmoke is the short-lane sharded federation run
-// with a mid-run site kill; under `go test -race -short` it proves the
-// cross-site spill path, trunk crossings and FailSite re-admission are
-// race-free.
-func TestMetroPartitionsSmoke(t *testing.T) {
-	cfg := metroCfg()
-	cfg.Partitions = 2
-	cfg.Workstations = 8
-	cfg.Duration = 4 * sim.Second
-	cfg.FailSiteAt = 2 * sim.Second
-	cfg.FailSite = 1
-
-	res := Build(cfg).Run()
-	if res.Admitted == 0 {
-		t.Fatal("sharded federation admitted nothing")
-	}
-	if res.Spilled == 0 {
-		t.Fatal("sharded federation never spilled")
-	}
-	if res.FramesDelivered == 0 {
-		t.Fatal("sharded federation delivered no frames")
+		t.Fatalf("two runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
 }

@@ -3,8 +3,7 @@ package loadgen
 // The mode table: one row per scenario pegload can run. A Config names
 // its modes with booleans (or, with none set, its Pattern); the table
 // says which combinations exist, what each defaults, whether its titles
-// live on disks, whether its kernel may shard, and which topology and
-// workload pieces build it. Validate, Build, the scoreboard and pegload
+// live on disks, and which topology and workload pieces build it. Validate, Build, the scoreboard and pegload
 // all read this one table.
 
 import (
@@ -30,10 +29,8 @@ type mode struct {
 	derive   func(c *Config)
 
 	// storage reports whether titles are real files served off the
-	// disk arrays (nil: never); shards whether the control plane runs in
-	// global context, so the kernel may be partitioned.
+	// disk arrays (nil: never).
 	storage func(c *Config) bool
-	shards  bool
 
 	// Stored-title geometry: the log segment size, and the segments a
 	// server's log gets beyond its titles'.
@@ -53,7 +50,7 @@ var modes = []mode{
 	{
 		// Switch-level multicast channels under viewer churn, sharing
 		// links and disks with background VoD (live.go).
-		name: "live", on: func(c *Config) bool { return c.Live }, shards: true,
+		name: "live", on: func(c *Config) bool { return c.Live },
 		defaults: Config{
 			Channels: 4, Workstations: 12, StreamsPerWS: 4, Servers: 1,
 			Round: 500 * sim.Millisecond, TitleRounds: 2, ZipfS: 1.3, Seed: 1,
@@ -69,7 +66,7 @@ var modes = []mode{
 	{
 		// Federated sites, every viewer homed on site 0: requests the
 		// home site cannot carry spill across the trunks.
-		name: "metro", on: func(c *Config) bool { return c.Metro }, shards: true,
+		name: "metro", on: func(c *Config) bool { return c.Metro },
 		with: []string{"from-storage"},
 		defaults: Config{
 			Sites: 3, Servers: 2, SiteReplicas: 2,
@@ -85,7 +82,7 @@ var modes = []mode{
 	{
 		// One site of replica-selecting nodes under the vodsite
 		// controller, Zipf requests, reactive replication.
-		name: "cluster", on: func(c *Config) bool { return c.Cluster }, shards: true,
+		name: "cluster", on: func(c *Config) bool { return c.Cluster },
 		with:     []string{"from-storage"},
 		defaults: Config{Servers: 4, Round: sim.Second, TitleRounds: 4, ZipfS: 1.3, Seed: 1},
 		derive:   func(c *Config) { setDefault(&c.Titles, 2*c.Servers) },
@@ -193,10 +190,6 @@ func (c *Config) resolve() (*mode, error) {
 		return nil, fmt.Errorf("loadgen: unknown pattern %v", c.Pattern)
 	case c.Unicast && !c.Live:
 		return nil, fmt.Errorf("loadgen: Unicast is the live ablation; it cannot run in %s mode", m.name)
-	case c.Partitions != 0 && !m.shards:
-		// Only the modes whose control-plane verbs run in global context
-		// shard; the others share state across the whole site.
-		return nil, fmt.Errorf("loadgen: %s mode cannot shard the kernel (Partitions requires cluster, metro or live)", m.name)
 	}
 	if !c.plain() && !c.Live {
 		c.Pattern = VoD // every disk-backed mode is a VoD site
@@ -219,9 +212,8 @@ func (c *Config) resolve() (*mode, error) {
 }
 
 // Validate reports whether some mode accepts c: the mode booleans name a
-// combination the table has a row for, Unicast only rides Live, and
-// Partitions only a mode that shards. It is the one validator — pegload
-// prints its error, Build panics with it.
+// combination the table has a row for, and Unicast only rides Live. It
+// is the one validator — pegload prints its error, Build panics with it.
 func (c Config) Validate() error {
 	_, err := c.resolve()
 	return err

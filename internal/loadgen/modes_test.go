@@ -36,9 +36,9 @@ func buildPanic(cfg Config) (msg string) {
 	return ""
 }
 
-// TestValidateAndBuildAgree walks every pair of modes, alone and with
-// the kernel sharded: Build panics exactly where Validate errs, with
-// Validate's text, and a Config Validate accepts builds and runs.
+// TestValidateAndBuildAgree walks every pair of modes: Build panics
+// exactly where Validate errs, with Validate's text, and a Config
+// Validate accepts builds and runs.
 func TestValidateAndBuildAgree(t *testing.T) {
 	// The pairs of distinct mode booleans the table has a row for.
 	combine := map[string]bool{
@@ -48,23 +48,21 @@ func TestValidateAndBuildAgree(t *testing.T) {
 	}
 	for i, a := range modeSetters {
 		for _, b := range modeSetters[i:] {
-			for _, parts := range []int{0, 2} {
-				cfg := Config{Workstations: 2, StreamsPerWS: 1, Duration: 50 * sim.Millisecond, Partitions: parts}
-				a.set(&cfg)
-				b.set(&cfg)
-				name := fmt.Sprintf("%s+%s/partitions=%d", a.name, b.name, parts)
-				want := ""
-				if err := cfg.Validate(); err != nil {
-					want = err.Error()
-				}
-				if got := buildPanic(cfg); got != want {
-					t.Errorf("%s: Validate says %q, Build panics with %q", name, want, got)
-				}
-				// A pattern never conflicts (the booleans win over it); two
-				// distinct booleans combine only where the table says so.
-				if i >= 2 && a.name != b.name && parts == 0 && (want == "") != combine[a.name+"+"+b.name] {
-					t.Errorf("%s: Validate says %q", name, want)
-				}
+			cfg := Config{Workstations: 2, StreamsPerWS: 1, Duration: 50 * sim.Millisecond}
+			a.set(&cfg)
+			b.set(&cfg)
+			name := a.name + "+" + b.name
+			want := ""
+			if err := cfg.Validate(); err != nil {
+				want = err.Error()
+			}
+			if got := buildPanic(cfg); got != want {
+				t.Errorf("%s: Validate says %q, Build panics with %q", name, want, got)
+			}
+			// A pattern never conflicts (the booleans win over it); two
+			// distinct booleans combine only where the table says so.
+			if i >= 2 && a.name != b.name && (want == "") != combine[name] {
+				t.Errorf("%s: Validate says %q", name, want)
 			}
 		}
 	}
@@ -80,15 +78,14 @@ func TestValidateRejections(t *testing.T) {
 		{"live+from-storage", Config{Live: true, FromStorage: true}},
 		{"unicast without live", Config{Unicast: true}},
 		{"cluster+cpu-bound", Config{Cluster: true, CPUBound: true}},
-		{"partitions on mesh", Config{Partitions: 2}},
 		{"unknown pattern", Config{Pattern: 7}},
 	} {
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if err := (Config{Live: true, Unicast: true, Partitions: 2}).Validate(); err != nil {
-		t.Errorf("sharded unicast live twin rejected: %v", err)
+	if err := (Config{Live: true, Unicast: true}).Validate(); err != nil {
+		t.Errorf("unicast live twin rejected: %v", err)
 	}
 }
 

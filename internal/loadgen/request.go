@@ -257,9 +257,8 @@ func (sc *Scenario) newRequest(from *core.Endpoint, server *core.StorageServer, 
 		title:   title,
 		viewers: viewers,
 		phase:   sim.Duration(int64(idx)*7919) % period,
-		// The source's partition is unknown until admission picks a
-		// serving endpoint; wire migrates it there.
-		src: &source{period: period, payload: make([]byte, sc.cfg.FrameBytes)},
+		src: &source{sim: sc.sim, sent: sc.traffic().framesSent, period: period,
+			payload: make([]byte, sc.cfg.FrameBytes)},
 	}
 	sc.requests = append(sc.requests, r)
 	if sc.admit(r) != nil {
@@ -293,19 +292,17 @@ func (sc *Scenario) admit(r *request) error {
 	return nil
 }
 
-// wire points the request's source at the serving endpoint's uplink —
-// migrating it onto that endpoint's partition — and registers a fresh
-// sink per viewer under the viewer-side circuit (the home-leg VCI of a
-// spilled metro session). Playout of a stored title starts when the
-// node's first read-ahead window is buffered.
+// wire points the request's source at the serving endpoint's uplink and
+// registers a fresh sink per viewer under the viewer-side circuit (the
+// home-leg VCI of a spilled metro session). Playout of a stored title
+// starts when the node's first read-ahead window is buffered.
 func (sc *Scenario) wire(r *request) {
-	from := r.h.From()
-	r.src.migrate(from.Sim, sc.trafficFor(from.Sim).framesSent)
-	r.src.out = from.ToSwitch
+	r.src.unchain()
+	r.src.out = r.h.From().ToSwitch
 	r.src.vci = r.h.SourceVCI()
 	r.vci = r.h.ViewerVCI()
 	for _, v := range r.viewers {
-		v.Demux.Register(r.vci, &sink{sim: v.Sim, tl: sc.trafficFor(v.Sim), period: r.src.period})
+		v.Demux.Register(r.vci, &sink{sim: sc.sim, tl: sc.traffic(), period: r.src.period})
 	}
 	sc.admitted += len(r.viewers)
 	if cm := r.h.CM(); cm != nil {
@@ -345,11 +342,10 @@ func (sc *Scenario) retryPending(probeFirst bool) {
 // retryCacheTick retries pending requests every round once the RAM
 // tier could be serving them: a request refused at build time (no disk
 // room) becomes admittable the moment a leader's wake for its title is
-// resident on some replica. Runs in global (barrier) context, like
-// every other control-plane verb.
+// resident on some replica.
 func (sc *Scenario) retryCacheTick() {
 	sc.retryPending(true)
-	sc.clock.CallAfter(sc.cfg.Round, sc.retryCacheTick)
+	sc.sim.After(sc.cfg.Round, sc.retryCacheTick)
 }
 
 // rewire moves a failover-recovered request onto its new node: fresh

@@ -9,13 +9,12 @@ import (
 
 // TestRequestLifecycle drives the one admit → wire → rewire → drop
 // implementation through all three admitters — a direct request stopped
-// and restarted, a cluster losing a node, a metro losing a site (the
-// last two on a sharded kernel, so "the serving node's partition" means
-// something) — and checks what must hold afterwards whoever admitted:
-// an up request holds exactly one demux registration per viewer and its
-// source sits on the serving endpoint's partition and uplink, a dropped
-// one holds none and its source never ticks again, and the admitted
-// score counts each re-admission exactly once.
+// and restarted, a cluster losing a node, a metro losing a site — and
+// checks what must hold afterwards whoever admitted: an up request
+// holds exactly one demux registration per viewer and its source sits
+// on the serving endpoint's uplink, a dropped one holds none and its
+// source never ticks again, and the admitted score counts each
+// re-admission exactly once.
 func TestRequestLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -40,7 +39,7 @@ func TestRequestLifecycle(t *testing.T) {
 		{
 			name: "cluster",
 			cfg: Config{
-				Cluster: true, Partitions: 2, Workstations: 12, StreamsPerWS: 2, Servers: 4, Titles: 8,
+				Cluster: true, Workstations: 12, StreamsPerWS: 2, Servers: 4, Titles: 8,
 				ZipfS: 1.1, BaseReplicas: 2, FrameBytes: 4800, Round: 500 * sim.Millisecond, TitleRounds: 2,
 			},
 			fail: func(sc *Scenario) (int, int) {
@@ -50,11 +49,7 @@ func TestRequestLifecycle(t *testing.T) {
 		},
 		{
 			name: "metro",
-			cfg: func() Config {
-				cfg := metroCfg()
-				cfg.Partitions = 2
-				return cfg
-			}(),
+			cfg:  metroCfg(),
 			fail: func(sc *Scenario) (int, int) {
 				rep := sc.metroCtl.FailSite(1)
 				return rep.Recovered, rep.Dropped
@@ -63,7 +58,7 @@ func TestRequestLifecycle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := Build(tc.cfg)
-			sc.clock.RunFor(2 * sc.cfg.Round) // every admitted stream is playing
+			sc.sim.RunFor(2 * sc.cfg.Round) // every admitted stream is playing
 			audit := func(when string) (up int) {
 				regs := map[*core.Endpoint]int{}
 				for i, r := range sc.requests {
@@ -75,7 +70,7 @@ func TestRequestLifecycle(t *testing.T) {
 					}
 					up++
 					regs[r.viewers[0]]++
-					if from := r.h.From(); r.src.sim != from.Sim || r.src.out != from.ToSwitch {
+					if from := r.h.From(); r.src.out != from.ToSwitch {
 						t.Errorf("%s: request %d's source is not on its serving node (port %d)", when, i, from.Port)
 					}
 					if !r.src.running || r.vci != r.h.ViewerVCI() {
@@ -105,7 +100,7 @@ func TestRequestLifecycle(t *testing.T) {
 			// A stale tick of a stopped source may still be queued; it must
 			// be the last.
 			sent := sc.reg.CounterValue(trafficKey("frames_sent"))
-			sc.clock.RunFor(2 * sc.cfg.Round)
+			sc.sim.RunFor(2 * sc.cfg.Round)
 			if up := audit("after"); up != upBefore-dropped {
 				t.Errorf("%d requests up after the failure, want %d - %d dropped", up, upBefore, dropped)
 			}

@@ -23,40 +23,42 @@ func telemetryCfg() Config {
 	return cfg
 }
 
+// stripWall removes wall-clock measurements and the Config echo (which
+// legitimately differs in the telemetry switches) so two Results can be
+// compared for virtual-time bit-identity.
+func stripWall(r *Result) {
+	r.Config = Config{}
+	r.WallSeconds = 0
+	r.EventsPerSec = 0
+	r.CellsPerSec = 0
+}
+
 // TestTelemetryNeverPerturbs is the observability plane's core
 // property: a run with tracing and metrics sampling enabled must
 // produce the same scoreboard — frame counts, latency percentiles,
-// events fired — as the identical run with telemetry off, serially and
-// at -partitions 1 (where the sampler chains real clock events that
-// collect subtracts back out) and at -partitions 4 (where it rides
-// lookahead barriers and injects nothing).
+// events fired — as the identical run with telemetry off. The sampler
+// chains real clock events; collect subtracts them back out.
 func TestTelemetryNeverPerturbs(t *testing.T) {
-	for _, parts := range []int{0, 1, 4} {
-		cfg := telemetryCfg()
-		cfg.Partitions = parts
-		off := Build(cfg).Run()
+	cfg := telemetryCfg()
+	off := Build(cfg).Run()
 
-		cfg.Trace = true
-		cfg.MetricsEvery = 250 * sim.Millisecond
-		on := Build(cfg).Run()
+	cfg.Trace = true
+	cfg.MetricsEvery = 250 * sim.Millisecond
+	on := Build(cfg).Run()
 
-		stripWall(&off)
-		stripWall(&on)
-		if !reflect.DeepEqual(off, on) {
-			t.Fatalf("partitions=%d: telemetry changed the scoreboard:\noff: %+v\non:  %+v",
-				parts, off, on)
-		}
+	stripWall(&off)
+	stripWall(&on)
+	if !reflect.DeepEqual(off, on) {
+		t.Fatalf("telemetry changed the scoreboard:\noff: %+v\non:  %+v", off, on)
 	}
 }
 
 // TestTelemetryDeterministic pins the telemetry byte streams
-// themselves: serial and -partitions 1 emit bit-identical metrics and
-// traces, and a fixed -partitions 4 run is a pure function of its
+// themselves: the metrics and the trace are a pure function of the
 // configuration.
 func TestTelemetryDeterministic(t *testing.T) {
-	emit := func(parts int) (metrics, trace []byte) {
+	emit := func() (metrics, trace []byte) {
 		cfg := telemetryCfg()
-		cfg.Partitions = parts
 		cfg.Trace = true
 		cfg.MetricsEvery = 250 * sim.Millisecond
 		sc := Build(cfg)
@@ -71,22 +73,13 @@ func TestTelemetryDeterministic(t *testing.T) {
 		return m.Bytes(), tr.Bytes()
 	}
 
-	m0, t0 := emit(0)
-	m1, t1 := emit(1)
-	if !bytes.Equal(m0, m1) {
-		t.Error("-partitions 1 metrics diverged from serial")
+	ma, ta := emit()
+	mb, tb := emit()
+	if !bytes.Equal(ma, mb) {
+		t.Error("two runs emitted different metrics")
 	}
-	if !bytes.Equal(t0, t1) {
-		t.Error("-partitions 1 trace diverged from serial")
-	}
-
-	m4a, t4a := emit(4)
-	m4b, t4b := emit(4)
-	if !bytes.Equal(m4a, m4b) {
-		t.Error("two -partitions 4 runs emitted different metrics")
-	}
-	if !bytes.Equal(t4a, t4b) {
-		t.Error("two -partitions 4 runs emitted different traces")
+	if !bytes.Equal(ta, tb) {
+		t.Error("two runs emitted different traces")
 	}
 }
 

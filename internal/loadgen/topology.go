@@ -41,13 +41,12 @@ func fastDiskParams() disk.Params {
 }
 
 // siteConfig is the one place a Config becomes a site: link rate, cell
-// model, port budget, kernel sharding and disk mechanics.
+// model, port budget and disk mechanics.
 func (c *Config) siteConfig(ports int) core.SiteConfig {
 	s := core.DefaultSiteConfig()
 	s.LinkRate = c.LinkRate
 	s.CellAccurate = c.CellAccurate
 	s.Ports = ports
-	s.Partitions = c.Partitions
 	if c.FastDisks {
 		p := fastDiskParams()
 		s.DiskParams = &p
@@ -68,13 +67,13 @@ func (c *Config) vodConfig() vodsite.Config {
 	}
 }
 
-// newSite builds the scenario's single site and adopts its run loop,
-// registry and cluster, switching session tracing on before any
-// admission so build-time refusals land in the trace. Requests are
+// newSite builds the scenario's single site and adopts its kernel and
+// registry, switching session tracing on before any admission so
+// build-time refusals land in the trace. Requests are
 // admitted directly unless the topology installs a controller.
 func (sc *Scenario) newSite(ports int) {
 	site := core.NewSite(sc.cfg.siteConfig(ports))
-	sc.site, sc.clock, sc.reg, sc.clu = site, site.Clock, site.Metrics, site.Cluster()
+	sc.site, sc.sim, sc.reg = site, site.Sim, site.Metrics
 	sc.adm = direct{sc}
 	if sc.cfg.Trace {
 		sc.tracer = site.EnableTrace()
@@ -164,7 +163,7 @@ func (sc *Scenario) serveTitles(perServer int) {
 	}
 	// Drain the preload I/O; nothing periodic is running yet, so the
 	// event queue empties. The CM schedulers start only after this.
-	sc.clock.Run()
+	sc.sim.Run()
 	for _, ss := range sc.Servers {
 		ss.EnableCM(sc.cfg.cmConfig())
 	}
@@ -182,12 +181,11 @@ func (sc *Scenario) placeCatalog(p placer) {
 	if err := p.Place(); err != nil {
 		panic(fmt.Sprintf("loadgen: %s placement: %v", sc.mode.name, err))
 	}
-	sc.clock.Run() // drain placement I/O; CM starts after
+	sc.sim.Run() // drain placement I/O; CM starts after
 	p.Start(sc.cfg.cmConfig())
 }
 
 // atFailure schedules a fail-stop that far into the run (0: never).
-// Failure is a control-plane verb: it runs in global context.
 func (sc *Scenario) atFailure(at sim.Duration, idx, of int, fail func(idx int)) {
 	if at <= 0 {
 		return
@@ -195,7 +193,7 @@ func (sc *Scenario) atFailure(at sim.Duration, idx, of int, fail func(idx int)) 
 	if idx %= of; idx < 0 { // Go's % preserves sign
 		idx += of
 	}
-	sc.atRun = append(sc.atRun, func() { sc.clock.CallAfter(at, func() { fail(idx) }) })
+	sc.atRun = append(sc.atRun, func() { sc.sim.After(at, func() { fail(idx) }) })
 }
 
 // meshSite is the videophone site: every workstation is a camera port
@@ -252,7 +250,7 @@ func (sc *Scenario) clusterSite() {
 		// leaders are streaming, refused requests become cache-servable:
 		// retry them every round, offset half a round past the boundary
 		// so the leaders' windows land first.
-		sc.atRun = append(sc.atRun, func() { sc.clock.CallAfter(cfg.Round+cfg.Round/2, sc.retryCacheTick) })
+		sc.atRun = append(sc.atRun, func() { sc.sim.After(cfg.Round+cfg.Round/2, sc.retryCacheTick) })
 	}
 	nodes := sc.ctrl.Nodes()
 	sc.atFailure(cfg.FailNodeAt, cfg.FailNode, len(nodes), func(i int) { sc.ctrl.FailNode(nodes[i]) })
@@ -267,8 +265,7 @@ func (sc *Scenario) clusterSite() {
 func (sc *Scenario) metroSites() {
 	cfg := &sc.cfg
 	mctl := metro.New(metro.Config{
-		Sites:      cfg.Sites,
-		Partitions: cfg.Partitions,
+		Sites: cfg.Sites,
 		// Site 0 carries every viewer on top of its serving nodes; the
 		// geometry is uniform, so every site gets the same port budget
 		// (the metro adds the trunk port itself).
@@ -277,7 +274,7 @@ func (sc *Scenario) metroSites() {
 		NoSpill:        cfg.NoSpill,
 		SpillThreshold: cfg.SpillThreshold,
 	})
-	sc.metroCtl, sc.clock, sc.reg, sc.clu = mctl, mctl.Clock(), mctl.Metrics(), mctl.Cluster()
+	sc.metroCtl, sc.sim, sc.reg = mctl, mctl.Clock(), mctl.Metrics()
 	if cfg.Trace {
 		sc.tracer = mctl.EnableTrace()
 	}

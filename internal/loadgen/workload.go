@@ -76,7 +76,7 @@ func (sc *Scenario) unicastRequests() {
 		}
 	}
 	if cfg.ReleaseEvery > 0 {
-		sc.atRun = append(sc.atRun, func() { sc.clock.CallAfter(cfg.Duration/2, sc.releaseSome) })
+		sc.atRun = append(sc.atRun, func() { sc.sim.After(cfg.Duration/2, sc.releaseSome) })
 	}
 }
 

@@ -27,6 +27,7 @@ package metro
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -70,7 +71,9 @@ func (m *Controller) OpenBroadcast(home int, spec core.BroadcastSpec) (*LiveChan
 	if err != nil {
 		return nil, err
 	}
-	return &LiveChannel{m: m, home: home, spec: spec, trees: map[int]*core.Broadcast{home: b}}, nil
+	ch := &LiveChannel{m: m, home: home, spec: spec, trees: map[int]*core.Broadcast{home: b}}
+	m.channels = append(m.channels, ch)
+	return ch, nil
 }
 
 // Home reports the channel's home site.
@@ -181,18 +184,21 @@ func (ch *LiveChannel) pruneSite(site int) error {
 }
 
 // Leave removes the viewer; a site whose last viewer leaves is
-// unsubscribed (trunk budgets released, core leaf pruned). Idempotent.
+// unsubscribed (trunk budgets released, core leaf pruned). Idempotent,
+// and a no-op once the channel is closed or FailSite pruned the
+// viewer's site.
 func (lj *LiveJoin) Leave() error {
 	if lj.done {
 		return nil
 	}
 	lj.done = true
 	ch := lj.ch
-	if ch.closed {
+	t := ch.trees[lj.site]
+	if ch.closed || t == nil {
 		return nil
 	}
 	err := lj.j.Leave()
-	if ch.trees[lj.site].Viewers() == 0 {
+	if t.Viewers() == 0 {
 		_ = ch.pruneSite(lj.site)
 	}
 	return err
@@ -215,6 +221,7 @@ func (ch *LiveChannel) Close() error {
 		err = cerr
 	}
 	ch.closed = true
+	ch.m.channels = slices.DeleteFunc(ch.m.channels, func(c *LiveChannel) bool { return c == ch })
 	return err
 }
 
@@ -229,8 +236,8 @@ func (ch *LiveChannel) traceTrunkRefusal(site int, err error) {
 	if h := ch.m.members[site].Trunk.Headroom(); h < th {
 		th = h
 	}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:     ch.m.clock.Now(),
+	tr.Record(telemetry.Event{
+		T:     ch.m.sim.Now(),
 		Event: "join-refused",
 		Node:  ch.spec.Title,
 		Leg:   core.LegTrunk.String(),

@@ -365,3 +365,76 @@ func TestMetroLiveCloseDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// FailSite takes the live plane off the dead site: a channel homed
+// there goes off the air, every other channel loses its subtree there
+// (core leaf, down direction), the dead site's trunk holds nothing and
+// its switch no circuit, and a viewer who had joined there leaves as a
+// no-op.
+func TestMetroFailSiteTearsDownLiveChannels(t *testing.T) {
+	cfg := Config{Sites: 3, Vod: vodsite.Config{ReplicationDisabled: true}}
+	h := buildMetro(t, cfg, 1, 4, 1, func(int) []int { return []int{0} })
+	m := h.m
+	open := func(home int, title string) *LiveChannel {
+		sp := liveSpec(h.viewers[home][3])
+		sp.Title = title
+		ch, err := m.OpenBroadcast(home, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	join := func(ch *LiveChannel, site, v int) *LiveJoin {
+		j, err := ch.Join(site, h.viewers[site][v].Port)
+		if err != nil {
+			t.Fatalf("join %q at site %d: %v", ch.spec.Title, site, err)
+		}
+		return j
+	}
+	a, b := open(0, "A"), open(1, "B")
+	aJoins := []*LiveJoin{join(a, 0, 0), join(a, 1, 0), join(a, 2, 0)}
+	bJoins := []*LiveJoin{join(b, 0, 1), join(b, 2, 1)}
+	checkLiveTrunks(t, m, "before the failure", a, b)
+
+	m.FailSite(1)
+	if !b.Closed() {
+		t.Fatal("the channel homed at the failed site is still on the air")
+	}
+	if a.Subtree(1) != nil {
+		t.Fatal("the surviving channel keeps its subtree at the failed site")
+	}
+	if got := m.coreSw.Leaves(0, a.Subtree(0).VCI()); got != 1 {
+		t.Fatalf("core switch carries %d leaves for A, want 1 (site 2 only)", got)
+	}
+	if tr := m.Member(1).Trunk; tr.CommittedUp() != 0 || tr.CommittedDown() != 0 {
+		t.Fatalf("failed site's trunk commits up=%d down=%d", tr.CommittedUp(), tr.CommittedDown())
+	}
+	if n := m.Member(1).Site.Signalling.Open(); n != 0 {
+		t.Fatalf("%d circuits survive at the failed site", n)
+	}
+	checkLiveTrunks(t, m, "after the failure", a, b)
+
+	for _, j := range append(bJoins, aJoins[1]) {
+		if err := j.Leave(); err != nil {
+			t.Fatalf("leave after the failure: %v", err)
+		}
+	}
+	checkLiveTrunks(t, m, "dead viewers leave", a, b)
+	for _, j := range []*LiveJoin{aJoins[0], aJoins[2]} {
+		if err := j.Leave(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for site, mb := range m.Members() {
+		if mb.Trunk.CommittedUp() != 0 || mb.Trunk.CommittedDown() != 0 {
+			t.Fatalf("close-all left site %d trunk at up=%d down=%d",
+				site, mb.Trunk.CommittedUp(), mb.Trunk.CommittedDown())
+		}
+		if n := mb.Site.Signalling.Open(); n != 0 {
+			t.Fatalf("%d circuits survive close-all on site %d", n, site)
+		}
+	}
+}

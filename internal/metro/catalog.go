@@ -5,7 +5,7 @@ package metro
 // frame geometry} — and every site stores all of it, so the spill
 // candidate lookup in OpenSession never leaves the viewer's home site.
 // Writes stamp a metro-wide monotonic version; replicas reconcile
-// pairwise around a ring at anti-entropy ticks (global context, so a
+// pairwise around a ring at anti-entropy ticks (one event each, so a
 // round is atomic with respect to the data plane). Bulk title bytes
 // are NOT replicated eagerly: they follow demand, riding the
 // best-effort slack-copy path cross-site once a title's spill pressure
@@ -59,8 +59,7 @@ func removeSite(hs []int, idx int) []int {
 
 // AddTitle registers a title metro-wide: the bytes land on the holder
 // sites' vodsite catalogs (placement assigns their nodes), and every
-// member's catalog replica gets the row at the same version. Build
-// time or global context.
+// member's catalog replica gets the row at the same version.
 func (m *Controller) AddTitle(name string, bytes int64, frameBytes, frameHz int, holders []int) {
 	hs := []int{}
 	for _, h := range holders {
@@ -106,12 +105,10 @@ func (mb *Member) CatalogView(title string) (CatalogView, bool) {
 	}, true
 }
 
-// syncTick is the self-re-arming anti-entropy heartbeat. It rides
-// CallAfter rather than the cluster's barrier hook, which is a single
-// slot the telemetry sampler owns.
+// syncTick is the self-re-arming anti-entropy heartbeat.
 func (m *Controller) syncTick() {
 	m.SyncCatalog()
-	m.clock.CallAfter(m.cfg.SyncEvery, m.syncTick)
+	m.sim.After(m.cfg.SyncEvery, m.syncTick)
 }
 
 // SyncCatalog runs one anti-entropy round: each alive site exchanges
@@ -119,7 +116,7 @@ func (m *Controller) syncTick() {
 // title. Returns the number of rows brought up to date. With every
 // site alive, one round per ring edge bounds staleness at K ticks;
 // in practice a hot row crosses the whole ring in ceil(K/2) rounds.
-// Global context only (tests and benchmarks may call it directly).
+// The sync tick calls it; tests and benchmarks may call it directly.
 func (m *Controller) SyncCatalog() int {
 	var alive []int
 	for _, mb := range m.members {
@@ -141,8 +138,8 @@ func (m *Controller) SyncCatalog() int {
 }
 
 // exchange reconciles two sites' replicas over the sorted union of
-// their keys (sorted so a partitioned run replays the identical merge
-// order): the higher version wins in both directions.
+// their keys (sorted so every run replays the identical merge order):
+// the higher version wins in both directions.
 func (m *Controller) exchange(a, b *Member) int {
 	keys := make([]string, 0, len(a.cat))
 	for k := range a.cat {

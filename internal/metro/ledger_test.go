@@ -5,8 +5,9 @@ package metro
 // across three sites, cross-site copies and a whole-site failure, after
 // every operation each site's netsig link/uplink commitments, every
 // node's disk and CPU commitments and every trunk direction equal the
-// sum over the live sessions and trees that hold them; closing
-// everything returns every budget to exactly zero.
+// sum over the live sessions and trees that hold them; once a site has
+// failed, no channel keeps a subtree there and its trunk holds nothing;
+// closing everything returns every budget to exactly zero.
 
 import (
 	"fmt"
@@ -27,9 +28,9 @@ type ledgerMetro struct {
 // newLedgerMetro is three sites of two CPU-admitted nodes each, trunks
 // that fit three streams a direction, and titles spread so that every
 // site spills some of them.
-func newLedgerMetro(t *testing.T, partitions int) *ledgerMetro {
+func newLedgerMetro(t *testing.T) *ledgerMetro {
 	cfg := Config{
-		Sites: 3, Partitions: partitions,
+		Sites:          3,
 		Vod:            vodsite.Config{ReplicationDisabled: true},
 		TrunkRate:      3 * peakRate,
 		SpillThreshold: 3,
@@ -120,6 +121,24 @@ func (lm *ledgerMetro) audit(t *testing.T, step string) {
 	}
 }
 
+// deadSite checks what a failed site may still hold: no channel homed
+// there is on the air, no channel has a subtree there, and both of its
+// trunk directions are free.
+func (lm *ledgerMetro) deadSite(t *testing.T, step string, site int) {
+	t.Helper()
+	for _, ch := range lm.chans {
+		if ch.Home() == site && !ch.Closed() {
+			t.Fatalf("%s: channel %q homed at failed site %d is still on the air", step, ch.spec.Title, site)
+		}
+		if !ch.Closed() && ch.Subtree(site) != nil {
+			t.Fatalf("%s: channel %q keeps a subtree at failed site %d", step, ch.spec.Title, site)
+		}
+	}
+	if tr := lm.h.m.Member(site).Trunk; tr.CommittedUp() != 0 || tr.CommittedDown() != 0 {
+		t.Fatalf("%s: failed site %d trunk commits up=%d down=%d", step, site, tr.CommittedUp(), tr.CommittedDown())
+	}
+}
+
 // trace runs one seeded random trace — failing a site midway when
 // failSite is set — and closes everything it opened.
 func (lm *ledgerMetro) trace(t *testing.T, seed int64, ops int, failSite bool) {
@@ -160,6 +179,9 @@ func (lm *ledgerMetro) trace(t *testing.T, seed int64, ops int, failSite bool) {
 			m.Clock().RunFor(round)
 		}
 		lm.audit(t, step)
+		if failSite && i >= ops/2 {
+			lm.deadSite(t, step, 1)
+		}
 	}
 	for _, s := range open {
 		s.Close()
@@ -183,17 +205,15 @@ func TestMetroLedgerConservationProperty(t *testing.T) {
 	if testing.Short() {
 		traces, failing = 40, 4
 	}
-	for _, parts := range []int{0, 2} {
-		lm := newLedgerMetro(t, parts)
-		for seed := int64(0); seed < int64(traces); seed++ {
-			lm.trace(t, seed, 40, false)
-		}
-		if st := lm.h.m.Stats; st.Spilled == 0 || st.TrunkRefused == 0 || st.CrossCopiesCompleted == 0 {
-			t.Fatalf("partitions=%d: traces never spilled, hit a full trunk or copied a title: %+v", parts, st)
-		}
-		// A site failure is for good: each failing trace gets its own metro.
-		for seed := int64(0); seed < int64(failing); seed++ {
-			newLedgerMetro(t, parts).trace(t, 1000+seed, 40, true)
-		}
+	lm := newLedgerMetro(t)
+	for seed := int64(0); seed < int64(traces); seed++ {
+		lm.trace(t, seed, 40, false)
+	}
+	if st := lm.h.m.Stats; st.Spilled == 0 || st.TrunkRefused == 0 || st.CrossCopiesCompleted == 0 {
+		t.Fatalf("traces never spilled, hit a full trunk or copied a title: %+v", st)
+	}
+	// A site failure is for good: each failing trace gets its own metro.
+	for seed := int64(0); seed < int64(failing); seed++ {
+		newLedgerMetro(t).trace(t, 1000+seed, 40, true)
 	}
 }

@@ -25,19 +25,12 @@
 // legs of that session's reservation; both sites' trunk ports carry
 // unbounded netsig capacity so the trunk leg is the only place trunk
 // bandwidth is counted.
-//
-// Sharding: with Config.Partitions > 0 the metro owns one
-// sim.Cluster and hosts each site wholly on one partition
-// (round-robin), so every intra-site event chain stays
-// partition-local and the only cross-partition hop is the core
-// switch's output forwarding — whose latency (core fabric delay +
-// trunk cell time + trunk propagation) is exactly the conservative
-// lookahead bound.
 package metro
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/core"
@@ -57,15 +50,9 @@ const unboundedRate int64 = 1 << 60
 type Config struct {
 	// Sites is the number of member sites (required, >= 1).
 	Sites int
-	// Partitions shards the metro's event kernel: sites are hosted
-	// whole on partitions round-robin, synchronised with a lookahead
-	// equal to the inter-site (core-switch) forwarding latency. Zero
-	// keeps the serial kernel; one runs the cluster machinery with
-	// results bit-identical to serial.
-	Partitions int
-	// Site is the per-site geometry. Name and Partitions are
-	// overwritten per member; Ports needs to cover the site's own
-	// endpoints only — the trunk port is added on top.
+	// Site is the per-site geometry. Name is overwritten per member;
+	// Ports needs to cover the site's own endpoints only — the trunk
+	// port is added on top.
 	Site core.SiteConfig
 	// Vod is the per-site controller config (PeakRate required).
 	Vod vodsite.Config
@@ -193,17 +180,16 @@ type Controller struct {
 	// viewer's own site died, or no survivor had room.
 	OnDrop func(s *Session)
 
-	cfg     Config
-	clock   sim.Scheduler
-	clu     *sim.Cluster
-	coreSim *sim.Sim
-	coreSw  *fabric.Switch
-	reg     *telemetry.Registry
-	tracer  *telemetry.Tracer
+	cfg    Config
+	sim    *sim.Sim
+	coreSw *fabric.Switch
+	reg    *telemetry.Registry
+	tracer *telemetry.Tracer
 
 	members    []*Member
 	titles     []string // global catalog order (AddTitle order)
 	sessions   []*Session
+	channels   []*LiveChannel // open live channels, in open order
 	copies     []*metroCopy
 	nextID     int64
 	catVersion int64
@@ -213,37 +199,15 @@ type Controller struct {
 // core switch. Add nodes and titles, then Place and Start.
 func New(cfg Config) *Controller {
 	cfg.setDefaults()
-	m := &Controller{cfg: cfg}
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	lookahead := fabric.TierLookahead(cfg.CoreFabricDelay, cfg.TrunkRate, cfg.TrunkDelay)
-	if cfg.Partitions > 0 {
-		if cfg.Site.CellAccurate && cfg.Partitions > 1 {
-			panic("metro: CellAccurate is incompatible with more than one partition")
-		}
-		m.clu = sim.NewCluster(cfg.Partitions, lookahead)
-		m.coreSim = m.clu.Part(0)
-		m.clock = m.clu
-	} else {
-		m.coreSim = sim.New()
-		m.clock = m.coreSim
-	}
-	m.reg = telemetry.NewRegistry(parts)
-	m.coreSw = fabric.NewSwitch(m.coreSim, "metro-core", cfg.Sites, cfg.CoreFabricDelay)
+	m := &Controller{cfg: cfg, sim: sim.New(), reg: telemetry.NewRegistry()}
+	m.coreSw = fabric.NewSwitch(m.sim, "metro-core", cfg.Sites, cfg.CoreFabricDelay)
 	for i := 0; i < cfg.Sites; i++ {
-		owner := m.coreSim
-		if m.clu != nil {
-			owner = m.clu.Part(i % parts)
-		}
 		scfg := cfg.Site
 		scfg.Name = fmt.Sprintf("site%d", i)
-		scfg.Partitions = 0
 		scfg.Ports++ // the trunk port, on top of the site's own
-		site := core.NewSiteOn(m.clock, owner, parts, m.reg, scfg)
+		site := core.NewSiteOn(m.sim, m.reg, scfg)
 		tp := site.ReservePort()
-		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, owner, cfg.TrunkRate, cfg.TrunkDelay)
+		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, cfg.TrunkRate, cfg.TrunkDelay)
 		site.Signalling.SetPortCapacity(tp, unboundedRate)
 		site.Signalling.SetUplinkCapacity(tp, unboundedRate)
 		mb := &Member{
@@ -259,20 +223,11 @@ func New(cfg Config) *Controller {
 	return m
 }
 
-// Clock is the metro's run loop (the cluster when sharded).
-func (m *Controller) Clock() sim.Scheduler { return m.clock }
-
-// Cluster is the partition cluster, nil when the metro runs serial.
-func (m *Controller) Cluster() *sim.Cluster { return m.clu }
+// Clock is the event kernel every member site runs on.
+func (m *Controller) Clock() *sim.Sim { return m.sim }
 
 // Metrics is the shared registry every member site reports into.
 func (m *Controller) Metrics() *telemetry.Registry { return m.reg }
-
-// Lookahead is the inter-site forwarding latency the cluster is
-// synchronised under.
-func (m *Controller) Lookahead() sim.Duration {
-	return fabric.TierLookahead(m.cfg.CoreFabricDelay, m.cfg.TrunkRate, m.cfg.TrunkDelay)
-}
 
 // Sites is the member count.
 func (m *Controller) Sites() int { return len(m.members) }
@@ -284,16 +239,11 @@ func (m *Controller) Member(i int) *Member { return m.members[i] }
 func (m *Controller) Members() []*Member { return m.members }
 
 // EnableTrace turns on session lifecycle tracing metro-wide: one
-// tracer, sized to the metro's partition count, adopted by every
-// member site so all events merge into a single deterministic
-// timeline. Idempotent.
+// tracer, adopted by every member site so all events land in a single
+// deterministic timeline. Idempotent.
 func (m *Controller) EnableTrace() *telemetry.Tracer {
 	if m.tracer == nil {
-		parts := m.cfg.Partitions
-		if parts < 1 {
-			parts = 1
-		}
-		m.tracer = telemetry.NewTracer(parts)
+		m.tracer = telemetry.NewTracer()
 		for _, mb := range m.members {
 			mb.Site.AdoptTrace(m.tracer)
 		}
@@ -322,7 +272,7 @@ func (m *Controller) Start(cfg fileserver.CMConfig) {
 		mb.Ctrl.Start(cfg)
 	}
 	if m.cfg.SyncEvery > 0 && len(m.members) > 1 {
-		m.clock.CallAfter(m.cfg.SyncEvery, m.syncTick)
+		m.sim.After(m.cfg.SyncEvery, m.syncTick)
 	}
 }
 
@@ -608,8 +558,8 @@ func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 	}
 	rep.Legs[core.LegTrunk] = core.LegReport{Leg: core.LegTrunk, Present: true, OK: true,
 		Headroom: min(m.members[s.Served].Trunk.Headroom(), m.members[s.Home].Trunk.Headroom())}
-	tr.Record(tr.GlobalShard(), telemetry.Event{
-		T:       m.clock.Now(),
+	tr.Record(telemetry.Event{
+		T:       m.sim.Now(),
 		Event:   "spilled",
 		Session: s.id,
 		Node:    s.st.Node().SS.Name,
@@ -633,11 +583,12 @@ type FailReport struct {
 }
 
 // FailSite kills a whole site: its catalog entries are struck from
-// every survivor's view, cross-site copies touching it abort, its
-// viewers' sessions drop, sessions it was serving for other sites'
-// viewers are re-admitted on survivors across the trunk, and finally
-// every storage node is torn down at the vodsite level. Global
-// context only.
+// every survivor's view, cross-site copies touching it abort, live
+// channels homed there go off the air and every other channel loses
+// its subtree there, its viewers' sessions drop, sessions it was
+// serving for other sites' viewers are re-admitted on survivors across
+// the trunk, and finally every storage node is torn down at the
+// vodsite level.
 func (m *Controller) FailSite(idx int) FailReport {
 	rep := FailReport{Site: idx}
 	vm := m.members[idx]
@@ -648,6 +599,13 @@ func (m *Controller) FailSite(idx int) FailReport {
 	for _, cp := range append([]*metroCopy(nil), m.copies...) {
 		if cp.home == idx || cp.from == idx {
 			cp.Abort()
+		}
+	}
+	for _, ch := range slices.Clone(m.channels) {
+		if ch.home == idx {
+			_ = ch.Close()
+		} else {
+			_ = ch.pruneSite(idx)
 		}
 	}
 	// Strike the site from every survivor's catalog view, one version
@@ -748,5 +706,5 @@ func (m *Controller) registerGauges() {
 	mg("admission", "spilled", func() float64 { return float64(m.Stats.Spilled) })
 	mg("admission", "refused_trunk", func() float64 { return float64(m.Stats.TrunkRefused) })
 	mg("fabric", "cells_switched", func() float64 { return float64(m.coreSw.Stats().Switched) })
-	reg.KernelGauges("metro", m.coreSim, m.clu)
+	reg.KernelGauges(m.sim)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // twin is one array written with head/tail segments beside one written
@@ -191,7 +192,7 @@ func TestSegmentEndsAreMovedIn(t *testing.T) {
 	if &hv[0] != &head[chunk+100] || &tv[0] != &tail[0] {
 		t.Fatal("reads of moved-in chunks are not views of the written buffers")
 	}
-	stop := hold(t, hv, tv)
+	stop := testutil.Hold(t, hv, tv)
 	defer stop()
 
 	writeSeg(t, s, a, 2, fillSegment(6))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 const chunk = segSize / raid.DataDisks
@@ -23,35 +24,6 @@ func readRange(t *testing.T, s *sim.Sim, a *raid.Array, off int64, n int) []byte
 	return out
 }
 
-// hold watches read results from another goroutine until the returned
-// stop is called. A read result may be a view of the store, so a write
-// to the memory behind it is a data race (-race reports it), and a
-// changed byte fails the test either way.
-func hold(t *testing.T, views ...[]byte) (stop func()) {
-	want := make([][]byte, len(views))
-	for i, v := range views {
-		want[i] = bytes.Clone(v)
-	}
-	quit, exited := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(exited)
-		for last := false; !last; runtime.Gosched() {
-			select {
-			case <-quit:
-				last = true // one more look after the writer has finished
-			default:
-			}
-			for i, v := range views {
-				if !bytes.Equal(v, want[i]) {
-					t.Errorf("held read result %d changed", i)
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(quit); <-exited }
-}
-
 // Read results — the disk's view of one chunk, a join across chunks, a
 // whole segment — keep their bytes while the segment is rewritten and
 // while the disk they came from fails, is swapped and is rebuilt; fresh
@@ -66,7 +38,7 @@ func TestReadResultIsASnapshot(t *testing.T) {
 	if !bytes.Equal(inChunk, old[100:100+32<<10]) || !bytes.Equal(joined, old[chunk-100:chunk+100]) {
 		t.Fatal("read mismatch")
 	}
-	stop := hold(t, inChunk, joined, readSeg(t, s, a, 1))
+	stop := testutil.Hold(t, inChunk, joined, readSeg(t, s, a, 1))
 	defer stop()
 
 	fresh := fillSegment(2)

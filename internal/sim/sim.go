@@ -7,20 +7,14 @@
 // honour directly, so virtual time is the substitution that preserves the
 // shape of every result while making runs exactly reproducible.
 //
-// Within one Sim, events fire in the strict total order (time, sequence):
-// events scheduled for the same instant fire in scheduling order (FIFO),
-// which keeps runs deterministic.
+// Events fire in the strict total order (time, sequence): events
+// scheduled for the same instant fire in scheduling order (FIFO), which
+// keeps runs deterministic.
 //
-// A Sim is either the whole simulation (the serial kernel every test and
-// example uses) or one *partition* of a Cluster: a conservative
-// parallel-discrete-event engine that runs N Sims on their own goroutines
-// and synchronises them with a lookahead window equal to the minimum
-// cross-partition signal latency (for this repository's fabric, the
-// inter-node cell flight time). Partitions exchange timestamped messages
-// through Cross; control-plane work that touches more than one
-// partition's state runs at window barriers through Defer and
-// Cluster.CallAfter. See Cluster for the full concurrency model and
-// ARCHITECTURE.md ("Concurrency model") for the ownership rules.
+// A Sim is the whole simulation and runs on its caller's goroutine:
+// every model object is owned by that one goroutine, so nothing here
+// (or in the packages scheduling on it) locks. See ARCHITECTURE.md
+// ("Concurrency model").
 //
 // The event queue is built for the cell-rate workloads the fabric
 // generates (hundreds of thousands of events per simulated second):
@@ -167,17 +161,6 @@ type Sim struct {
 	arena  []Event
 	arenaN int
 	free   []*Event
-
-	// Partition state (nil/zero on a serial Sim). part is this Sim's
-	// index in cluster.parts; rng is the partition-owned PRNG stream;
-	// crossOut and deferred stage cross-partition sends and barrier
-	// callbacks issued during a window (see Cross and Defer).
-	cluster  *Cluster
-	part     int
-	rng      *Rand
-	crossSeq uint64
-	crossOut []crossMsg
-	deferred []func()
 }
 
 // New returns a simulator with the clock at zero and an empty event queue.

@@ -97,23 +97,6 @@ func (s *Sample) Add(x float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return s.n }
 
-// Merge appends every observation of o. Quantiles sort, so merge order
-// never affects results — how per-partition samples combine into one
-// scoreboard. o is left untouched and may keep growing: its chunks are
-// append-only, so s shares them (clipped to their current length)
-// instead of copying.
-func (s *Sample) Merge(o *Sample) {
-	if len(o.xs) > 0 {
-		// o sorts xs in place; take a copy so its order here is frozen.
-		s.chunks = append(s.chunks, append([]float64(nil), o.xs...))
-	}
-	for _, c := range o.chunks {
-		s.chunks = append(s.chunks, c[:len(c):len(c)])
-	}
-	s.n += o.n
-	s.sorted = false
-}
-
 // flat returns every observation as one slice, in arrival order since
 // the last sort, moving the chunks filled since the last read onto xs.
 func (s *Sample) flat() []float64 {

@@ -141,7 +141,7 @@ func (r *refSample) mean() float64 {
 }
 
 // TestSampleChunkedMatchesReference drives Sample across several chunk
-// boundaries, interleaving adds, merges and reads, and compares every
+// boundaries, interleaving adds and reads, and compares every
 // read with the single-slice reference bit for bit.
 func TestSampleChunkedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -165,48 +165,19 @@ func TestSampleChunkedMatchesReference(t *testing.T) {
 			t.Fatalf("%s: Min/Max/Mean after sorting differ from the reference", when)
 		}
 	}
-	add := func(dst *Sample, n int) {
+	add := func(n int) {
 		for i := 0; i < n; i++ {
 			x := rng.NormFloat64() * 1e6
-			dst.Add(x)
+			s.Add(x)
 			ref.xs = append(ref.xs, x)
 		}
 	}
-	add(&s, 1)
+	add(1)
 	compare("one observation")
-	add(&s, sampleChunk-1)
+	add(sampleChunk - 1)
 	compare("exactly one chunk")
-	add(&s, 2*sampleChunk+17)
+	add(2*sampleChunk + 17)
 	compare("adds after a sorted read")
-
-	// Merge shares the other sample's blocks: it must leave that sample
-	// usable, and neither may see the other's later observations.
-	var o Sample
-	add(&o, sampleChunk+100)
-	s.Merge(&o)
-	oN := o.N()
-	compare("merged")
-	for i := 0; i < 50; i++ {
-		o.Add(-1e12) // lands in the chunk s shares, past what s clipped
-	}
-	add(&s, 50)
-	compare("both grew after the merge")
-	if o.N() != oN+50 || o.Min() != -1e12 || o.Quantile(0) != -1e12 {
-		t.Fatalf("merged-from sample: N = %d, Min = %v", o.N(), o.Min())
-	}
-	if s.Min() == -1e12 {
-		t.Fatal("merged-into sample sees observations added to the other afterwards")
-	}
-	// o's quantile read flattened and sorted it; with a fresh chunk on
-	// top, merging it takes both kinds of block. An empty one is a no-op.
-	for i := 0; i < 10; i++ {
-		o.Add(float64(i))
-	}
-	ref.xs = append(ref.xs, o.xs...)
-	ref.xs = append(ref.xs, o.chunks[0]...)
-	s.Merge(&Sample{})
-	s.Merge(&o)
-	compare("merged a sorted sample")
 }
 
 func TestHistogram(t *testing.T) {

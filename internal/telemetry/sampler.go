@@ -20,18 +20,10 @@ type seriesID struct {
 }
 
 // Sampler snapshots the registry at a sim-time cadence, accumulating
-// a columnar time series per metric. Cadence semantics depend on how
-// the sampler is driven:
-//
-//   - Chain (serial and -partitions 1): a self-rescheduling clock
-//     event fires at exact multiples of the cadence, so sample times
-//     are exact. The extra events are counted in Ticks so callers can
-//     subtract them from events-fired scoreboards.
-//   - AttachBarrier (-partitions N, N >= 2): the sampler piggybacks
-//     on the cluster's lookahead barriers, taking a sample at the
-//     first barrier at or after each due time. Sample times are
-//     barrier-granular (recorded exactly in t_ns), and no events are
-//     injected, so the simulation is not perturbed at all.
+// a columnar time series per metric. Chain drives it with a
+// self-rescheduling event at exact multiples of the cadence; the
+// extra events are counted in Ticks so callers can subtract them from
+// events-fired scoreboards.
 type Sampler struct {
 	reg    *Registry
 	every  sim.Duration
@@ -52,32 +44,21 @@ func NewSampler(reg *Registry, every sim.Duration) *Sampler {
 	}
 }
 
-// Chain drives the sampler with a self-rescheduling clock event:
-// exact cadence, at the cost of extra events on the calendar. Use for
-// serial runs and single-partition clusters (where it keeps serial
-// and -partitions 1 output bit-identical).
-func (sp *Sampler) Chain(clock sim.Scheduler) {
-	sp.next = clock.Now() + sp.every
+// Chain drives the sampler with a self-rescheduling event on s: exact
+// cadence, at the cost of extra events on the calendar.
+func (sp *Sampler) Chain(s *sim.Sim) {
+	sp.next = s.Now() + sp.every
 	var tick func()
 	tick = func() {
 		sp.ticks++
-		sp.Tick(clock.Now())
-		clock.CallAfter(sp.every, tick)
+		sp.Tick(s.Now())
+		s.After(sp.every, tick)
 	}
-	clock.CallAfter(sp.every, tick)
-}
-
-// AttachBarrier drives the sampler from the cluster's lookahead
-// barriers: zero injected events, barrier-granular sample times. Use
-// for clusters with two or more partitions.
-func (sp *Sampler) AttachBarrier(c *sim.Cluster) {
-	sp.next = c.Now() + sp.every
-	c.SetBarrierHook(func(t sim.Time) { sp.Tick(t) })
+	s.After(sp.every, tick)
 }
 
 // Tick offers the sampler a chance to sample at sim-time t; it
-// samples only when t has reached the next due time. Global/barrier
-// context only.
+// samples only when t has reached the next due time.
 func (sp *Sampler) Tick(t sim.Time) {
 	if t < sp.next {
 		return
@@ -97,7 +78,7 @@ func (sp *Sampler) Final(t sim.Time) {
 }
 
 // Ticks reports how many chain events have fired — the sampler's own
-// footprint on an events-fired scoreboard. Zero in barrier mode.
+// footprint on an events-fired scoreboard.
 func (sp *Sampler) Ticks() int64 { return sp.ticks }
 
 func (sp *Sampler) sample(t sim.Time) {

@@ -3,20 +3,14 @@
 // trace recorder, and a time-series sampler.
 //
 // Everything in this package obeys the same ownership rule as the
-// event kernel it observes: mutable state is sharded per sim.Cluster
-// partition, each shard is written only from its owning partition's
-// context (or from global/barrier context for the trailing global
-// shard), and shards are merged only at quiescent points — lookahead
-// barriers or end of run. That makes every emitted artifact
-// deterministic: a run at -partitions 1 produces output bit-identical
-// to a serial run, and a run at -partitions N is reproducible for
-// that N.
+// event kernel it observes: it is touched only from the kernel's one
+// goroutine, so every emitted artifact is a deterministic function of
+// the run.
 //
 // The hot path — Counter.Inc on a pre-resolved handle — is a plain
 // non-atomic increment: zero allocations, no locks, no interlocked
-// instructions. Handles must be resolved (Registry.Counter /
-// Registry.Sample) from global context before the partitions start
-// firing, then used freely from the owning partition.
+// instructions. Handles are resolved (Registry.Counter /
+// Registry.Sample) once, typically at build time.
 package telemetry
 
 import "sort"

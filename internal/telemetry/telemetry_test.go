@@ -13,54 +13,52 @@ func k(node, sub, name string) Key {
 	return Key{Node: node, Subsystem: sub, Name: name}
 }
 
-func TestCounterMergesAcrossShards(t *testing.T) {
-	r := NewRegistry(3)
+func TestCounterHandleIsStable(t *testing.T) {
+	r := NewRegistry()
 	key := k("n0", "net", "cells")
-	r.Counter(0, key).Add(5)
-	r.Counter(2, key).Add(7)
-	r.Counter(r.GlobalShard(), key).Inc()
-	if got := r.CounterValue(key); got != 13 {
-		t.Fatalf("CounterValue = %d, want 13", got)
+	if got := r.CounterValue(key); got != 0 {
+		t.Fatalf("unresolved CounterValue = %d, want 0", got)
 	}
-	// Handles are shard-local: resolving twice yields the same counter.
-	if r.Counter(0, key) != r.Counter(0, key) {
+	r.Counter(key).Add(5)
+	r.Counter(key).Inc()
+	if r.Counter(key) != r.Counter(key) {
 		t.Fatal("Counter resolution is not stable")
 	}
-	if got := r.Counter(0, key).Value(); got != 5 {
-		t.Fatalf("shard-local Value = %d, want 5", got)
+	if got := r.CounterValue(key); got != 6 {
+		t.Fatalf("CounterValue = %d, want 6", got)
 	}
 }
 
 func TestCounterZeroAllocs(t *testing.T) {
-	r := NewRegistry(1)
-	c := r.Counter(0, k("n0", "sub", "hot"))
+	r := NewRegistry()
+	c := r.Counter(k("n0", "sub", "hot"))
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Counter Inc+Add allocates %v per run, want 0", n)
 	}
 }
 
-func TestMergedSample(t *testing.T) {
-	r := NewRegistry(2)
+func TestSampleHandleIsStable(t *testing.T) {
+	r := NewRegistry()
 	key := k("n0", "traffic", "latency_ns")
-	r.Sample(0, key).Add(1)
-	r.Sample(0, key).Add(3)
-	r.Sample(1, key).Add(2)
-	m := r.MergedSample(key)
+	r.Sample(key).Add(1)
+	r.Sample(key).Add(3)
+	r.Sample(key).Add(2)
+	m := r.Sample(key)
 	if m.N() != 3 {
-		t.Fatalf("merged N = %d, want 3", m.N())
+		t.Fatalf("N = %d, want 3", m.N())
 	}
 	if got := m.Median(); got != 2 {
-		t.Fatalf("merged median = %v, want 2", got)
+		t.Fatalf("median = %v, want 2", got)
 	}
 }
 
 func TestGaugeReplaceAndSnapshotOrder(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	gk := k("n0", "disk", "headroom")
 	r.Gauge(gk, func() float64 { return 0.25 })
 	r.Gauge(gk, func() float64 { return 0.5 }) // re-register replaces
-	r.Counter(0, k("n1", "net", "b")).Inc()
-	r.Counter(0, k("n0", "net", "a")).Add(2)
+	r.Counter(k("n1", "net", "b")).Inc()
+	r.Counter(k("n0", "net", "a")).Add(2)
 	pts := r.Snapshot()
 	if len(pts) != 3 {
 		t.Fatalf("snapshot has %d points, want 3", len(pts))
@@ -78,23 +76,22 @@ func TestGaugeReplaceAndSnapshotOrder(t *testing.T) {
 	}
 }
 
-func TestTracerMergeOrder(t *testing.T) {
-	tr := NewTracer(2)
-	tr.Record(1, Event{T: 10, Event: "b"})
-	tr.Record(0, Event{T: 10, Event: "a"})
-	tr.Record(tr.GlobalShard(), Event{T: 5, Event: "first"})
-	tr.Record(0, Event{T: 10, Event: "c"})
+func TestTracerTimeThenRecordOrder(t *testing.T) {
+	tr := NewTracer()
+	tr.Record(Event{T: 10, Event: "b"})
+	tr.Record(Event{T: 10, Event: "a"})
+	tr.Record(Event{T: 5, Event: "first"})
+	tr.Record(Event{T: 10, Event: "c"})
 	evs := tr.Events()
 	got := make([]string, len(evs))
 	for i, ev := range evs {
 		got[i] = ev.Event
 	}
-	// (T, Shard, Seq): t=5 first, then shard 0's two in Seq order, then
-	// shard 1's.
-	want := []string{"first", "a", "c", "b"}
+	// t=5 first, then the three at t=10 in record order.
+	want := []string{"first", "b", "a", "c"}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("merged order = %v, want %v", got, want)
+			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
 	var buf bytes.Buffer
@@ -109,25 +106,25 @@ func TestTracerMergeOrder(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 		t.Fatalf("JSONL line does not parse: %v", err)
 	}
-	if ev.Event != "first" || ev.T != 5 {
+	if ev.Event != "first" || ev.T != 5 || ev.Seq != 2 {
 		t.Fatalf("first JSONL line = %+v", ev)
 	}
 }
 
 func TestSamplerChainCadence(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	key := k("n0", "traffic", "frames")
-	c := r.Counter(0, key)
+	c := r.Counter(key)
 	s := sim.New()
 	var stop bool
 	var work func()
 	work = func() {
 		c.Inc()
 		if !stop {
-			s.CallAfter(3, work)
+			s.After(3, work)
 		}
 	}
-	s.CallAfter(3, work)
+	s.After(3, work)
 	sp := NewSampler(r, 10)
 	sp.Chain(s)
 	s.RunUntil(35)
@@ -183,10 +180,10 @@ func TestSamplerChainCadence(t *testing.T) {
 }
 
 func TestSamplerBackfillsLateSeries(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	sp := NewSampler(r, 1)
 	sp.Tick(1)
-	r.Counter(0, k("n0", "late", "born")).Inc()
+	r.Counter(k("n0", "late", "born")).Inc()
 	sp.Tick(2)
 	var buf bytes.Buffer
 	if err := sp.WriteJSON(&buf); err != nil {
@@ -209,7 +206,7 @@ func TestSamplerBackfillsLateSeries(t *testing.T) {
 }
 
 func TestSamplerEmptyOutputIsSchemaValid(t *testing.T) {
-	sp := NewSampler(NewRegistry(1), 10)
+	sp := NewSampler(NewRegistry(), 10)
 	var buf bytes.Buffer
 	if err := sp.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

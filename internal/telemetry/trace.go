@@ -2,9 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -28,10 +29,7 @@ type LegSample struct {
 type Event struct {
 	// T is the sim-time stamp in nanoseconds.
 	T sim.Time `json:"t_ns"`
-	// Shard is the registry shard (partition index, or the global
-	// shard) the event was recorded from.
-	Shard int `json:"shard"`
-	// Seq orders events recorded at the same (T, Shard).
+	// Seq is the event's position in record order.
 	Seq uint64 `json:"seq"`
 	// Event is the event name.
 	Event string `json:"event"`
@@ -58,61 +56,30 @@ type Event struct {
 	Legs []LegSample `json:"legs,omitempty"`
 }
 
-// Tracer records session lifecycle events into per-shard append
-// buffers — one per partition plus a trailing global shard, same
-// ownership rule as the Registry — and merges them deterministically
-// at flush time by (T, Shard, Seq).
+// Tracer records session lifecycle events into one append buffer.
 type Tracer struct {
-	shards [][]Event
-	seqs   []uint64
+	events []Event
 }
 
-// NewTracer builds a tracer sharded across parts partitions
-// (parts >= 1), plus the trailing global shard.
-func NewTracer(parts int) *Tracer {
-	if parts < 1 {
-		parts = 1
-	}
-	return &Tracer{
-		shards: make([][]Event, parts+1),
-		seqs:   make([]uint64, parts+1),
-	}
+// NewTracer builds an empty tracer.
+func NewTracer() *Tracer { return &Tracer{} }
+
+// Record appends ev, stamping its Seq.
+func (tr *Tracer) Record(ev Event) {
+	ev.Seq = uint64(len(tr.events))
+	tr.events = append(tr.events, ev)
 }
 
-// GlobalShard is the shard index for global (non-partition) context.
-func (tr *Tracer) GlobalShard() int { return len(tr.shards) - 1 }
-
-// Record appends ev to shard's buffer, stamping Shard and Seq. It
-// must be called only from the shard's owning context.
-func (tr *Tracer) Record(shard int, ev Event) {
-	ev.Shard = shard
-	ev.Seq = tr.seqs[shard]
-	tr.seqs[shard]++
-	tr.shards[shard] = append(tr.shards[shard], ev)
-}
-
-// Events merges every shard's buffer into one deterministic order:
-// (T, Shard, Seq). Global/barrier context only.
+// Events returns the recorded events in (T, Seq) order: by time, and
+// in record order within an instant.
 func (tr *Tracer) Events() []Event {
-	var all []Event
-	for _, sh := range tr.shards {
-		all = append(all, sh...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Seq < b.Seq
-	})
+	all := slices.Clone(tr.events)
+	slices.SortStableFunc(all, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
 	return all
 }
 
-// WriteJSONL writes the merged event stream as JSON lines, one event
-// per line, in deterministic (T, Shard, Seq) order.
+// WriteJSONL writes the event stream as JSON lines, one event per
+// line, in (T, Seq) order.
 func (tr *Tracer) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -8,8 +8,7 @@ package vodsite
 // title name → the nodes currently holding a replica, in the order
 // the replicas joined (placement first, background copies after).
 // Both the map and the slices are copies — mutating them does not
-// touch the controller. Global/barrier context only, like every other
-// catalog read.
+// touch the controller.
 func (c *Controller) Catalog() map[string][]*Node {
 	out := make(map[string][]*Node, len(c.titles))
 	for name, t := range c.titles {

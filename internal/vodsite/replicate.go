@@ -153,11 +153,8 @@ func (c *Controller) Copying() int { return len(c.copies) }
 // node's array to another's: create sparse on Dst, read Chunk bytes at
 // a time off Src through ReadBestEffort (round slack only — guaranteed
 // rounds are untouched), write them onto Dst, sync, then Done. The
-// nodes may live on different partitions (or, for a metro copy,
-// different sites): every read and sync completion is handed to the
-// barrier with Defer before it touches the other node or the owner's
-// bookkeeping; serial kernels run it inline. Activation and stats stay
-// with the owner, in the two callbacks.
+// nodes may live on different sites (a metro copy). Activation and
+// stats stay with the owner, in the two callbacks.
 type TitleCopy struct {
 	// Src is read from; Dst is written to.
 	Src, Dst *Node
@@ -193,13 +190,13 @@ func (cp *TitleCopy) step() {
 		return
 	}
 	if cp.off >= cp.Bytes {
-		cp.Dst.SS.Server.FS().Sync(func(err error) { cp.deferred(cp.Dst, err, cp.Done) })
+		cp.Dst.SS.Server.FS().Sync(func(err error) { cp.resume(err, cp.Done) })
 		return
 	}
 	off := cp.off
 	n := min(int64(cp.Chunk), cp.Bytes-off)
 	cp.Src.SS.CM.ReadBestEffort(cp.Name, off, int(n), func(data []byte, err error) {
-		cp.deferred(cp.Src, err, func() {
+		cp.resume(err, func() {
 			if err := cp.Dst.SS.Server.Write(cp.Name, off, data); err != nil {
 				cp.Abort()
 				return
@@ -210,19 +207,16 @@ func (cp *TitleCopy) step() {
 	})
 }
 
-// deferred continues the copy from an I/O completion that fired on
-// node on's partition: at the barrier, unless the copy was aborted
-// meanwhile or the I/O failed.
-func (cp *TitleCopy) deferred(on *Node, err error, next func()) {
-	on.SS.Net.Sim.Defer(func() {
-		switch {
-		case cp.aborted:
-		case err != nil:
-			cp.Abort()
-		default:
-			next()
-		}
-	})
+// resume continues the copy from an I/O completion with next, unless
+// the copy was aborted meanwhile or the I/O failed.
+func (cp *TitleCopy) resume(err error, next func()) {
+	switch {
+	case cp.aborted:
+	case err != nil:
+		cp.Abort()
+	default:
+		next()
+	}
 }
 
 // Abort abandons the copy and removes the partial file so a later

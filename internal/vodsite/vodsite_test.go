@@ -3,12 +3,12 @@ package vodsite_test
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 	"repro/internal/vodsite"
 )
 
@@ -321,12 +321,12 @@ func TestReplicasShareTheTitleBytes(t *testing.T) {
 			ctrl.AddNode(site.NewStorageServer("node", 256<<10, 16))
 		}
 		ctrl.AddTitle("film", size, frameBytes, frameHz)
-		before := heapAlloc()
+		before := testutil.HeapAlloc()
 		if err := ctrl.Place(); err != nil {
 			t.Fatal(err)
 		}
 		site.Sim.Run()
-		held := heapAlloc() - before
+		held := testutil.HeapAlloc() - before
 		if got := len(ctrl.Catalog()["film"]); got != replicas {
 			t.Fatalf("%d replicas placed, want %d", got, replicas)
 		}
@@ -341,11 +341,4 @@ func TestReplicasShareTheTitleBytes(t *testing.T) {
 			t.Errorf("%d replicas: %d bytes held per replica beyond the first, want < %d", n, per, size/2)
 		}
 	}
-}
-
-func heapAlloc() int64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return int64(m.HeapAlloc)
 }

@@ -4,7 +4,7 @@
 #  1. Every exported top-level identifier (func, method, type, and
 #     single-declaration var/const) in the stream-plane packages
 #     (internal/core, internal/sched, internal/vodsite) and the
-#     concurrency-critical packages (internal/sim, internal/fabric,
+#     kernel packages (internal/sim, internal/fabric,
 #     internal/loadgen) must carry a doc comment. This is a grep-grade
 #     check, not go/doc: it looks at the line immediately above each
 #     exported declaration.

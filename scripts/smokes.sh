@@ -8,26 +8,24 @@
 #   scripts/smokes.sh --digest [CHECKOUT]      behaviour fingerprint of a tree
 #
 # --digest builds pegload from CHECKOUT (default: this tree), runs every
-# smoke — plus the metro and live smokes again at -partitions 2 — with
-# -json, and prints "name sha256" of each scoreboard minus its host-time
-# columns (wall_seconds, events_per_sec, cells_per_sec); the telemetry,
-# metro and live smokes also print "name.trace sha256" of their
-# -trace-out artifact. Two trees behave the same on the smokes iff
-# their --digest outputs are identical, so "scoreboards byte-identical
-# to the parent" is
+# smoke with -json, and prints "name sha256" of each scoreboard minus
+# its host-time columns (wall_seconds, events_per_sec, cells_per_sec);
+# the telemetry, metro and live smokes also print "name.trace sha256"
+# of their -trace-out artifact. Two trees behave the same on the smokes
+# iff their --digest outputs are identical, so "scoreboards
+# byte-identical to the parent" is
 #
 #   diff <(scripts/smokes.sh --digest ../parent) <(scripts/smokes.sh --digest)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# name|pegload flags. The short CI lane runs the first ten, the bench
+# name|pegload flags. The short CI lane runs the first nine, the bench
 # lane the last three.
 smokes() {
     cat <<'TABLE'
 cluster|-cluster -ws 24 -streams 2 -servers 4 -titles 8 -zipf 1.6 -bytes 4800 -round 0.5 -title-rounds 2 -seconds 8 -check -min-active-nodes 3 -expect-replication
 interval-cache|-cluster -servers 2 -ws 16 -streams 8 -no-replication -cache-mb 64 -cache-ablation -seconds 10 -check -expect-storage-refusals -min-cache-ratio 2
 telemetry|-cluster -servers 2 -ws 16 -streams 8 -no-replication -cache-mb 64 -seconds 10 -check -expect-storage-refusals
-sharded|-cluster -partitions 4 -ws 24 -streams 2 -servers 4 -titles 8 -zipf 1.6 -bytes 4800 -round 0.5 -title-rounds 2 -seconds 8 -check -min-active-nodes 3 -expect-replication
 failover|-cluster -ws 12 -streams 2 -servers 4 -titles 8 -zipf 1.1 -base-replicas 2 -bytes 4800 -round 0.5 -title-rounds 2 -seconds 8 -fail-node-at 3 -fail-node 0 -check -expect-recovered
 metro|-metro -sites 3 -ws 18 -streams 2 -servers 1 -titles 6 -site-replicas 2 -bytes 4800 -round 0.5 -title-rounds 2 -seconds 8 -fail-site-at 4 -fail-site 1 -spill-ablation -check -expect-spilled -expect-site-recovered -min-active-sites 2
 live|-live -seconds 2 -ws 6 -streams 8 -channels 5 -bytes 4800 -rate 30000000 -vod-streams 4 -hold-mean 1.5 -unicast-ablation -check -expect-joins -expect-subtree-degraded -min-fanout-ratio 1.5
@@ -59,16 +57,12 @@ digest() {
             jq -cS 'del(.wall_seconds, .events_per_sec, .cells_per_sec)' |
             sha256sum | awk -v n="$n" '{ print n, $1 }'
         case $n in
-        telemetry | metro* | live*) sha256sum <"$tmp/trace" | awk -v n="$n.trace" '{ print n, $1 }' ;;
+        telemetry | metro | live) sha256sum <"$tmp/trace" | awk -v n="$n.trace" '{ print n, $1 }' ;;
         esac
     }
     while IFS='|' read -r name flags; do
         # shellcheck disable=SC2086 # the flag string is a word list
         one "$name" $flags
-        case $name in
-        # shellcheck disable=SC2086
-        metro | live) one "$name-p2" $flags -partitions 2 ;;
-        esac
     done < <(smokes)
 }
 
@@ -84,12 +78,6 @@ case ${1:-} in
     shift
     flags=$(flags_of "$name")
     case $name in
-    sharded)
-        # The worker pool, cross-partition fabric sends and the
-        # barrier-deferred control plane under the race detector.
-        # shellcheck disable=SC2086
-        exec go run -race ./cmd/pegload $flags "$@"
-        ;;
     telemetry)
         # The observability plane on: both artifacts must be schema-valid
         # and show a cache-served stream and a leg-attributed refusal.
