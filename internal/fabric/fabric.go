@@ -323,12 +323,6 @@ func (l *Link) deliverNext() {
 	}
 }
 
-// routeKey identifies an incoming circuit at a switch.
-type routeKey struct {
-	port int
-	vci  atm.VCI
-}
-
 // routeVal is the outgoing side of a routing-table entry.
 type routeVal struct {
 	port int
@@ -343,18 +337,17 @@ type SwitchStats struct {
 }
 
 // Switch is an output-queued ATM switch. Each input cell is looked up in
-// the per-(port,VCI) routing table, its VCI rewritten, and after the
-// fabric transit delay it is queued on the output port's link.
+// its input port's virtual-circuit table, its VCI rewritten, and after
+// the fabric transit delay it is queued on the output port's link.
 //
 // The paper's key architectural point (§2) is that the workstation manages
-// this table, so streams flow device-to-device without touching any CPU.
+// these tables, so streams flow device-to-device without touching any CPU.
 type Switch struct {
 	sim         *sim.Sim
 	name        string
 	fabricDelay sim.Duration
 	outputs     []*Link
-	routes      map[routeKey][]routeVal
-	ins         []*portIn
+	ins         []portIn
 	stats       SwitchStats
 }
 
@@ -364,14 +357,17 @@ func NewSwitch(s *sim.Sim, name string, nports int, fabricDelay sim.Duration) *S
 	if nports <= 0 {
 		panic("fabric: switch needs at least one port")
 	}
-	return &Switch{
+	sw := &Switch{
 		sim:         s,
 		name:        name,
 		fabricDelay: fabricDelay,
 		outputs:     make([]*Link, nports),
-		routes:      make(map[routeKey][]routeVal),
-		ins:         make([]*portIn, nports),
+		ins:         make([]portIn, nports),
 	}
+	for i := range sw.ins {
+		sw.ins[i].sw = sw
+	}
+	return sw
 }
 
 // Name returns the switch's name (for diagnostics).
@@ -395,16 +391,15 @@ func (sw *Switch) Output(port int) *Link {
 	return sw.outputs[port]
 }
 
-// portIn is the receive side of one switch port, with its one-entry
-// route cache.
+// portIn is the receive side of one switch port. It owns the port's
+// virtual-circuit table, as each Fairisle input port does (§2): the
+// output legs of every circuit arriving on the port, keyed by its VCI.
+// A map, not a VCI-indexed slice: signalling hands out site-unique
+// VCIs, so one port's circuits are sparse. The map is made by the
+// port's first Route; until then it is nil, which reads as empty.
 type portIn struct {
-	sw   *Switch
-	port int
-
-	// One-entry route cache: streams are bursty, so consecutive cells
-	// overwhelmingly share a circuit. Invalidated by Route/Unroute.
-	cacheKey routeKey
-	cacheVal []routeVal
+	sw     *Switch
+	routes map[atm.VCI][]routeVal
 }
 
 // HandleCell forwards one arriving cell through the switch.
@@ -414,16 +409,12 @@ func (p *portIn) HandleCell(c atm.Cell) { p.sw.receive(p, &c) }
 func (p *portIn) HandleBurst(b Burst) { p.sw.receiveBurst(p, &b) }
 
 // In returns the handler for cells arriving on the given input port; wire
-// it as the sink of the link feeding this switch. Handlers are memoised
-// per port.
-func (sw *Switch) In(port int) Handler {
+// it as the sink of the link feeding this switch. Each port has one.
+func (sw *Switch) In(port int) Handler { return sw.in(port) }
+
+func (sw *Switch) in(port int) *portIn {
 	sw.checkPort(port)
-	p := sw.ins[port]
-	if p == nil {
-		p = &portIn{sw: sw, port: port}
-		sw.ins[port] = p
-	}
-	return p
+	return &sw.ins[port]
 }
 
 // Route installs a routing entry: cells arriving on inPort with circuit
@@ -432,64 +423,50 @@ func (sw *Switch) In(port int) Handler {
 // (how the TV-director application feeds a preview window and the file
 // server from one camera).
 func (sw *Switch) Route(inPort int, inVCI atm.VCI, outPort int, outVCI atm.VCI) {
-	sw.checkPort(inPort)
+	p := sw.in(inPort)
 	sw.checkPort(outPort)
-	k := routeKey{inPort, inVCI}
-	sw.routes[k] = append(sw.routes[k], routeVal{outPort, outVCI})
-	sw.invalidate()
+	if p.routes == nil {
+		p.routes = make(map[atm.VCI][]routeVal)
+	}
+	p.routes[inVCI] = append(p.routes[inVCI], routeVal{outPort, outVCI})
 }
 
 // UnrouteLeaf prunes a single output leg from a point-to-multipoint
 // entry, identified by its output port and outgoing VCI — how a
 // multicast tree sheds one branch while the rest keep forwarding. The
 // whole entry is removed when the last leaf goes. It reports whether a
-// matching leg existed. The per-port route caches are invalidated so no
-// input keeps forwarding to the pruned leg, even mid-stream.
+// matching leg existed; the next cell on the circuit already skips it.
 func (sw *Switch) UnrouteLeaf(inPort int, inVCI atm.VCI, outPort int, outVCI atm.VCI) bool {
-	k := routeKey{inPort, inVCI}
-	leaves := sw.routes[k]
-	for i := range leaves {
-		if leaves[i].port != outPort || leaves[i].vci != outVCI {
-			continue
+	routes := sw.in(inPort).routes
+	sw.checkPort(outPort)
+	leaves := routes[inVCI]
+	for i, v := range leaves {
+		if v == (routeVal{outPort, outVCI}) {
+			// Pruning in place is safe: the forwarding loops run no
+			// handler (they only queue on links and post events), so no
+			// route verb can edit a leg slice while it is being walked.
+			if leaves = append(leaves[:i], leaves[i+1:]...); len(leaves) == 0 {
+				delete(routes, inVCI)
+			} else {
+				routes[inVCI] = leaves
+			}
+			return true
 		}
-		// Copy-on-prune: an input port's cache (or a forwarding event
-		// earlier this instant) may still hold the old slice; never
-		// mutate it in place.
-		next := make([]routeVal, 0, len(leaves)-1)
-		next = append(next, leaves[:i]...)
-		next = append(next, leaves[i+1:]...)
-		if len(next) == 0 {
-			delete(sw.routes, k)
-		} else {
-			sw.routes[k] = next
-		}
-		sw.invalidate()
-		return true
 	}
 	return false
 }
 
 // Unroute removes a routing entry; it reports whether one existed.
 func (sw *Switch) Unroute(inPort int, inVCI atm.VCI) bool {
-	k := routeKey{inPort, inVCI}
-	_, ok := sw.routes[k]
-	delete(sw.routes, k)
-	sw.invalidate()
+	routes := sw.in(inPort).routes
+	_, ok := routes[inVCI]
+	delete(routes, inVCI)
 	return ok
-}
-
-// invalidate drops every port's route cache after a table change.
-func (sw *Switch) invalidate() {
-	for _, p := range sw.ins {
-		if p != nil {
-			p.cacheVal = nil
-		}
-	}
 }
 
 // Routed reports whether a circuit is routed from the given input port.
 func (sw *Switch) Routed(inPort int, inVCI atm.VCI) bool {
-	_, ok := sw.routes[routeKey{inPort, inVCI}]
+	_, ok := sw.in(inPort).routes[inVCI]
 	return ok
 }
 
@@ -497,26 +474,21 @@ func (sw *Switch) Routed(inPort int, inVCI atm.VCI) bool {
 // fan-out of a point-to-multipoint entry, used by teardown tests to
 // prove no duplicate leaves leak.
 func (sw *Switch) Leaves(inPort int, inVCI atm.VCI) int {
-	return len(sw.routes[routeKey{inPort, inVCI}])
+	return len(sw.in(inPort).routes[inVCI])
 }
 
-// RouteEntries reports the number of installed routing-table entries.
-func (sw *Switch) RouteEntries() int { return len(sw.routes) }
-
-// lookup resolves a circuit through the port's one-entry cache.
-func (p *portIn) lookup(k routeKey) []routeVal {
-	if p.cacheVal != nil && p.cacheKey == k {
-		return p.cacheVal
+// RouteEntries reports the number of installed routing-table entries
+// across all input ports.
+func (sw *Switch) RouteEntries() int {
+	n := 0
+	for i := range sw.ins {
+		n += len(sw.ins[i].routes)
 	}
-	leaves := p.sw.routes[k]
-	if leaves != nil {
-		p.cacheKey, p.cacheVal = k, leaves
-	}
-	return leaves
+	return n
 }
 
 func (sw *Switch) receive(p *portIn, c *atm.Cell) {
-	leaves := p.lookup(routeKey{p.port, c.VCI})
+	leaves := p.routes[c.VCI]
 	if leaves == nil {
 		sw.stats.Unrouted++
 		return
@@ -577,7 +549,7 @@ func (l *Link) sendCellEarliest(c *atm.Cell, earliest sim.Time) {
 // it, never a reference into another link's ring.
 func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 	n := b.Train.Len()
-	leaves := p.lookup(routeKey{p.port, b.Train.VCI})
+	leaves := p.routes[b.Train.VCI]
 	if leaves == nil {
 		sw.stats.Unrouted += int64(n)
 		return

@@ -174,13 +174,20 @@ func (tw *titleWake) followerSpan(f *CMStream) int64 {
 }
 
 // recomputeProtect refreshes a title's protect span (the max of its
-// followers' spans) and the service-wide pinned total.
+// followers' spans) and the service-wide pinned total. A span that
+// widened past what the cache can hold (a departing feeder stretches
+// its followers' intervals) is clipped to fit: pinning is only the
+// eviction heuristic, and the residency check at each fetch plus
+// demotion stay the backstop.
 func (ic *intervalCache) recomputeProtect(tw *titleWake) {
 	var p int64
 	for _, f := range tw.followers {
 		if s := tw.followerSpan(f); s > p {
 			p = s
 		}
+	}
+	if room := ic.lru.Capacity() - (ic.pinned - tw.protect); p > room {
+		p = room
 	}
 	ic.pinned += p - tw.protect
 	tw.protect = p

@@ -113,6 +113,11 @@ func TestCMCacheBudgetConservationProperty(t *testing.T) {
 		}
 		return svc.Committed() == 0 && svc.CachePinned() == 0
 	}
+	// Pinned: a feeder's release widened a follower's protect span past
+	// the tiny cache's capacity (96 000 bytes pinned in 65 536).
+	if !prop(1365551179408480162, 0x56, true) {
+		t.Fatal("pinned case (1365551179408480162, 0x56, true) broke the budget invariant")
+	}
 	cfg := &quick.Config{MaxCount: 80}
 	if testing.Short() {
 		cfg.MaxCount = 25

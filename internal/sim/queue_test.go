@@ -7,7 +7,7 @@ import (
 
 // TestQueueOrderAgainstReference drives the calendar-wheel queue with a
 // mixed workload — near-future cell-spaced events, far-future frame
-// timers, same-instant posts, cancels and reschedules — and checks the
+// timers, same-instant posts and cancels — and checks the
 // firing order against a sorted reference. This is the determinism
 // contract the old binary heap provided: strict (time, seq) order.
 func TestQueueOrderAgainstReference(t *testing.T) {
@@ -138,25 +138,6 @@ func TestWheelCursorResyncAfterIdle(t *testing.T) {
 		if order[i] < order[i-1] {
 			t.Fatalf("virtual clock ran backward: %v", order)
 		}
-	}
-}
-
-// TestRescheduleAcrossContainers moves events between the wheel, the far
-// heap and the cached-min slot.
-func TestRescheduleAcrossContainers(t *testing.T) {
-	s := New()
-	var order []int
-	e1 := s.At(5*Millisecond, func() { order = append(order, 1) })   // wheel
-	e2 := s.At(100*Millisecond, func() { order = append(order, 2) }) // far
-	e3 := s.At(Microsecond, func() { order = append(order, 3) })     // displaces cached min
-
-	s.Reschedule(e2, 2*Microsecond) // far -> near, ahead of e1
-	s.Reschedule(e1, 200*Millisecond)
-	s.Reschedule(e3, 90*Millisecond) // cached min -> far
-
-	s.Run()
-	if len(order) != 3 || order[0] != 2 || order[1] != 3 || order[2] != 1 {
-		t.Fatalf("order = %v, want [2 3 1]", order)
 	}
 }
 

@@ -100,7 +100,7 @@ const (
 // the moment it dies: from within the callback itself when it fires
 // (set the field nil as the callback's first action — see
 // nemesis.grantDone for the pattern), and immediately after a Cancel.
-// A dead handle must never be cancelled or rescheduled again. Code that
+// A dead handle must never be cancelled again. Code that
 // does not retain handles is unaffected.
 type Event struct {
 	at   Time
@@ -524,23 +524,6 @@ func (s *Sim) Cancel(e *Event) bool {
 	e.fn = nil
 	s.free = append(s.free, e)
 	return true
-}
-
-// Reschedule moves a pending event to a new absolute time, preserving
-// its callback. Rescheduling a fired or cancelled event is invalid:
-// those are recycled (see Event); schedule a fresh event instead.
-func (s *Sim) Reschedule(e *Event, t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: rescheduling at %v before now %v", t, s.now))
-	}
-	if e.slot == slotNone {
-		panic("sim: rescheduling a fired or cancelled event")
-	}
-	s.remove(e)
-	e.at = t
-	s.seq++
-	e.seq = s.seq
-	s.push(e)
 }
 
 // Far-heap operations: a binary min-heap ordered by (time, seq) with

@@ -97,17 +97,6 @@ func TestCancelOneOfMany(t *testing.T) {
 	}
 }
 
-func TestRescheduleMovesEvent(t *testing.T) {
-	s := New()
-	var at Time = -1
-	e := s.At(10, func() { at = s.Now() })
-	s.Reschedule(e, 50)
-	s.Run()
-	if at != 50 {
-		t.Fatalf("fired at %v, want 50", at)
-	}
-}
-
 func TestRunUntilAdvancesClockNoFurther(t *testing.T) {
 	s := New()
 	var fired []Time
