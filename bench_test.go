@@ -1,8 +1,9 @@
 package pegasus
 
-// One benchmark per evaluation artefact of the paper (DESIGN.md §3,
-// E1–E13), each wrapping the corresponding harness in
-// internal/experiments, plus micro-benchmarks for the substrates.
+// One benchmark per evaluation artefact of the paper (E1–E18; see
+// ARCHITECTURE.md's "Paper section → package map"), each wrapping the
+// corresponding harness in internal/experiments, plus micro-benchmarks
+// for the substrates.
 // Virtual-time results (the paper-facing numbers) are attached via
 // b.ReportMetric; wall-clock ns/op measures the simulator itself.
 

@@ -1,6 +1,6 @@
 // Command experiments runs every experiment in the paper-reproduction
-// index (DESIGN.md §3, E1–E18) and prints paper-claim versus measured
-// tables. Its output is the source of EXPERIMENTS.md.
+// index (E1–E18; see ARCHITECTURE.md's "Paper section → package map")
+// and prints paper-claim versus measured tables.
 //
 // Usage:
 //

@@ -20,10 +20,12 @@
 // backed runs — zero buffer underruns among admitted streams. CI runs
 // the scoreboard this way so a silently-degenerate run fails the build.
 //
-// Scenario flags bind straight into a loadgen.Config, and
-// Config.Validate is the only judge of which modes combine; the
-// ablation twins and the scoreboard assertions are the two tables
-// below.
+// Scenario flags are loadgen.Config's flag-tagged fields, bound in one
+// loop and all defaulting to zero: loadgen's mode table is the only
+// place a scenario default lives, so a command line runs exactly the
+// Config literal it spells. Config.Validate is the only judge of which
+// modes combine; the ablation twins and the scoreboard assertions are
+// the two tables below.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -42,8 +45,7 @@ import (
 
 // seconds binds a flag given in (fractional) seconds to a sim.Duration,
 // rounded to the nearest nanosecond: 0.3 s must mean exactly 30 frame
-// periods, not 299999999 ns (which admission would refuse). The usage
-// string back-quotes its unit so -h names the operand.
+// periods, not 299999999 ns (which admission would refuse).
 type seconds sim.Duration
 
 func (s *seconds) Set(v string) error {
@@ -57,11 +59,6 @@ func (s *seconds) Set(v string) error {
 
 func (s *seconds) String() string {
 	return strconv.FormatFloat(float64(*s)/float64(sim.Second), 'g', -1, 64)
-}
-
-func secondsVar(fs *flag.FlagSet, p *sim.Duration, name string, def float64, usage string) {
-	*p = sim.Duration(def * float64(sim.Second))
-	fs.Var((*seconds)(p), name, usage)
 }
 
 // ablation is one twin run: the identical scenario with one mechanism
@@ -229,101 +226,25 @@ var assertions = []assertion{
 // options is everything the flags set that is not a Config field.
 type options struct {
 	cfg                                          loadgen.Config
-	pattern                                      string
 	asJSON                                       bool
 	metricsEvery                                 sim.Duration
 	metricsOut, traceOut, cpuProfile, memProfile string
 }
 
-// register declares pegload's flags on fs: the scenario flags bound
-// straight into o.cfg, one flag per ablation and assertion table row.
+// register declares pegload's flags on fs: one per tagged Config field
+// (bindConfig), the output flags, and one per ablation and assertion
+// table row.
 func register(fs *flag.FlagSet) *options {
-	o := new(options)
-	c := &o.cfg
-	fs.StringVar(&o.pattern, "pattern", "mesh", "traffic pattern: mesh | vod")
-	fs.IntVar(&c.Workstations, "ws", 50, "workstations")
-	fs.IntVar(&c.StreamsPerWS, "streams", 10, "streams admitted per workstation")
-	fs.IntVar(&c.Servers, "servers", 0, "VoD storage servers (0 = auto)")
-	secondsVar(fs, &c.Duration, "seconds", 10, "simulated `seconds`")
-	fs.IntVar(&c.FrameBytes, "bytes", 0, "AAL5 payload bytes per frame (0 = mode default: 960; 19200 adaptive)")
-	fs.IntVar(&c.FrameHz, "hz", 100, "frames per second per stream")
-	fs.Int64Var(&c.PeakRate, "rate", 0, "admitted peak bits/s per stream (0 = auto)")
-	fs.Int64Var(&c.LinkRate, "linkrate", 0, "link bit rate (0 = 100 Mb/s)")
-	fs.BoolVar(&c.CellAccurate, "cell-accurate", false,
-		"disable the batched fabric fast path (exact per-cell model; ~20x more events)")
-	fs.BoolVar(&c.FromStorage, "from-storage", false,
-		"serve VoD titles from the servers' disk arrays through the CM round scheduler "+
-			"(admission = links AND disks); implies -pattern vod")
-	secondsVar(fs, &c.Round, "round", 0,
-		"storage scheduler round in `seconds` (0 = mode default: 2 from-storage, 1 cluster)")
-	fs.IntVar(&c.TitleRounds, "title-rounds", 4,
-		"stored title length in rounds; playout loops (storage-backed modes)")
-	fs.BoolVar(&c.Cluster, "cluster", false,
-		"run the multi-server VoD site: -servers nodes under the vodsite controller, "+
-			"Zipf title requests admitted on whichever replica has room, reactive replication")
+	o := &options{metricsEvery: sim.Second / 2}
+	bindConfig(fs, &o.cfg)
 	fs.Int("partitions", 0,
 		"ignored: the event kernel runs on one goroutine; the flag still parses so "+
 			"older command lines run unchanged")
-	fs.BoolVar(&c.FastDisks, "fast-disks", false,
-		"flash-era disk mechanics instead of the 1994 drive (storage-backed modes); "+
-			"lifts per-node stream ceilings from tens to tens of thousands")
-	fs.BoolVar(&c.Adaptive, "adaptive", false,
-		"run the degrade-instead-of-refuse scenario: unicast disk-backed streams opened "+
-			"as Adaptive-class sessions; an over-subscribed site scales sessions down the "+
-			"tier ladder instead of refusing and restores them as capacity frees")
-	fs.BoolVar(&c.GuaranteedOnly, "guaranteed-only", false,
-		"force every -adaptive session to the Guaranteed class (the admit-or-refuse ablation)")
-	fs.BoolVar(&c.CPUBound, "cpu-bound", false,
-		"run the CPU-constrained scenario: unicast disk-backed streams with per-node "+
-			"Nemesis CPU admission (small per-stream rates, high per-stream CPU cost), so "+
-			"admission is the full link AND disk AND cpu conjunction and the processor "+
-			"refuses/degrades strictly before the disks fill; combine with -adaptive for "+
-			"degrade-instead-of-refuse on CPU")
-	fs.IntVar(&c.Titles, "titles", 0, "cluster catalog size (0 = 2x servers)")
-	fs.Float64Var(&c.ZipfS, "zipf", 0, "cluster Zipf popularity exponent (0 = 1.3)")
-	fs.Int64Var(&c.Seed, "seed", 0, "cluster request-sampling seed (0 = 1)")
-	fs.IntVar(&c.BaseReplicas, "base-replicas", 0, "initial replicas per title (0 = 1)")
-	fs.BoolVar(&c.ReplicationDisabled, "no-replication", false,
-		"disable reactive replication (the hot-title ablation)")
-	secondsVar(fs, &c.FailNodeAt, "fail-node-at", 0,
-		"`seconds` into the run to tear one node down (0 = never)")
-	fs.IntVar(&c.FailNode, "fail-node", 0, "node to tear down with -fail-node-at")
-	fs.BoolVar(&c.Metro, "metro", false,
-		"federate -sites vodsite sites behind a two-tier fabric and home every "+
-			"viewer on site 0 (the flash crowd): requests the home site cannot "+
-			"carry spill across the core switch to neighbor sites, with the "+
-			"inter-site trunk as an explicit admission leg")
-	fs.IntVar(&c.Sites, "sites", 0, "metro federation size (0 = 3)")
-	fs.IntVar(&c.SiteReplicas, "site-replicas", 0,
-		"sites holding each title's bytes (0 = 2, capped at -sites)")
-	fs.BoolVar(&c.NoSpill, "no-spill", false,
-		"disable cross-site spill admission (the single-site ablation): "+
-			"home-site refusals are final")
-	fs.IntVar(&c.SpillThreshold, "spill-threshold", 0,
-		"title spill pressure before a lazy cross-site copy (0 = 4, <0 = never copy)")
-	secondsVar(fs, &c.FailSiteAt, "fail-site-at", 0,
-		"`seconds` into a -metro run to fail one whole site (0 = never)")
-	fs.IntVar(&c.FailSite, "fail-site", 0, "site to fail with -fail-site-at")
-	fs.BoolVar(&c.Live, "live", false,
-		"run the live-broadcast flash crowd: -channels switch-level multicast "+
-			"channels, Zipf-popularity viewer join/leave churn with exponential hold "+
-			"times, and -vod-streams disk-backed Guaranteed VoD sessions sharing the "+
-			"viewer links; a join the link budget refuses degrades that channel's "+
-			"subtree down the tier ladder instead of refusing")
-	fs.IntVar(&c.Channels, "channels", 0, "live channels on the air (0 = 4)")
-	secondsVar(fs, &c.HoldMean, "hold-mean", 0,
-		"mean viewer hold time in `seconds` for -live (0 = a quarter of the run)")
-	fs.IntVar(&c.VodStreams, "vod-streams", 0,
-		"background disk-backed VoD sessions in a -live run (0 = ws/2, negative = none)")
-	fs.IntVar(&c.CacheMB, "cache-mb", 0,
-		"per-node RAM buffer tier in MiB (storage-backed modes; 0 = no cache): a "+
-			"request trailing another viewer of the same title is served from the "+
-			"leader's wake in memory, charging no disk round budget")
 	fs.BoolVar(&o.asJSON, "json", false, "emit the scoreboard as JSON")
 	fs.StringVar(&o.metricsOut, "metrics-out", "",
 		"write the telemetry time series (columnar JSON, one values column per "+
 			"metric on a shared t_ns axis) to this file")
-	secondsVar(fs, &o.metricsEvery, "metrics-every", 0.5,
+	fs.Var((*seconds)(&o.metricsEvery), "metrics-every",
 		"sim-time sampling cadence in `seconds` for -metrics-out")
 	fs.StringVar(&o.traceOut, "trace-out", "",
 		"write the per-session lifecycle trace (JSON lines: open/admitted/refused/"+
@@ -348,6 +269,37 @@ func register(fs *flag.FlagSet) *options {
 		}
 	}
 	return o
+}
+
+// bindConfig registers a flag for every Config field with a flag tag,
+// bound to the field, defaulting to its zero value — the mode table
+// supplies the defaults — with the help tag as its usage line.
+func bindConfig(fs *flag.FlagSet, c *loadgen.Config) {
+	v := reflect.ValueOf(c).Elem()
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		name, ok := f.Tag.Lookup("flag")
+		if !ok {
+			continue
+		}
+		help := f.Tag.Get("help")
+		switch p := v.Field(i).Addr().Interface().(type) {
+		case *sim.Duration:
+			fs.Var((*seconds)(p), name, help)
+		case flag.Value:
+			fs.Var(p, name, help)
+		case *int:
+			fs.IntVar(p, name, 0, help)
+		case *int64:
+			fs.Int64Var(p, name, 0, help)
+		case *float64:
+			fs.Float64Var(p, name, 0, help)
+		case *bool:
+			fs.BoolVar(p, name, false, help)
+		default:
+			panic("pegload: Config." + f.Name + " has a flag tag but no flag type")
+		}
+	}
 }
 
 // given reports whether the named flag is in force — a bool set, a
@@ -421,14 +373,6 @@ func main() {
 	flag.Parse()
 
 	cfg := &o.cfg
-	switch o.pattern {
-	case "mesh":
-		cfg.Pattern = loadgen.Mesh
-	case "vod":
-		cfg.Pattern = loadgen.VoD
-	default:
-		die(2, fmt.Sprintf("unknown pattern %q", o.pattern))
-	}
 	cfg.Trace = o.traceOut != ""
 	if o.metricsOut != "" {
 		if cfg.MetricsEvery = o.metricsEvery; cfg.MetricsEvery <= 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,6 +36,69 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag surface changed; testdata/flags.golden wants\n%s\nregistered\n%s", want, got.String())
+	}
+}
+
+// TestConfigFlagsCoverConfig: every loadgen.Config field is a flag —
+// registered under its flag tag and bound to that very field — except
+// the four that no command line sets directly: the ablation twin's
+// Unicast, the adaptive row's ReleaseEvery, and the telemetry switches
+// main derives from -trace-out and -metrics-every.
+func TestConfigFlagsCoverConfig(t *testing.T) {
+	untagged := map[string]bool{"Unicast": true, "ReleaseEvery": true, "Trace": true, "MetricsEvery": true}
+	fs := flag.NewFlagSet("pegload", flag.ContinueOnError)
+	o := register(fs)
+	v := reflect.ValueOf(&o.cfg).Elem()
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		name, tagged := f.Tag.Lookup("flag")
+		switch {
+		case untagged[f.Name] && tagged:
+			t.Errorf("Config.%s is meant to have no flag, yet is tagged -%s", f.Name, name)
+		case untagged[f.Name]:
+		case !tagged:
+			t.Errorf("Config.%s has no flag tag", f.Name)
+		case fs.Lookup(name) == nil:
+			t.Errorf("Config.%s: -%s is not registered", f.Name, name)
+		case reflect.ValueOf(fs.Lookup(name).Value).Pointer() != v.Field(i).Addr().Pointer():
+			t.Errorf("Config.%s: -%s is bound to some other variable", f.Name, name)
+		case f.Tag.Get("help") == "":
+			t.Errorf("Config.%s: -%s has no help tag", f.Name, name)
+		}
+	}
+}
+
+// TestFlagsAddNothing: pegload puts no value of its own into the
+// Config — no flags give the zero Config and each mode flag gives just
+// its boolean — so every default a run gets comes from the mode table.
+func TestFlagsAddNothing(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want loadgen.Config
+	}{
+		{nil, loadgen.Config{}},
+		{[]string{"-pattern", "vod"}, loadgen.Config{Pattern: loadgen.VoD}},
+		{[]string{"-from-storage"}, loadgen.Config{FromStorage: true}},
+		{[]string{"-adaptive"}, loadgen.Config{Adaptive: true}},
+		{[]string{"-cpu-bound"}, loadgen.Config{CPUBound: true}},
+		{[]string{"-cluster"}, loadgen.Config{Cluster: true}},
+		{[]string{"-metro"}, loadgen.Config{Metro: true}},
+		{[]string{"-live"}, loadgen.Config{Live: true}},
+	} {
+		fs := flag.NewFlagSet("pegload", flag.ContinueOnError)
+		o := register(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if o.cfg != tc.want {
+			t.Errorf("%v: Config %+v, want %+v", tc.args, o.cfg, tc.want)
+		}
+	}
+	fs := flag.NewFlagSet("pegload", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	register(fs)
+	if err := fs.Parse([]string{"-pattern", "bogus"}); err == nil || !strings.Contains(err.Error(), `unknown pattern "bogus"`) {
+		t.Errorf("-pattern bogus: parse error %v", err)
 	}
 }
 

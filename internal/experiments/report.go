@@ -1,5 +1,6 @@
 // Package experiments contains one harness per evaluation artefact of
-// the paper (see DESIGN.md §3 for the index E1–E13). Each harness builds
+// the paper (E1–E18; ARCHITECTURE.md's "Paper section → package map"
+// places each paper section in its package). Each harness builds
 // a fresh simulated system, runs the workload, and reports paper-claim
 // versus measured rows. cmd/experiments prints them all; the root-level
 // benchmarks wrap them for `go test -bench`.

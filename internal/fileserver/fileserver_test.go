@@ -368,28 +368,6 @@ func TestOpenStreamWithoutIndexFails(t *testing.T) {
 	}
 }
 
-func TestBandwidthAdmission(t *testing.T) {
-	s := sim.New()
-	sv := newServer(s, 32)
-	sv.SetMediaBudget(20_000_000)
-	// Twenty 1 MB/s streams fit; the twenty-first is refused.
-	for i := 0; i < 20; i++ {
-		if err := sv.Reserve(1_000_000); err != nil {
-			t.Fatalf("reservation %d refused: %v", i, err)
-		}
-	}
-	if err := sv.Reserve(1_000_000); err == nil {
-		t.Fatal("over-budget reservation admitted")
-	}
-	sv.Release(1_000_000)
-	if err := sv.Reserve(1_000_000); err != nil {
-		t.Fatalf("post-release reservation refused: %v", err)
-	}
-	if sv.Reserved() != 20_000_000 {
-		t.Fatalf("reserved = %d", sv.Reserved())
-	}
-}
-
 func TestBakerGeneratorShortLifetimeFraction(t *testing.T) {
 	ops := trace.Baker(sim.NewRand(1), trace.DefaultBaker(2000))
 	frac := trace.ShortLivedFraction(ops, 30*sim.Second)

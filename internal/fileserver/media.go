@@ -194,37 +194,3 @@ func (p *Player) Reverse(from int) []int {
 	}
 	return out
 }
-
-// Bandwidth reservation: the admission control that makes the service
-// rate "guaranteed (fixed)". The budget is the array's streaming
-// capability; reservations beyond it are refused.
-
-// ErrOverCommit reports a rejected bandwidth reservation.
-var ErrOverCommit = errors.New("fileserver: media bandwidth exhausted")
-
-// SetMediaBudget installs the streaming budget in bytes/second.
-func (sv *Server) SetMediaBudget(bytesPerSec int64) { sv.mediaBudget = bytesPerSec }
-
-// Reserve claims stream bandwidth; it must be released when the stream
-// closes.
-func (sv *Server) Reserve(bytesPerSec int64) error {
-	if sv.mediaBudget == 0 {
-		sv.mediaBudget = 20_000_000 // the paper's 4-disk, 20 MB/s figure
-	}
-	if sv.mediaReserved+bytesPerSec > sv.mediaBudget {
-		return ErrOverCommit
-	}
-	sv.mediaReserved += bytesPerSec
-	return nil
-}
-
-// Release returns reserved bandwidth.
-func (sv *Server) Release(bytesPerSec int64) {
-	sv.mediaReserved -= bytesPerSec
-	if sv.mediaReserved < 0 {
-		sv.mediaReserved = 0
-	}
-}
-
-// Reserved reports currently reserved stream bandwidth.
-func (sv *Server) Reserved() int64 { return sv.mediaReserved }

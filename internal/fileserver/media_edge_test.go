@@ -95,30 +95,6 @@ func TestOpenStreamErrors(t *testing.T) {
 	}
 }
 
-func TestMediaReservationRelease(t *testing.T) {
-	s := sim.New()
-	sv := newServer(s, 64)
-	sv.SetMediaBudget(10_000_000)
-	if err := sv.Reserve(6_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Reserve(6_000_000); err == nil {
-		t.Fatal("over-reservation accepted")
-	}
-	sv.Release(6_000_000)
-	if sv.Reserved() != 0 {
-		t.Fatalf("reserved = %d after release", sv.Reserved())
-	}
-	if err := sv.Reserve(6_000_000); err != nil {
-		t.Fatalf("reserve after release: %v", err)
-	}
-	// Releasing more than reserved clamps at zero.
-	sv.Release(99_000_000)
-	if sv.Reserved() != 0 {
-		t.Fatalf("reserved = %d, want 0", sv.Reserved())
-	}
-}
-
 func TestMigratorSizeAndCounts(t *testing.T) {
 	s, sv, m, _ := newMigrated(t)
 	if err := sv.Create("/f", false); err != nil {

@@ -88,10 +88,6 @@ type Server struct {
 	// onFlushed notifies agents that a range is durably logged.
 	onFlushed []func(path string)
 
-	// media bandwidth admission (see media.go).
-	mediaBudget   int64
-	mediaReserved int64
-
 	Stats ServerStats
 }
 

@@ -117,6 +117,12 @@ type beReq struct {
 	done func([]byte, error)
 }
 
+// ErrOverCommit reports a stream the CMService refused: admitting it
+// (or growing it) would push the per-disk time committed each round past
+// the round budget. Errors wrapping it name the path, the cost and the
+// committed/budget figures.
+var ErrOverCommit = errors.New("fileserver: media bandwidth exhausted")
+
 // CMService is the continuous-media serving service over one server's
 // disk array: admission control plus the round scheduler.
 type CMService struct {

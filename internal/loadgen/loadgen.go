@@ -66,48 +66,66 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("pattern(%d)", int(p))
 }
 
-// Config parameterises a load-generation scenario.
+// Set parses a pattern as String spells it, so *Pattern is a flag.Value.
+func (p *Pattern) Set(s string) error {
+	for _, q := range []Pattern{Mesh, VoD} {
+		if q.String() == s {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown pattern %q", s)
+}
+
+// Config parameterises a load-generation scenario. A field's flag tag
+// is the pegload flag that sets it, and its help tag that flag's usage
+// line; a field left zero takes its mode's default from the mode table
+// (modes.go), which is the only place defaults live.
 type Config struct {
-	Pattern      Pattern
-	Workstations int // N stations (mesh: senders+receivers; vod: viewers)
-	StreamsPerWS int // M streams admitted per station
+	Pattern Pattern `flag:"pattern" help:"traffic pattern: mesh | vod"`
+
+	// Workstations is N stations (mesh: senders+receivers; vod:
+	// viewers; default 50); StreamsPerWS is M streams admitted per
+	// station (default 10).
+	Workstations int `flag:"ws" help:"workstations (0 = mode default)"`
+	StreamsPerWS int `flag:"streams" help:"streams admitted per workstation (0 = mode default)"`
 
 	// Servers is the storage-server count for VoD (default: one per 16
 	// workstations). Each server publishes StreamsPerWS titles.
-	Servers int
+	Servers int `flag:"servers" help:"VoD storage servers (0 = auto)"`
 
 	// FrameBytes is the AAL5 payload per frame (default 960; min 16 for
 	// the timestamp header). FrameHz is the per-stream frame rate
 	// (default 100).
-	FrameBytes int
-	FrameHz    int
+	FrameBytes int `flag:"bytes" help:"AAL5 payload bytes per frame (0 = mode default)"`
+	FrameHz    int `flag:"hz" help:"frames per second per stream (0 = mode default)"`
 
 	// PeakRate is the admitted peak bits/s per stream leg; 0 derives
 	// ~1.25x the wire demand of FrameBytes×FrameHz.
-	PeakRate int64
+	PeakRate int64 `flag:"rate" help:"admitted peak bits/s per stream (0 = auto)"`
 
-	// Duration is the simulated run length (default 1 virtual second).
-	Duration sim.Duration
+	// Duration is the simulated run length (default 10 virtual seconds).
+	Duration sim.Duration `flag:"seconds" help:"simulated seconds (0 = mode default)"`
 
 	// LinkRate overrides the site's link bit rate (default 100 Mb/s).
-	LinkRate int64
+	LinkRate int64 `flag:"linkrate" help:"link bit rate (0 = 100 Mb/s)"`
 
 	// CellAccurate disables the batched fabric fast path (one event per
 	// cell — the exact model, for validation runs).
-	CellAccurate bool
+	CellAccurate bool `flag:"cell-accurate" help:"disable the batched fabric fast path (exact per-cell model; ~20x more events)"`
 
 	// FromStorage makes VoD titles real files on the servers' disk
 	// arrays, served through the continuous-media round scheduler:
 	// admission becomes the conjunction of link (netsig) and disk
 	// (fileserver.CMService) guarantees, and every frame sent was read
 	// off the striped array one round ahead. Implies Pattern == VoD.
-	FromStorage bool
+	FromStorage bool `flag:"from-storage" help:"serve VoD titles from the servers' disk arrays through the CM round scheduler (admission = links AND disks); implies -pattern vod"`
 
 	// Round is the storage scheduler period (default 2 s); it must be a
 	// whole number of frame periods. TitleRounds is the stored length of
 	// each title in rounds (default 4); playout loops over it.
-	Round       sim.Duration
-	TitleRounds int
+	Round       sim.Duration `flag:"round" help:"storage scheduler round in seconds (0 = mode default)"`
+	TitleRounds int          `flag:"title-rounds" help:"stored title length in rounds; playout loops (storage-backed modes; 0 = mode default)"`
 
 	// Cluster runs the multi-server VoD site: Servers storage nodes
 	// under an internal/vodsite controller, a Zipf-ranked title catalog
@@ -117,25 +135,25 @@ type Config struct {
 	// a hot title over-subscribes are refused, which triggers reactive
 	// replication; refused requests retry when a new replica joins the
 	// catalog. Implies storage-backed serving; Round defaults to 1 s.
-	Cluster bool
+	Cluster bool `flag:"cluster" help:"run the multi-server VoD site: -servers nodes under the vodsite controller, Zipf title requests admitted on whichever replica has room, reactive replication"`
 
 	// Titles is the catalog size (default 2×Servers). ZipfS is the
 	// popularity exponent of both placement and request sampling
 	// (default 1.3); Seed seeds the request sampler (default 1).
-	Titles int
-	ZipfS  float64
-	Seed   int64
+	Titles int     `flag:"titles" help:"cluster catalog size (0 = 2x servers)"`
+	ZipfS  float64 `flag:"zipf" help:"cluster Zipf popularity exponent (0 = 1.3)"`
+	Seed   int64   `flag:"seed" help:"cluster request-sampling seed (0 = 1)"`
 
 	// BaseReplicas and ReplicationDisabled pass through to
 	// vodsite.Config.
-	BaseReplicas        int
-	ReplicationDisabled bool
+	BaseReplicas        int  `flag:"base-replicas" help:"initial replicas per title (0 = 1)"`
+	ReplicationDisabled bool `flag:"no-replication" help:"disable reactive replication (the hot-title ablation)"`
 
 	// FailNodeAt tears node FailNode down that far into the run
 	// (0: never): its circuits are released and its streams re-admitted
 	// on surviving replicas.
-	FailNodeAt sim.Duration
-	FailNode   int
+	FailNodeAt sim.Duration `flag:"fail-node-at" help:"seconds into the run to tear one node down (0 = never)"`
+	FailNode   int          `flag:"fail-node" help:"node to tear down with -fail-node-at"`
 
 	// Metro federates Sites vodsite sites behind a two-tier fabric
 	// (internal/metro) and homes every viewer on site 0 — the flash-
@@ -144,19 +162,19 @@ type Config struct {
 	// as an explicit admission leg. Implies storage-backed serving;
 	// each site gets Servers nodes and the catalog spreads over the
 	// sites SiteReplicas wide.
-	Metro bool
+	Metro bool `flag:"metro" help:"federate -sites vodsite sites behind a two-tier fabric and home every viewer on site 0 (the flash crowd): requests the home site cannot carry spill across the core switch to neighbor sites, with the inter-site trunk as an explicit admission leg"`
 	// Sites is the federation size (default 3). SiteReplicas is how
 	// many sites hold each title's bytes (default 2, capped at Sites).
-	Sites        int
-	SiteReplicas int
+	Sites        int `flag:"sites" help:"metro federation size (0 = 3)"`
+	SiteReplicas int `flag:"site-replicas" help:"sites holding each title's bytes (0 = 2, capped at -sites)"`
 	// NoSpill runs the single-site ablation: home-site refusals are
 	// final. SpillThreshold passes through to metro.Config (cross-site
 	// lazy replication trigger). FailSiteAt kills whole site FailSite
 	// that far into the run (0: never).
-	NoSpill        bool
-	SpillThreshold int
-	FailSiteAt     sim.Duration
-	FailSite       int
+	NoSpill        bool         `flag:"no-spill" help:"disable cross-site spill admission (the single-site ablation): home-site refusals are final"`
+	SpillThreshold int          `flag:"spill-threshold" help:"title spill pressure before a lazy cross-site copy (0 = 4, <0 = never copy)"`
+	FailSiteAt     sim.Duration `flag:"fail-site-at" help:"seconds into a -metro run to fail one whole site (0 = never)"`
+	FailSite       int          `flag:"fail-site" help:"site to fail with -fail-site-at"`
 
 	// Adaptive runs the degrade-instead-of-refuse scenario: every
 	// request is one unicast disk-backed stream opened as an
@@ -166,11 +184,11 @@ type Config struct {
 	// storage-backed VoD; Round defaults to 500 ms and FrameBytes to
 	// 19200 (windows must span many stripe chunks for a tier drop to
 	// shrink the per-disk cost).
-	Adaptive bool
+	Adaptive bool `flag:"adaptive" help:"run the degrade-instead-of-refuse scenario: unicast disk-backed streams opened as Adaptive-class sessions; an over-subscribed site scales sessions down the tier ladder instead of refusing and restores them as capacity frees"`
 
 	// GuaranteedOnly forces every session to the Guaranteed class —
 	// the ablation an Adaptive scoreboard is compared against.
-	GuaranteedOnly bool
+	GuaranteedOnly bool `flag:"guaranteed-only" help:"force every -adaptive session to the Guaranteed class (the admit-or-refuse ablation)"`
 
 	// CPUBound runs the CPU-constrained scenario: unicast disk-backed
 	// streams as in Adaptive mode, but every serving node's Nemesis CPU
@@ -183,7 +201,7 @@ type Config struct {
 	// down the tier ladder on a CPU refusal exactly as it does for
 	// links and disks, and every admitted stream's protocol domain must
 	// meet every EDF deadline.
-	CPUBound bool
+	CPUBound bool `flag:"cpu-bound" help:"run the CPU-constrained scenario: unicast disk-backed streams with per-node Nemesis CPU admission (small per-stream rates, high per-stream CPU cost), so admission is the full link AND disk AND cpu conjunction and the processor refuses/degrades strictly before the disks fill; combine with -adaptive for degrade-instead-of-refuse on CPU"`
 
 	// Live runs the live-broadcast flash crowd: Channels switch-level
 	// multicast channels on the air, a Zipf-popularity churn of viewer
@@ -192,17 +210,17 @@ type Config struct {
 	// Guaranteed VoD sessions sharing the viewer links and server disks.
 	// A join the link budget refuses degrades that channel's subtree
 	// down the tier ladder instead of refusing.
-	Live bool
+	Live bool `flag:"live" help:"run the live-broadcast flash crowd: -channels switch-level multicast channels, Zipf-popularity viewer join/leave churn with exponential hold times, and -vod-streams disk-backed Guaranteed VoD sessions sharing the viewer links; a join the link budget refuses degrades that channel's subtree down the tier ladder instead of refusing"`
 	// Channels is the number of live channels (default 4). Each gets
 	// its own camera port and one uplink reservation however many
 	// viewers join.
-	Channels int
+	Channels int `flag:"channels" help:"live channels on the air (0 = 4)"`
 	// HoldMean is the mean viewer hold time (default: a quarter of
 	// Duration).
-	HoldMean sim.Duration
+	HoldMean sim.Duration `flag:"hold-mean" help:"mean viewer hold time in seconds for -live (0 = a quarter of the run)"`
 	// VodStreams is the background VoD population (default
 	// Workstations/2; negative disables).
-	VodStreams int
+	VodStreams int `flag:"vod-streams" help:"background disk-backed VoD sessions in a -live run (0 = ws/2, negative = none)"`
 	// Unicast is the live ablation twin: every viewer gets their own
 	// circuit from the camera — uplink charged per viewer, one
 	// transmitted copy each, no subtree ladder — so the scoreboard can
@@ -218,7 +236,7 @@ type Config struct {
 	// (~35 µs repositioning, 500 MB/s media rate), lifting per-node
 	// stream counts from tens to tens of thousands — the knob 100k-
 	// session cluster runs turn.
-	FastDisks bool
+	FastDisks bool `flag:"fast-disks" help:"flash-era disk mechanics instead of the 1994 drive (storage-backed modes); lifts per-node stream ceilings from tens to tens of thousands"`
 
 	// CacheMB sizes each serving node's RAM buffer tier in MiB
 	// (storage-backed modes; 0 disables). With a cache, a request
@@ -227,7 +245,7 @@ type Config struct {
 	// Zipf-hot catalog serves far more streams than the disk arms alone
 	// admit. In cluster mode, requests the disks refuse at build time
 	// are retried each round once a leader's wake becomes resident.
-	CacheMB int
+	CacheMB int `flag:"cache-mb" help:"per-node RAM buffer tier in MiB (storage-backed modes; 0 = no cache): a request trailing another viewer of the same title is served from the leader's wake in memory, charging no disk round budget"`
 
 	// Trace switches per-session lifecycle tracing on (see
 	// Scenario.WriteTrace). Excluded from the scoreboard's config echo

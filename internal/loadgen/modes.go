@@ -3,8 +3,11 @@ package loadgen
 // The mode table: one row per scenario pegload can run. A Config names
 // its modes with booleans (or, with none set, its Pattern); the table
 // says which combinations exist, what each defaults, whether its titles
-// live on disks, and which topology and workload pieces build it. Validate, Build, the scoreboard and pegload
-// all read this one table.
+// live on disks, and which topology and workload pieces build it.
+// Validate, Build, the scoreboard and pegload all read this one table,
+// and it is the only default table: pegload's Config flags all default
+// to zero, so a command line and the Config literal it spells run the
+// same scenario.
 
 import (
 	"fmt"
@@ -52,8 +55,7 @@ var modes = []mode{
 		// links and disks with background VoD (live.go).
 		name: "live", on: func(c *Config) bool { return c.Live },
 		defaults: Config{
-			Channels: 4, Workstations: 12, StreamsPerWS: 4, Servers: 1,
-			Round: 500 * sim.Millisecond, TitleRounds: 2, ZipfS: 1.3, Seed: 1,
+			Channels: 4, Servers: 1, Round: 500 * sim.Millisecond, ZipfS: 1.3, Seed: 1,
 		},
 		derive: func(c *Config) {
 			setDefault(&c.VodStreams, c.Workstations/2)
@@ -69,8 +71,7 @@ var modes = []mode{
 		name: "metro", on: func(c *Config) bool { return c.Metro },
 		with: []string{"from-storage"},
 		defaults: Config{
-			Sites: 3, Servers: 2, SiteReplicas: 2,
-			Round: sim.Second, TitleRounds: 4, ZipfS: 1.3, Seed: 1,
+			Sites: 3, Servers: 2, SiteReplicas: 2, Round: sim.Second, ZipfS: 1.3, Seed: 1,
 		},
 		derive: func(c *Config) {
 			c.SiteReplicas = min(c.SiteReplicas, c.Sites)
@@ -84,7 +85,7 @@ var modes = []mode{
 		// controller, Zipf requests, reactive replication.
 		name: "cluster", on: func(c *Config) bool { return c.Cluster },
 		with:     []string{"from-storage"},
-		defaults: Config{Servers: 4, Round: sim.Second, TitleRounds: 4, ZipfS: 1.3, Seed: 1},
+		defaults: Config{Servers: 4, Round: sim.Second, ZipfS: 1.3, Seed: 1},
 		derive:   func(c *Config) { setDefault(&c.Titles, 2*c.Servers) },
 		storage:  always, segSize: 256 << 10, logSlack: 16,
 		topology: (*Scenario).clusterSite, workload: (*Scenario).zipfRequests,
@@ -94,11 +95,9 @@ var modes = []mode{
 		// controlled and deliberately scarce. Small frames: the disks and
 		// links barely notice a stream the CPU model finds expensive.
 		name: "cpu-bound", on: func(c *Config) bool { return c.CPUBound },
-		with: []string{"adaptive", "from-storage"},
-		defaults: Config{
-			Servers: 1, Round: 500 * sim.Millisecond, TitleRounds: 2, FrameBytes: 1200,
-		},
-		storage: always, segSize: 64 << 10, logSlack: 16,
+		with:     []string{"adaptive", "from-storage"},
+		defaults: Config{Servers: 1, Round: 500 * sim.Millisecond, FrameBytes: 1200},
+		storage:  always, segSize: 64 << 10, logSlack: 16,
 		topology: (*Scenario).serverSite, workload: (*Scenario).unicastRequests,
 	},
 	{
@@ -107,18 +106,15 @@ var modes = []mode{
 		// 16 KiB per-disk chunks and frames are large, so a degraded
 		// window really costs the disks less.
 		name: "adaptive", on: func(c *Config) bool { return c.Adaptive },
-		with: []string{"from-storage"},
-		defaults: Config{
-			Servers: 1, Round: 500 * sim.Millisecond, TitleRounds: 2, FrameBytes: 19200,
-			ReleaseEvery: 3,
-		},
-		storage: always, segSize: 64 << 10, logSlack: 16,
+		with:     []string{"from-storage"},
+		defaults: Config{Servers: 1, Round: 500 * sim.Millisecond, FrameBytes: 19200, ReleaseEvery: 3},
+		storage:  always, segSize: 64 << 10, logSlack: 16,
 		topology: (*Scenario).serverSite, workload: (*Scenario).unicastRequests,
 	},
 	{
 		// VoD fan-out whose titles are real files read a round ahead.
 		name: "from-storage", on: func(c *Config) bool { return c.FromStorage },
-		defaults: Config{Round: 2 * sim.Second, TitleRounds: 4},
+		defaults: Config{Round: 2 * sim.Second},
 		storage:  always, segSize: 256 << 10, logSlack: 8,
 		topology: (*Scenario).serverSite, workload: (*Scenario).fanoutStreams,
 	},
@@ -136,8 +132,8 @@ var modes = []mode{
 
 // common are the defaults every mode shares, applied after its own.
 var common = Config{
-	Workstations: 8, StreamsPerWS: 4, FrameBytes: 960, FrameHz: 100,
-	Duration: sim.Second, LinkRate: fabric.Rate100M,
+	Workstations: 50, StreamsPerWS: 10, FrameBytes: 960, FrameHz: 100,
+	Duration: 10 * sim.Second, TitleRounds: 4, LinkRate: fabric.Rate100M,
 }
 
 // storageBacked reports whether a run of c in this mode serves titles

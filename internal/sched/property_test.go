@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Property (DESIGN.md §5): a domain with guarantee {s, p} receives at
+// Property (paper §3.3, the EDF-over-shares contract): a domain with guarantee {s, p} receives at
 // least its slice in every window while it has work, for any feasible
 // random set of contracts, with hogs competing.
 func TestGuaranteePropertyRandomContracts(t *testing.T) {
@@ -74,7 +74,7 @@ func TestGuaranteePropertyRandomContracts(t *testing.T) {
 	}
 }
 
-// Property (DESIGN.md §5): the CPU never idles while any runnable
+// Property (paper §3.3, the EDF-over-shares contract): the CPU never idles while any runnable
 // domain exists (work-conserving), for random loads.
 func TestWorkConservingProperty(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -10,6 +10,8 @@
 #     exported declaration.
 #  2. Every local markdown link in README.md, ARCHITECTURE.md and
 #     CHANGES.md must point at a file that exists.
+#  3. Every NAME.md a Go comment names must exist, beside the .go file
+#     or at the repo root.
 #
 # Exit non-zero listing every violation; print nothing on success.
 set -euo pipefail
@@ -57,6 +59,23 @@ for md in README.md ARCHITECTURE.md CHANGES.md; do
         fi
     done
 done
+
+# --- markdown files named in Go comments must exist --------------------------
+# The awk prints "file:line:NAME.md" for every NAME.md after a // on a
+# line of a .go file outside dot-directories.
+while IFS=: read -r file line name; do
+    if [ ! -e "$(dirname "$file")/$name" ] && [ ! -e "$name" ]; then
+        echo "doclint: $file:$line: comment names missing $name"
+        fail=1
+    fi
+done < <(find . -name '*.go' -not -path './.*' -print0 | xargs -0 awk '
+    (i = index($0, "//")) {
+        rest = substr($0, i)
+        while (match(rest, /[A-Za-z0-9_-]+\.md/)) {
+            print FILENAME ":" FNR ":" substr(rest, RSTART, RLENGTH)
+            rest = substr(rest, RSTART + RLENGTH)
+        }
+    }')
 
 if [ "$fail" -ne 0 ]; then
     echo "doclint: failures above" >&2
