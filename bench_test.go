@@ -917,7 +917,8 @@ func BenchmarkMetroSpillProbe(b *testing.B) {
 // BenchmarkCatalogSync measures the steady-state anti-entropy round:
 // every alive site exchanges versions with its ring successor over the
 // sorted key union of a converged 64-title catalog (the recurring cost
-// every SyncEvery tick, dominated by the scan, not by reconciliation).
+// of every 250 ms anti-entropy tick, dominated by the scan, not by
+// reconciliation).
 func BenchmarkCatalogSync(b *testing.B) {
 	m, _ := benchMetro(b, 64)
 	m.SyncCatalog() // converge once; measured rounds reconcile nothing

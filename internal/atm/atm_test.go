@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestCellMarshalRoundTrip(t *testing.T) {
@@ -52,7 +54,7 @@ func TestCellRoundTripProperty(t *testing.T) {
 		got, err := Unmarshal(w[:])
 		return err == nil && got == c
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,7 +238,7 @@ func TestAAL5RoundTripProperty(t *testing.T) {
 		}
 		return false
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

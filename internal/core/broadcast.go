@@ -14,8 +14,8 @@ package core
 //
 // Join pressure follows the §3.3 ladder applied per subtree: when a
 // join would be refused on a link budget, the channel's reservation
-// drops a quality tier (every live branch, the uplink, the CPU contract
-// and any trunk direction shrink in place) instead of refusing, and
+// drops a quality tier (every live branch, the uplink and the CPU
+// contract shrink in place) instead of refusing, and
 // leave-driven slack climbs it back up — the congestion-adaptive
 // feedback of Alaya et al. (PAPERS.md) with the tree, not the session,
 // as the adaptation unit.
@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/atm"
-	"repro/internal/fabric"
 	"repro/internal/netsig"
 	"repro/internal/telemetry"
 )
@@ -35,8 +34,7 @@ var ErrBroadcastClosed = errors.New("core: broadcast is closed")
 
 // BroadcastSpec describes a live channel a caller wants on the air.
 type BroadcastSpec struct {
-	// InPort is the source's switch port (camera, encoder, trunk
-	// ingress).
+	// InPort is the source's switch port (camera or encoder).
 	InPort int
 	// PeakRate is the channel's full-quality peak rate in bits/s; the
 	// tree's uplink and every branch are admitted at the current tier's
@@ -61,13 +59,6 @@ type BroadcastSpec struct {
 	// the uplink is charged per viewer and the source must transmit one
 	// copy each. No subtree ladder applies — a refused join refuses.
 	Unicast bool
-	// TrunkDown, when non-nil, is the inter-site trunk direction feeding
-	// InPort (a remote site's subtree): one more leg of the channel's
-	// reservation, held at the subtree's tier from open to Close.
-	// TrunkUp is the direction a home tree crosses on its way out; it is
-	// held only while AttachTrunk has the tree branched onto the trunk
-	// port. Nil everywhere outside a metro federation.
-	TrunkUp, TrunkDown *fabric.Budget
 }
 
 // BroadcastStats counts live-plane activity on a site.
@@ -89,8 +80,8 @@ type BroadcastStats struct {
 }
 
 // Broadcast is one live channel on the air: its reservation — the
-// multicast tree (nothing, in the unicast ablation), the source's CPU
-// contract and any trunk direction — plus the viewer bookkeeping and
+// multicast tree (nothing, in the unicast ablation) and the source's
+// CPU contract — plus the viewer bookkeeping and
 // the ablation's per-viewer circuits.
 type Broadcast struct {
 	reservation
@@ -135,9 +126,9 @@ func (j *Join) Closed() bool { return j.done }
 
 // OpenBroadcast puts a live channel on the air: one uplink reservation
 // at the source (the switch does the fan-out, so the source's link is
-// crossed once regardless of viewers) plus, when the spec carries them,
-// the source's CPU contract and the trunk direction feeding the tree —
-// admitted atomically, a refusal by any leg holding nothing. Viewers
+// crossed once regardless of viewers) plus, when the spec carries one,
+// the source's CPU contract — admitted atomically, a refusal by either
+// leg holding nothing. Viewers
 // join later; a fresh broadcast forwards nowhere.
 func (st *Site) OpenBroadcast(spec BroadcastSpec) (*Broadcast, error) {
 	if spec.PeakRate <= 0 {
@@ -154,7 +145,6 @@ func (st *Site) OpenBroadcast(spec BroadcastSpec) (*Broadcast, error) {
 		geometry: geometry{spec.PeakRate, spec.MinRateFrac, spec.FrameBytes, spec.FrameHz},
 		shape:    shapeTree, inPort: spec.InPort,
 		cpuSvc: spec.CPU, domain: fmt.Sprintf("bcast%d", id),
-		down:   trunkHold{budget: spec.TrunkDown},
 		factor: 1,
 	}
 	if spec.Unicast {
@@ -184,35 +174,6 @@ func (b *Broadcast) Viewers() int { return b.nviewers }
 // Branches reports the number of distinct output ports carrying the
 // channel — the fan-out the switch actually replicates to.
 func (b *Broadcast) Branches() int { return len(b.viewers) }
-
-// AttachTrunk branches the tree onto the site's trunk port and takes
-// the spec's TrunkUp direction at the tree's current tier — the single
-// copy a federation's remote sites share. From then on the direction
-// is an ordinary leg: tier moves reshape it, a climb it refuses is
-// rolled back, Close releases it. A refusal (ErrTrunk) holds nothing.
-func (b *Broadcast) AttachTrunk(port int) error {
-	if b.circ == nil {
-		return errors.New("core: no tree to branch onto the trunk (unicast or closed channel)")
-	}
-	m := b.site.Signalling
-	if err := m.JoinTree(b.circ.ID, port); err != nil {
-		return err
-	}
-	b.up.budget = b.spec.TrunkUp
-	if err := b.moveTrunk(b.Rate()); err != nil {
-		b.up.budget = nil
-		_ = m.LeaveTree(b.circ.ID, port)
-		return err
-	}
-	return nil
-}
-
-// DetachTrunk prunes the trunk branch and returns the TrunkUp hold.
-func (b *Broadcast) DetachTrunk(port int) error {
-	b.up.move(0)
-	b.up.budget = nil
-	return b.site.Signalling.LeaveTree(b.circ.ID, port)
-}
 
 // Join admits one viewer on the given switch port. The first viewer on
 // a port grows a tree branch (admission-controlled on that port's
@@ -329,7 +290,7 @@ func (j *Join) Leave() error {
 
 // Close takes the channel off the air: the ablation's per-viewer
 // circuits tear down, the reservation (tree with every branch, CPU
-// contract, trunk directions) releases, and every outstanding Join
+// contract) releases, and every outstanding Join
 // handle is dead. Idempotent; returns the first teardown error.
 func (b *Broadcast) Close() error {
 	if b.closed {

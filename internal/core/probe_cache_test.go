@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fileserver"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // Property (the probe/admission equivalence, cache leg included): on a
@@ -104,7 +105,7 @@ func TestProbeCacheEquivalenceProperty(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 30}
+	cfg := testutil.Quick(t, 30)
 	if testing.Short() {
 		cfg.MaxCount = 10
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/testutil"
 )
 
 // Property (the stream-plane admission invariant): over any random
@@ -114,7 +115,7 @@ func TestSessionTraceInvariantProperty(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 25}
+	cfg := testutil.Quick(t, 25)
 	if testing.Short() {
 		cfg.MaxCount = 8
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 func TestCellTimeAt100M(t *testing.T) {
@@ -231,7 +232,7 @@ func TestLinkConservationProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

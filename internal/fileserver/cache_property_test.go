@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fileserver"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // Property (the RAM-tier budget invariant): under any interleaving of
@@ -118,7 +119,7 @@ func TestCMCacheBudgetConservationProperty(t *testing.T) {
 	if !prop(1365551179408480162, 0x56, true) {
 		t.Fatal("pinned case (1365551179408480162, 0x56, true) broke the budget invariant")
 	}
-	cfg := &quick.Config{MaxCount: 80}
+	cfg := testutil.Quick(t, 80)
 	if testing.Short() {
 		cfg.MaxCount = 25
 	}

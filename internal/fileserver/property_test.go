@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fileserver"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // Property: whatever the write-behind window and however writes
@@ -61,7 +62,7 @@ func TestServerLastWriteWinsProperty(t *testing.T) {
 		s.Run()
 		return rerr == nil && bytes.Equal(got, model[:size])
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 120)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,7 +117,7 @@ func TestServerCrashReplayProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }

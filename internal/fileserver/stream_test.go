@@ -11,6 +11,7 @@ import (
 	"repro/internal/fileserver"
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // cmRound is the scheduler period used throughout these tests: short
@@ -246,7 +247,7 @@ func TestCMAdmissionInvariantProperty(t *testing.T) {
 		}
 		return svc.Committed() == 0 && svc.Open() == 0
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

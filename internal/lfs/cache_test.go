@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 // These tests exercise the unexported file-space block cache directly;
@@ -172,7 +174,7 @@ func TestCacheCoherenceProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 300)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,8 @@ package media
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestFrameGeometry(t *testing.T) {
@@ -140,7 +142,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -253,7 +255,7 @@ func TestAudioRoundTripProperty(t *testing.T) {
 		got, err := DecodeAudioBlock(enc[:])
 		return err == nil && got == a
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -108,7 +108,7 @@ func (mb *Member) CatalogView(title string) (CatalogView, bool) {
 // syncTick is the self-re-arming anti-entropy heartbeat.
 func (m *Controller) syncTick() {
 	m.SyncCatalog()
-	m.sim.After(m.cfg.SyncEvery, m.syncTick)
+	m.sim.After(syncEvery, m.syncTick)
 }
 
 // SyncCatalog runs one anti-entropy round: each alive site exchanges
@@ -206,7 +206,7 @@ func (m *Controller) maybeCopy(home int, title string) {
 	ent := hm.cat[title]
 	cp := &metroCopy{m: m, home: home, from: sm.Index, fb: ent.FrameBytes, hz: ent.FrameHz}
 	cp.TitleCopy = vodsite.TitleCopy{Src: src, Dst: dst, Name: title, Bytes: ent.Bytes,
-		Chunk: 256 << 10, Done: cp.done, Aborted: cp.aborted}
+		Chunk: vodsite.CopyChunk, Done: cp.done, Aborted: cp.aborted}
 	m.copies = append(m.copies, cp)
 	m.Stats.CrossCopiesTriggered++
 	cp.Start()

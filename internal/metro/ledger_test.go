@@ -1,13 +1,12 @@
 package metro
 
 // Ledger conservation across the federation: over seeded random traces
-// of spilled and local opens, closes, live-channel joins and leaves
-// across three sites, cross-site copies and a whole-site failure, after
-// every operation each site's netsig link/uplink commitments, every
-// node's disk and CPU commitments and every trunk direction equal the
-// sum over the live sessions and trees that hold them; once a site has
-// failed, no channel keeps a subtree there and its trunk holds nothing;
-// closing everything returns every budget to exactly zero.
+// of spilled and local opens and closes across three sites, cross-site
+// copies and a whole-site failure, after every operation each site's
+// netsig link/uplink commitments, every node's disk and CPU commitments
+// and every trunk direction equal the sum over the live sessions that
+// hold them; once a site has failed, its trunk holds nothing; closing
+// everything returns every budget to exactly zero.
 
 import (
 	"fmt"
@@ -20,22 +19,17 @@ import (
 	"repro/internal/vodsite"
 )
 
-type ledgerMetro struct {
-	h     *harness
-	chans []*LiveChannel
-}
-
 // newLedgerMetro is three sites of two CPU-admitted nodes each, trunks
 // that fit three streams a direction, and titles spread so that every
 // site spills some of them.
-func newLedgerMetro(t *testing.T) *ledgerMetro {
+func newLedgerMetro(t *testing.T) *harness {
 	cfg := Config{
 		Sites:          3,
 		Vod:            vodsite.Config{ReplicationDisabled: true},
 		TrunkRate:      3 * peakRate,
 		SpillThreshold: 3,
 	}
-	h := buildMetro(t, cfg, 2, 5, 4, func(i int) []int { return []int{i % 3, (i + 1) % 3}[:1+i%2] })
+	h := buildMetro(t, cfg, 2, 4, 4, func(i int) []int { return []int{i % 3, (i + 1) % 3}[:1+i%2] })
 	for _, mb := range h.m.Members() {
 		for _, n := range mb.Ctrl.Nodes() {
 			n.SS.EnableCPU(core.CPUConfig{BytesPerSec: 2 << 20})
@@ -44,28 +38,18 @@ func newLedgerMetro(t *testing.T) *ledgerMetro {
 			mb.Site.Signalling.SetPortCapacity(v.Port, 2*peakRate)
 		}
 	}
-	return &ledgerMetro{h: h}
+	return h
 }
 
-// audit recomputes every budget from the live sessions and trees.
-func (lm *ledgerMetro) audit(t *testing.T, step string) {
+// audit recomputes every budget from the live sessions.
+func (h *harness) audit(t *testing.T, step string) {
 	t.Helper()
-	m := lm.h.m
+	m := h.m
 	up, down := make([]int64, m.Sites()), make([]int64, m.Sites())
 	for _, s := range m.Sessions() {
 		if !s.Closed() && s.Spilled() {
 			up[s.Served] += s.homeSess.Rate()
 			down[s.Home] += s.homeSess.Rate()
-		}
-	}
-	for _, ch := range lm.chans {
-		for site, sub := range ch.trees {
-			if site != ch.home {
-				down[site] += sub.Rate()
-			}
-		}
-		if len(ch.trees) > 1 {
-			up[ch.home] += ch.trees[ch.home].Rate()
 		}
 	}
 	for i, mb := range m.Members() {
@@ -97,9 +81,6 @@ func (lm *ledgerMetro) audit(t *testing.T, step string) {
 				}
 			}
 		}
-		for _, b := range mb.Site.Broadcasts() {
-			circuit(b)
-		}
 		sig := mb.Site.Signalling
 		for p := 0; p < mb.Site.Switch.Ports(); p++ {
 			if got := sig.Committed(p); got != link[p] || got > sig.Capacity(p) {
@@ -121,36 +102,27 @@ func (lm *ledgerMetro) audit(t *testing.T, step string) {
 	}
 }
 
-// deadSite checks what a failed site may still hold: no channel homed
-// there is on the air, no channel has a subtree there, and both of its
-// trunk directions are free.
-func (lm *ledgerMetro) deadSite(t *testing.T, step string, site int) {
+// deadSite checks what a failed site may still hold: both of its trunk
+// directions are free.
+func (h *harness) deadSite(t *testing.T, step string, site int) {
 	t.Helper()
-	for _, ch := range lm.chans {
-		if ch.Home() == site && !ch.Closed() {
-			t.Fatalf("%s: channel %q homed at failed site %d is still on the air", step, ch.spec.Title, site)
-		}
-		if !ch.Closed() && ch.Subtree(site) != nil {
-			t.Fatalf("%s: channel %q keeps a subtree at failed site %d", step, ch.spec.Title, site)
-		}
-	}
-	if tr := lm.h.m.Member(site).Trunk; tr.CommittedUp() != 0 || tr.CommittedDown() != 0 {
+	if tr := h.m.Member(site).Trunk; tr.CommittedUp() != 0 || tr.CommittedDown() != 0 {
 		t.Fatalf("%s: failed site %d trunk commits up=%d down=%d", step, site, tr.CommittedUp(), tr.CommittedDown())
 	}
 }
 
 // trace runs one seeded random trace — failing a site midway when
 // failSite is set — and closes everything it opened.
-func (lm *ledgerMetro) trace(t *testing.T, seed int64, ops int, failSite bool) {
+func (h *harness) trace(t *testing.T, seed int64, ops int, failSite bool) {
 	t.Helper()
-	m, rng := lm.h.m, rand.New(rand.NewSource(seed))
-	viewer := func(site int) int { return lm.h.viewers[site][rng.Intn(4)].Port }
+	m, rng := h.m, rand.New(rand.NewSource(seed))
+	viewer := func(site int) int { return h.viewers[site][rng.Intn(4)].Port }
 	var open []*Session
-	var joins []*LiveJoin
 	for i := 0; i < ops; i++ {
 		step := fmt.Sprintf("seed %d op %d", seed, i)
 		site := rng.Intn(3)
-		switch op := rng.Intn(12); {
+		// Weights out of 8: open 5, close 2, run a round 1.
+		switch op := rng.Intn(8); {
 		case failSite && i == ops/2:
 			m.FailSite(1)
 		case op < 5:
@@ -161,38 +133,18 @@ func (lm *ledgerMetro) trace(t *testing.T, seed int64, ops int, failSite bool) {
 			k := rng.Intn(len(open))
 			open[k].Close()
 			open = append(open[:k], open[k+1:]...)
-		case op < 8:
-			sp := liveSpec(lm.h.viewers[site][4])
-			sp.Title = fmt.Sprintf("live%d.%d", seed, i)
-			if ch, err := m.OpenBroadcast(site, sp); err == nil {
-				lm.chans = append(lm.chans, ch)
-			}
-		case op < 10 && len(lm.chans) > 0:
-			if j, err := lm.chans[rng.Intn(len(lm.chans))].Join(site, viewer(site)); err == nil {
-				joins = append(joins, j)
-			}
-		case op < 11 && len(joins) > 0:
-			k := rng.Intn(len(joins))
-			_ = joins[k].Leave()
-			joins = append(joins[:k], joins[k+1:]...)
 		default:
 			m.Clock().RunFor(round)
 		}
-		lm.audit(t, step)
+		h.audit(t, step)
 		if failSite && i >= ops/2 {
-			lm.deadSite(t, step, 1)
+			h.deadSite(t, step, 1)
 		}
 	}
 	for _, s := range open {
 		s.Close()
 	}
-	for _, ch := range lm.chans {
-		if err := ch.Close(); err != nil {
-			t.Fatalf("seed %d: close channel: %v", seed, err)
-		}
-	}
-	lm.chans = nil
-	lm.audit(t, fmt.Sprintf("seed %d close-all", seed))
+	h.audit(t, fmt.Sprintf("seed %d close-all", seed))
 	for i, mb := range m.Members() {
 		if n := mb.Site.Signalling.Open(); n != 0 {
 			t.Fatalf("seed %d: %d circuits survive close-all on site %d", seed, n, i)
@@ -205,11 +157,11 @@ func TestMetroLedgerConservationProperty(t *testing.T) {
 	if testing.Short() {
 		traces, failing = 40, 4
 	}
-	lm := newLedgerMetro(t)
+	h := newLedgerMetro(t)
 	for seed := int64(0); seed < int64(traces); seed++ {
-		lm.trace(t, seed, 40, false)
+		h.trace(t, seed, 40, false)
 	}
-	if st := lm.h.m.Stats; st.Spilled == 0 || st.TrunkRefused == 0 || st.CrossCopiesCompleted == 0 {
+	if st := h.m.Stats; st.Spilled == 0 || st.TrunkRefused == 0 || st.CrossCopiesCompleted == 0 {
 		t.Fatalf("traces never spilled, hit a full trunk or copied a title: %+v", st)
 	}
 	// A site failure is for good: each failing trace gets its own metro.

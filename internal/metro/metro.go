@@ -24,13 +24,13 @@
 // home site — so they are committed, reshaped and released as ordinary
 // legs of that session's reservation; both sites' trunk ports carry
 // unbounded netsig capacity so the trunk leg is the only place trunk
-// bandwidth is counted.
+// bandwidth is counted. Sessions are the only flows that cross a
+// trunk: a live broadcast (core.Broadcast) stays within its site.
 package metro
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/core"
@@ -46,6 +46,13 @@ import (
 // accounting, never double-counted against a port's link capacity.
 const unboundedRate int64 = 1 << 60
 
+const (
+	// trunkDelay is the trunk propagation delay.
+	trunkDelay = 10 * sim.Microsecond
+	// syncEvery is the catalog anti-entropy cadence.
+	syncEvery = 250 * sim.Millisecond
+)
+
 // Config parameterises a metro federation.
 type Config struct {
 	// Sites is the number of member sites (required, >= 1).
@@ -59,13 +66,6 @@ type Config struct {
 	// TrunkRate is the per-direction trunk capacity in bits/s
 	// (default 4x the site link rate — an aggregation link).
 	TrunkRate int64
-	// TrunkDelay is the trunk propagation delay (default 10µs).
-	TrunkDelay sim.Duration
-	// CoreFabricDelay is the core switch transit time per cell
-	// (default: the site fabric delay).
-	CoreFabricDelay sim.Duration
-	// SyncEvery is the catalog anti-entropy cadence (default 250ms).
-	SyncEvery sim.Duration
 	// NoSpill disables remote admission — the single-site ablation:
 	// a refusal at the home site is final.
 	NoSpill bool
@@ -84,15 +84,6 @@ func (cfg *Config) setDefaults() {
 	}
 	if cfg.TrunkRate == 0 {
 		cfg.TrunkRate = 4 * cfg.Site.LinkRate
-	}
-	if cfg.TrunkDelay == 0 {
-		cfg.TrunkDelay = 10 * sim.Microsecond
-	}
-	if cfg.CoreFabricDelay == 0 {
-		cfg.CoreFabricDelay = cfg.Site.FabricDelay
-	}
-	if cfg.SyncEvery == 0 {
-		cfg.SyncEvery = 250 * sim.Millisecond
 	}
 	if cfg.SpillThreshold == 0 {
 		cfg.SpillThreshold = 4
@@ -189,7 +180,6 @@ type Controller struct {
 	members    []*Member
 	titles     []string // global catalog order (AddTitle order)
 	sessions   []*Session
-	channels   []*LiveChannel // open live channels, in open order
 	copies     []*metroCopy
 	nextID     int64
 	catVersion int64
@@ -200,14 +190,14 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	cfg.setDefaults()
 	m := &Controller{cfg: cfg, sim: sim.New(), reg: telemetry.NewRegistry()}
-	m.coreSw = fabric.NewSwitch(m.sim, "metro-core", cfg.Sites, cfg.CoreFabricDelay)
+	m.coreSw = fabric.NewSwitch(m.sim, "metro-core", cfg.Sites, cfg.Site.FabricDelay)
 	for i := 0; i < cfg.Sites; i++ {
 		scfg := cfg.Site
 		scfg.Name = fmt.Sprintf("site%d", i)
 		scfg.Ports++ // the trunk port, on top of the site's own
 		site := core.NewSiteOn(m.sim, m.reg, scfg)
 		tp := site.ReservePort()
-		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, cfg.TrunkRate, cfg.TrunkDelay)
+		trunk := fabric.JoinTier(site.Switch, tp, m.coreSw, i, cfg.TrunkRate, trunkDelay)
 		site.Signalling.SetPortCapacity(tp, unboundedRate)
 		site.Signalling.SetUplinkCapacity(tp, unboundedRate)
 		mb := &Member{
@@ -271,8 +261,8 @@ func (m *Controller) Start(cfg fileserver.CMConfig) {
 	for _, mb := range m.members {
 		mb.Ctrl.Start(cfg)
 	}
-	if m.cfg.SyncEvery > 0 && len(m.members) > 1 {
-		m.sim.After(m.cfg.SyncEvery, m.syncTick)
+	if len(m.members) > 1 {
+		m.sim.After(syncEvery, m.syncTick)
 	}
 }
 
@@ -394,7 +384,7 @@ func (m *Controller) OpenSession(home int, title string, viewerPort int) (*Sessi
 // and the home site's down direction.
 func (m *Controller) homeLeg(hm, sm *Member, viewerPort int) core.SessionSpec {
 	return core.SessionSpec{
-		Class:    m.cfg.Vod.Class,
+		Class:    core.Guaranteed,
 		InPort:   hm.trunkPort,
 		OutPorts: []int{viewerPort},
 		PeakRate: m.cfg.Vod.PeakRate,
@@ -563,7 +553,7 @@ func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 		Event:   "spilled",
 		Session: s.id,
 		Node:    s.st.Node().SS.Name,
-		Class:   m.cfg.Vod.Class.String(),
+		Class:   core.Guaranteed.String(),
 		RateBPS: m.cfg.Vod.PeakRate,
 		Legs:    rep.LegSamples(),
 	})
@@ -583,12 +573,10 @@ type FailReport struct {
 }
 
 // FailSite kills a whole site: its catalog entries are struck from
-// every survivor's view, cross-site copies touching it abort, live
-// channels homed there go off the air and every other channel loses
-// its subtree there, its viewers' sessions drop, sessions it was
-// serving for other sites' viewers are re-admitted on survivors across
-// the trunk, and finally every storage node is torn down at the
-// vodsite level.
+// every survivor's view, cross-site copies touching it abort, its
+// viewers' sessions drop, sessions it was serving for other sites'
+// viewers are re-admitted on survivors across the trunk, and finally
+// every storage node is torn down at the vodsite level.
 func (m *Controller) FailSite(idx int) FailReport {
 	rep := FailReport{Site: idx}
 	vm := m.members[idx]
@@ -599,13 +587,6 @@ func (m *Controller) FailSite(idx int) FailReport {
 	for _, cp := range append([]*metroCopy(nil), m.copies...) {
 		if cp.home == idx || cp.from == idx {
 			cp.Abort()
-		}
-	}
-	for _, ch := range slices.Clone(m.channels) {
-		if ch.home == idx {
-			_ = ch.Close()
-		} else {
-			_ = ch.pruneSite(idx)
 		}
 	}
 	// Strike the site from every survivor's catalog view, one version

@@ -214,7 +214,7 @@ func TestCatalogAntiEntropy(t *testing.T) {
 
 	// The timed tick runs rounds on its own.
 	before := m.Stats.CatalogSyncs
-	m.Clock().RunFor(2 * m.cfg.SyncEvery)
+	m.Clock().RunFor(2 * syncEvery)
 	if m.Stats.CatalogSyncs <= before {
 		t.Fatal("anti-entropy tick never fired")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/invoke"
 	"repro/internal/names"
+	"repro/internal/testutil"
 )
 
 func handle(tag string) *invoke.Maillon {
@@ -280,7 +281,7 @@ func TestBindResolveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

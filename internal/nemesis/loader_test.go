@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 func testLoaderConfig() LoaderConfig {
@@ -284,7 +285,7 @@ func TestLoaderBasesDisjointProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,7 +307,7 @@ func TestLoaderReloadNeverDearer(t *testing.T) {
 		}
 		return warm.Cost <= cold.Cost && warm.Base == cold.Base && warm.CacheHit
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/netsig"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // Property: under any sequence of establishes, leaf additions and
@@ -70,7 +71,7 @@ func TestAdmissionInvariantProperty(t *testing.T) {
 		}
 		return m.Open() == 0
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 200)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -193,7 +194,7 @@ func TestTreeBudgetConservationProperty(t *testing.T) {
 		}
 		return m.Open() == 0 && sw.RouteEntries() == 0
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 150)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/raid"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 const segSize = 1 << 20
@@ -208,7 +209,7 @@ func TestRoundTripProperty(t *testing.T) {
 		s.Run()
 		return ok && bytes.Equal(got, data)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 25)); err != nil {
 		t.Fatal(err)
 	}
 }

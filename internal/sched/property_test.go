@@ -7,6 +7,7 @@ import (
 	"repro/internal/nemesis"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/testutil"
 )
 
 // Property (paper §3.3, the EDF-over-shares contract): a domain with guarantee {s, p} receives at
@@ -69,7 +70,7 @@ func TestGuaranteePropertyRandomContracts(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 15)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,7 +102,7 @@ func TestWorkConservingProperty(t *testing.T) {
 		k.Shutdown()
 		return k.Stats.IdleNS == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 15)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +135,7 @@ func TestCPUConservationProperty(t *testing.T) {
 		}
 		return total <= horizon
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 15)); err != nil {
 		t.Fatal(err)
 	}
 }

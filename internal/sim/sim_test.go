@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -233,7 +235,7 @@ func TestPropertyOrdering(t *testing.T) {
 		}
 		return len(delays) == 0 || s.Now() == max
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -64,7 +66,7 @@ func TestWelfordMatchesNaive(t *testing.T) {
 		scale := math.Max(1, math.Abs(naive))
 		return almostEqual(w.Mean(), naive, 1e-6*scale)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,7 +239,7 @@ func TestHistogramTotalProperty(t *testing.T) {
 		}
 		return h.Total() == int64(n)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

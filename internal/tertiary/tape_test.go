@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/tertiary"
+	"repro/internal/testutil"
 )
 
 func smallParams() tertiary.Params {
@@ -241,7 +242,7 @@ func TestTapeIntegrityProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, testutil.Quick(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }

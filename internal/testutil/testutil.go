@@ -4,9 +4,21 @@ package testutil
 
 import (
 	"bytes"
+	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
+
+// Quick returns a quick.Check config whose inputs are drawn from a
+// source seeded by the test's name, so every run of a property checks
+// the same inputs. maxCount 0 is quick's default.
+func Quick(t testing.TB, maxCount int) *quick.Config {
+	h := fnv.New64a()
+	h.Write([]byte(t.Name()))
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(int64(h.Sum64())))}
+}
 
 // Hold watches read results from another goroutine until the returned
 // stop is called. A read result may be a view of the store, so a write

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -67,7 +68,7 @@ func TestScheduleProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, testutil.Quick(t, 20)); err != nil {
 		t.Fatal(err)
 	}
 }

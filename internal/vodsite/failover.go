@@ -69,6 +69,5 @@ func (c *Controller) FailNode(n *Node) FailReport {
 			cb(st)
 		}
 	}
-	c.retryRestores()
 	return rep
 }

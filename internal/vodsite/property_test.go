@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fileserver"
+	"repro/internal/testutil"
 	"repro/internal/vodsite"
 )
 
@@ -147,7 +148,7 @@ func TestSiteAdmissionInvariantProperty(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 40}
+	cfg := testutil.Quick(t, 40)
 	if testing.Short() {
 		cfg.MaxCount = 12
 	}

@@ -14,7 +14,7 @@ func (c *Controller) maybeReplicate(t *Title) {
 	if c.cfg.ReplicationDisabled || t.copying {
 		return
 	}
-	if t.pendingRefusals < c.cfg.RefusalThreshold {
+	if t.pendingRefusals < refusalThreshold {
 		return
 	}
 	alive := 0
@@ -36,78 +36,9 @@ func (c *Controller) maybeReplicate(t *Title) {
 	c.Stats.ReplicasTriggered++
 	j := &copyJob{c: c, t: t}
 	j.TitleCopy = TitleCopy{Src: source, Dst: target, Name: t.Name, Bytes: t.Bytes,
-		Chunk: c.cfg.CopyChunk, Done: j.done, Aborted: j.aborted}
+		Chunk: CopyChunk, Done: j.done, Aborted: j.aborted}
 	c.copies = append(c.copies, j)
-	if c.cfg.DegradeBeforeReplicate {
-		j.degradeViewers()
-	}
 	j.Start()
-}
-
-// degradeViewers drops the hot title's current viewers on the copy's
-// source node one quality tier for the replication window: their
-// shrunken rounds leave more slack for the best-effort copy reads and
-// more disk budget for new viewers while the copy catches up. They are
-// restored when the replica joins the catalog or the copy aborts.
-func (j *copyJob) degradeViewers() {
-	for _, st := range j.Src.streams {
-		if st.Title != j.t || st.sess == nil {
-			continue
-		}
-		if st.sess.Degraded() {
-			continue // already below full quality; leave its tier alone
-		}
-		if st.sess.Degrade(j.c.cfg.DegradeFactor) == nil && st.sess.Degraded() {
-			j.degraded = append(j.degraded, st)
-			j.c.Stats.DegradedForCopy++
-		}
-	}
-}
-
-// restoreViewers climbs the degraded viewers back toward full quality
-// once the replication window closes. A restore the budget refuses
-// right now (new viewers took the freed room during the window) parks
-// on the controller's restore queue and is retried every time a stream
-// releases — the site's own reclaim only covers Adaptive-class
-// sessions, and Guaranteed viewers must not stay degraded for life.
-func (j *copyJob) restoreViewers() {
-	for _, st := range j.degraded {
-		if !st.restorable() {
-			continue
-		}
-		if st.sess.Restore() == nil {
-			j.c.Stats.RestoredAfterCopy++
-		} else {
-			j.c.restorePending = append(j.c.restorePending, st)
-		}
-	}
-	j.degraded = nil
-}
-
-// restorable reports whether a copy-window viewer still has quality to
-// get back. False once it is gone, already back at full quality (e.g.
-// failover re-admitted it fresh), or dying with its node — FailNode
-// closes and re-admits those moments after aborting the copy, so there
-// is nothing to restore or count.
-func (st *Stream) restorable() bool {
-	return !st.Released() && st.sess != nil && st.sess.Degraded() &&
-		st.node != nil && !st.node.Failed()
-}
-
-// retryRestores re-attempts parked copy-window restores; called after
-// any stream teardown returns budget.
-func (c *Controller) retryRestores() {
-	keep := c.restorePending[:0]
-	for _, st := range c.restorePending {
-		switch {
-		case !st.restorable():
-		case st.sess.Restore() == nil:
-			c.Stats.RestoredAfterCopy++
-		default:
-			keep = append(keep, st)
-		}
-	}
-	c.restorePending = keep
 }
 
 // replicationTarget picks the copy destination: the alive non-holder
@@ -233,15 +164,11 @@ func (cp *TitleCopy) Abort() {
 }
 
 // copyJob is one reactive replication: a TitleCopy plus the catalog
-// activation and the copy-window viewer bookkeeping.
+// activation.
 type copyJob struct {
 	TitleCopy
 	c *Controller
 	t *Title
-
-	// degraded holds the viewer streams tier-dropped for this copy's
-	// window (DegradeBeforeReplicate); restored when the window closes.
-	degraded []*Stream
 }
 
 func (j *copyJob) done() {
@@ -249,7 +176,6 @@ func (j *copyJob) done() {
 	j.t.copying = false
 	j.t.replicas = append(j.t.replicas, j.Dst)
 	j.c.Stats.ReplicasCompleted++
-	j.restoreViewers()
 	if cb := j.c.OnReplica; cb != nil {
 		cb(j.t, j.Dst)
 	}
@@ -259,7 +185,6 @@ func (j *copyJob) aborted() {
 	j.c.removeJob(j)
 	j.t.copying = false
 	j.c.Stats.ReplicasAborted++
-	j.restoreViewers()
 }
 
 func (c *Controller) removeJob(j *copyJob) {

@@ -13,16 +13,17 @@
 //     are placed hottest-first onto the node with the least expected
 //     load, so the catalog's popularity mass is spread across arrays
 //     before the first viewer arrives.
-//   - *Admission* tries a title's replicas in least-committed order and
-//     charges the usual conjunction — the viewer's downlink, the node's
+//   - *Admission* opens each viewer as a Guaranteed core.Session,
+//     tries a title's replicas in least-committed order and charges
+//     the usual conjunction — the viewer's downlink, the node's
 //     uplink, the node's disk-time budget and (on nodes with an
 //     admission-controlled CPU) the node's processor must all have
 //     room. A stream is refused only when every replica's
 //     (link ∧ disk ∧ CPU) admission fails; the guarantee of any
 //     admitted stream is exactly the single-node guarantee of PR 2,
 //     just placed better.
-//   - *Reactive replication*: when a title's refusals cross a
-//     threshold, the controller schedules a background copy onto the
+//   - *Reactive replication*: when a title's refusals reach three,
+//     the controller schedules a background copy onto the
 //     least-loaded node. The copy reads through ReadBestEffort — round
 //     slack only, guaranteed rounds untouched — and the new replica
 //     joins the catalog when the copy is durable.
@@ -47,30 +48,17 @@ import (
 // link∧disk admission failed — the site-level refusal.
 var ErrNoReplica = errors.New("vodsite: no replica can carry the stream")
 
+// CopyChunk is the bytes per best-effort read of a replication copy.
+const CopyChunk = 256 << 10
+
+// refusalThreshold is the site-level refusal count on one title that
+// triggers a reactive replication.
+const refusalThreshold = 3
+
 // Config parameterises the site controller.
 type Config struct {
 	// PeakRate is the admitted peak bits/s per stream (required).
 	PeakRate int64
-
-	// Class is the QoS class viewer sessions are opened with (default
-	// core.Guaranteed). With core.Adaptive, an over-subscribed replica
-	// degrades its Adaptive viewers to make room instead of refusing
-	// (see core.OpenSession) — note that Probe then under-reports,
-	// since it describes only full-quality admission.
-	Class core.QoSClass
-
-	// DegradeBeforeReplicate drops the quality tier of a hot title's
-	// current viewers on the copy's source node while the background
-	// replication is in flight, restoring them when the replica joins
-	// the catalog (or the copy aborts). The degraded rounds leave more
-	// slack for the best-effort copy reads *and* more disk budget for
-	// new viewers — the paper's negotiate-down policy applied to the
-	// replication window.
-	DegradeBeforeReplicate bool
-
-	// DegradeFactor is the tier drop DegradeBeforeReplicate applies
-	// (default 0.5), floor-bounded per session.
-	DegradeFactor float64
 
 	// ZipfS is the popularity exponent of the catalog's Zipf model
 	// (default 1.3): weight(rank r) ∝ 1/r^ZipfS, rank 1 hottest.
@@ -81,34 +69,17 @@ type Config struct {
 	// node failure without waiting for reactive replication.
 	BaseReplicas int
 
-	// RefusalThreshold is the site-level refusal count on one title that
-	// triggers a reactive replication (default 3).
-	RefusalThreshold int
-
 	// ReplicationDisabled turns reactive replication off — the ablation
 	// that shows why a hot title must not stay on one array.
 	ReplicationDisabled bool
-
-	// CopyChunk is the bytes per best-effort read of a replication copy
-	// (default 256 KiB).
-	CopyChunk int
 }
 
 func (c *Config) setDefaults() {
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.3
 	}
-	if c.DegradeFactor == 0 {
-		c.DegradeFactor = 0.5
-	}
 	if c.BaseReplicas == 0 {
 		c.BaseReplicas = 1
-	}
-	if c.RefusalThreshold == 0 {
-		c.RefusalThreshold = 3
-	}
-	if c.CopyChunk == 0 {
-		c.CopyChunk = 256 << 10
 	}
 }
 
@@ -123,9 +94,6 @@ type Stats struct {
 
 	FailoverRecovered int64 // streams re-admitted on surviving replicas
 	FailoverDropped   int64 // streams lost with their node
-
-	DegradedForCopy   int64 // viewer sessions tier-dropped for a replication window
-	RestoredAfterCopy int64 // sessions restored when their copy finished or aborted
 }
 
 // Node is one storage node under the controller: a PR-2 serving stack
@@ -236,7 +204,6 @@ func (st *Stream) teardown() {
 		st.node.dropStream(st)
 		st.node = nil
 	}
-	st.ctrl.retryRestores()
 }
 
 // Controller is the site controller: catalog, placement, admission,
@@ -248,10 +215,6 @@ type Controller struct {
 	titles map[string]*Title
 	ranked []*Title // rank order, hottest first
 	copies []*copyJob
-
-	// restorePending holds copy-window viewers whose restore the budget
-	// refused; retried after every stream teardown.
-	restorePending []*Stream
 
 	// probeStore and probes are probeReplicas' scratch: the reports and
 	// their ranking, valid until the next call.
@@ -412,13 +375,14 @@ func (c *Controller) Start(cfg fileserver.CMConfig) {
 	}
 }
 
-// specFor builds the session spec admitting one viewer of t, at the
-// ports in viewer, from replica n. A nil viewer leaves OutPorts empty —
-// the node-local probe shape (core.Site.Probe then skips the link leg),
-// used for load scoring where no particular viewer is meant.
-func (c *Controller) specFor(t *Title, n *Node, viewer []int, class core.QoSClass) core.SessionSpec {
+// specFor builds the Guaranteed session spec admitting one viewer of
+// t, at the ports in viewer, from replica n. A nil viewer leaves
+// OutPorts empty — the node-local probe shape (core.Site.Probe then
+// skips the link leg), used for load scoring where no particular
+// viewer is meant.
+func (c *Controller) specFor(t *Title, n *Node, viewer []int) core.SessionSpec {
 	sp := core.SessionSpec{
-		Class:    class,
+		Class:    core.Guaranteed,
 		InPort:   n.SS.Net.Port,
 		PeakRate: c.cfg.PeakRate,
 		CPU:      n.SS.CPU,
@@ -439,7 +403,7 @@ func (c *Controller) specFor(t *Title, n *Node, viewer []int, class core.QoSClas
 // means least committed on whichever resource the node is closest to
 // exhausting.
 func (c *Controller) nodeScore(n *Node) float64 {
-	r := c.site.Probe(c.specFor(nil, n, nil, c.cfg.Class))
+	r := c.site.Probe(c.specFor(nil, n, nil))
 	_, h := r.Bottleneck()
 	return 1 - h
 }
@@ -472,7 +436,7 @@ func (c *Controller) probeReplicas(t *Title, viewer []int) []*replicaProbe {
 			continue
 		}
 		p := &c.probeStore[len(out)]
-		p.n, p.r = n, c.site.Probe(c.specFor(t, n, viewer, c.cfg.Class))
+		p.n, p.r = n, c.site.Probe(c.specFor(t, n, viewer))
 		_, h := p.r.Bottleneck()
 		p.cached, p.score = p.r.OK && p.r.CacheServed, 1-h
 		out = append(out, p)
@@ -495,8 +459,8 @@ func (c *Controller) probeReplicas(t *Title, viewer []int) []*replicaProbe {
 // Admit uses) whose conjunction admits, else the preferred replica's
 // report so FirstRefusal names the constraint that binds even on the
 // best path. An unknown title or an empty replica set probes as a
-// plain refusal. For Guaranteed controllers the site-level invariant
-// is Admit succeeds ⇔ Probe(...).OK.
+// plain refusal. The site-level invariant is Admit succeeds ⇔
+// Probe(...).OK.
 func (c *Controller) Probe(title string, viewerPort int) core.AdmissionReport {
 	t := c.titles[title]
 	if t == nil {
@@ -517,54 +481,29 @@ func (c *Controller) Probe(title string, viewerPort int) core.AdmissionReport {
 // tryReplicas attempts end-to-end session admission on each candidate
 // replica in probe-preference order; it holds nothing on total
 // failure, and returns the probes so the caller can read the refusing
-// legs.
-//
-// Two passes when the class is Adaptive: first only replicas whose
-// report admits at full quality — a replica that can serve at full
-// quality (its RAM tier included) must win before any replica degrades
-// its viewers to make room — then, if none had room, each candidate in
-// turn with the degrade-instead-of-refuse machinery live. Guaranteed
-// admissions are never pre-filtered on the report: a refused attempt
-// must reach the refusing leg's own admission (and its refusal
+// legs. Candidates are never pre-filtered on the report: a refused
+// attempt must reach the refusing leg's own admission (and its refusal
 // counters), which is also what keeps Probe and Admit honest against
-// each other.
+// each other. A replica that cannot serve the title at all is a
+// catalog bug, not an over-subscription: it ends the attempt and
+// surfaces as is.
 func (c *Controller) tryReplicas(t *Title, viewerPort int) (*Node, *core.Session, []*replicaProbe, error) {
 	viewer := []int{viewerPort} // one slice for every probe and the session
 	probes := c.probeReplicas(t, viewer)
-	adaptive := c.cfg.Class == core.Adaptive
-	n, sess, err := c.openOn(t, viewer, probes, adaptive)
-	if sess == nil && adaptive && !catalogBug(err) {
-		n, sess, err = c.openOn(t, viewer, probes, false)
+	var err error
+	for _, p := range probes {
+		var sess *core.Session
+		if sess, err = c.site.OpenSession(c.specFor(t, p.n, viewer)); err == nil {
+			return p.n, sess, probes, nil
+		}
+		if catalogBug(err) {
+			return nil, nil, probes, err
+		}
 	}
-	switch {
-	case sess != nil || catalogBug(err):
-		return n, sess, probes, err
-	case err == nil:
+	if err == nil {
 		err = errors.New("no alive replica")
 	}
 	return nil, nil, probes, fmt.Errorf("%w: %s: %v", ErrNoReplica, t.Name, err)
-}
-
-// openOn opens a session on the first candidate that admits — only
-// candidates with full-quality room when fullOnly — and reports the
-// last refusal otherwise. A replica that cannot serve the title at all
-// is a catalog bug, not an over-subscription: it ends the attempt and
-// surfaces as is.
-func (c *Controller) openOn(t *Title, viewer []int, probes []*replicaProbe, fullOnly bool) (*Node, *core.Session, error) {
-	var lastErr error
-	for _, p := range probes {
-		if fullOnly && !p.r.OK {
-			continue
-		}
-		sess, err := c.site.OpenSession(c.specFor(t, p.n, viewer, c.cfg.Class))
-		if err == nil {
-			return p.n, sess, nil
-		}
-		if lastErr = err; catalogBug(err) {
-			break
-		}
-	}
-	return nil, nil, lastErr
 }
 
 func catalogBug(err error) bool {

@@ -164,7 +164,7 @@ func TestAdmissionIsLinkAndDiskConjunction(t *testing.T) {
 // and verifies the new replica is byte-identical and admits the
 // previously refused load.
 func TestReactiveReplication(t *testing.T) {
-	h := build(t, 2, 8, 1, vodsite.Config{RefusalThreshold: 3},
+	h := build(t, 2, 8, 1, vodsite.Config{},
 		fileserver.CMConfig{Utilization: 0.7}) // 3 streams/array + copy slack
 	ctrl := h.ctrl
 	title := ctrl.Titles()[0]
