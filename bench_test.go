@@ -160,6 +160,34 @@ func BenchmarkSimEvents(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkSimTimers measures the kernel under the scenario workloads'
+// timer mix: 500 timers re-arming every 10 ms (fabric-mesh's 100 Hz
+// sources) and 25 000 every 125 ms (cluster-vod's 8 Hz ones), each
+// re-armed with After from its own callback. Every re-arm lands past the
+// near wheel's ~8.4 ms horizon, on the far wheel, which
+// BenchmarkSimEvents' 1 ns chain never reaches. One op is one event, so
+// ns/op is ns/event; it allocates nothing once the wheels are warm.
+func BenchmarkSimTimers(b *testing.B) {
+	s := sim.New()
+	arm := func(n int, period sim.Duration) {
+		for i := 0; i < n; i++ {
+			var fire func()
+			fire = func() { s.After(period, fire) }
+			s.At(sim.Time(i)*period/sim.Time(n), fire)
+		}
+	}
+	arm(500, 10*sim.Millisecond)
+	arm(25_000, 125*sim.Millisecond)
+	s.RunFor(sim.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
 // BenchmarkSwitchForwarding measures cell switching (wall clock per
 // simulated cell hop).
 func BenchmarkSwitchForwarding(b *testing.B) {
@@ -207,7 +235,7 @@ func BenchmarkFrameSend(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				in.SendTrain(t)
+				in.SendTrain(&t)
 				s.RunFor(sim.Millisecond)
 			}
 			b.StopTimer()
@@ -952,8 +980,8 @@ func BenchmarkTelemetryCounter(b *testing.B) {
 // whole trains instead of dispatching cell by cell.
 type nullSink struct{}
 
-func (nullSink) HandleCell(atm.Cell)      {}
-func (nullSink) HandleBurst(fabric.Burst) {}
+func (nullSink) HandleCell(atm.Cell)       {}
+func (nullSink) HandleBurst(*fabric.Burst) {}
 
 // multicastBenchSite builds a one-switch site with a camera and eight
 // viewer ports, puts one live broadcast on the air, and spreads
@@ -994,7 +1022,7 @@ func multicastBenchSite(tb testing.TB, viewers int) (*core.Site, func()) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cam.ToSwitch.SendTrain(t)
+		cam.ToSwitch.SendTrain(&t)
 		site.Sim.RunFor(period)
 	}
 	return site, step

@@ -37,7 +37,7 @@ type Train struct {
 
 // NewTrain describes the AAL5 train Segment(vci, uu, head‖body) would
 // produce. head (at most one cell payload) is copied; body is borrowed.
-func NewTrain(vci VCI, uu byte, head, body []byte) (Train, error) {
+func NewTrain(vci VCI, uu byte, head, body []byte) (t Train, err error) {
 	if len(head) > PayloadSize {
 		panic("atm: train head exceeds one cell payload")
 	}
@@ -45,7 +45,9 @@ func NewTrain(vci VCI, uu byte, head, body []byte) (Train, error) {
 	if size > MaxFrame {
 		return Train{}, ErrFrameTooLarge
 	}
-	t := Train{VCI: vci, UU: uu, headLen: uint8(len(head)), n: CellsFor(size), body: body}
+	// Fill the result in place: a composite literal would be built in a
+	// temporary and copied out.
+	t.VCI, t.UU, t.headLen, t.n, t.body = vci, uu, uint8(len(head)), CellsFor(size), body
 	copy(t.head[:], head)
 	return t, nil
 }

@@ -29,6 +29,9 @@ import (
 	"repro/internal/telemetry"
 )
 
+// firstStaticVCI is the first circuit number AllocVCI hands out.
+const firstStaticVCI atm.VCI = 100
+
 // SiteConfig parameterises a Pegasus site.
 type SiteConfig struct {
 	// Name labels the site in its switch name and telemetry gauge
@@ -115,7 +118,7 @@ func NewSite(cfg SiteConfig) *Site {
 	if cfg.Name == "" {
 		cfg.Name = "site"
 	}
-	st := &Site{Config: cfg, Sim: sim.New(), nextVCI: 100}
+	st := &Site{Config: cfg, Sim: sim.New(), nextVCI: firstStaticVCI}
 	st.Switch = fabric.NewSwitch(st.Sim, cfg.Name, cfg.Ports, cfg.FabricDelay)
 	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
 	st.Metrics = telemetry.NewRegistry()
@@ -134,7 +137,7 @@ func NewSiteOn(s *sim.Sim, reg *telemetry.Registry, cfg SiteConfig) *Site {
 	if cfg.Name == "" {
 		cfg.Name = "site"
 	}
-	st := &Site{Config: cfg, Sim: s, nextVCI: 100, hosted: true}
+	st := &Site{Config: cfg, Sim: s, nextVCI: firstStaticVCI, hosted: true}
 	st.Switch = fabric.NewSwitch(s, cfg.Name, cfg.Ports, cfg.FabricDelay)
 	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
 	st.Metrics = reg
@@ -149,9 +152,15 @@ func NewSiteOn(s *sim.Sim, reg *telemetry.Registry, cfg SiteConfig) *Site {
 // up, so the port is deterministic (always port 0) per site.
 func (st *Site) ReservePort() int { return st.allocPort() }
 
-// AllocVCI hands out a site-unique circuit number.
+// AllocVCI hands out a site-unique circuit number for a hand-patched
+// circuit. It panics once the numbers would reach signalling's range
+// (netsig.VCIBase): a patched circuit sharing a VCI with an established
+// one on the same port would merge with it into one routing entry.
 func (st *Site) AllocVCI() atm.VCI {
 	v := st.nextVCI
+	if v >= netsig.VCIBase {
+		panic(fmt.Sprintf("core: site %q has used all %d static VCIs", st.Config.Name, netsig.VCIBase-firstStaticVCI))
+	}
 	st.nextVCI++
 	return v
 }

@@ -109,7 +109,7 @@ func (d *Demux) HandleCell(c atm.Cell) {
 // HandleBurst dispatches a whole cell train with one lookup (an AAL5
 // burst is single-VCI by construction). Burst-aware handlers get the
 // train intact; for others its cells are materialised here.
-func (d *Demux) HandleBurst(b fabric.Burst) {
+func (d *Demux) HandleBurst(b *fabric.Burst) {
 	h, ok := d.routes[b.Train.VCI]
 	if !ok {
 		d.Unrouted += int64(b.Train.Len())

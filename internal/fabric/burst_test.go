@@ -41,7 +41,7 @@ func TestBurstMatchesCellAccurateUncontended(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			links[0].SendTrain(tr)
+			links[0].SendTrain(&tr)
 		} else {
 			cells, err := atm.Segment(7, 3, payload)
 			if err != nil {
@@ -95,7 +95,7 @@ func TestUnicastTrainForwardingAllocatesNothing(t *testing.T) {
 	head, body := make([]byte, 16), make([]byte, 4784)
 	send := func() {
 		tr, _ := atm.NewTrain(7, 0, head, body)
-		in.SendTrain(tr)
+		in.SendTrain(&tr)
 		s.RunFor(sim.Millisecond)
 	}
 	send() // grow the flight rings and the event arena once
@@ -113,8 +113,8 @@ type trainSink struct {
 	last   atm.Train
 }
 
-func (k *trainSink) HandleCell(atm.Cell) { panic("trainSink: a burst-aware sink got a bare cell") }
-func (k *trainSink) HandleBurst(b Burst) { k.trains++; k.last = b.Train }
+func (k *trainSink) HandleCell(atm.Cell)  { panic("trainSink: a burst-aware sink got a bare cell") }
+func (k *trainSink) HandleBurst(b *Burst) { k.trains++; k.last = b.Train }
 
 // TestCellAccurateOutputPacedByArrival: forwarding a batched train onto
 // a cell-accurate output link that is faster than the input must not
@@ -147,5 +147,44 @@ func TestCellAccurateOutputPacedByArrival(t *testing.T) {
 			t.Fatalf("cell %d delivered at %v, before its earliest possible %v (causality)",
 				k, at, earliest)
 		}
+	}
+}
+
+// echoSink is a burst-aware sink that, handed its first train, sends
+// cells back onto the link delivering to it.
+type echoSink struct {
+	link          *Link
+	echo          int
+	bursts, cells int
+}
+
+func (k *echoSink) HandleCell(atm.Cell) { k.cells++ }
+func (k *echoSink) HandleBurst(*Burst) {
+	if k.bursts++; k.bursts == 1 {
+		for i := 0; i < k.echo; i++ {
+			k.link.Send(atm.Cell{VCI: 1})
+		}
+	}
+}
+
+// TestBurstHandlerSendingOnItsLink: a handler that sends on the link
+// delivering to it grows that link's flight ring while it holds a
+// pointer into the old one. The delivered slot must still read empty in
+// the grown ring, or the cell that later reuses it is delivered as the
+// old train again.
+func TestBurstHandlerSendingOnItsLink(t *testing.T) {
+	s := sim.New()
+	k := &echoSink{echo: 100}
+	k.link = NewLink(s, Rate100M, 0, 0, k)
+	cells, err := atm.Segment(1, 0, make([]byte, 480))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.link.SendBurst(cells)
+	s.Run()
+	k.link.Send(atm.Cell{VCI: 1}) // reuses ring slot 0
+	s.Run()
+	if k.bursts != 1 || k.cells != k.echo+1 {
+		t.Fatalf("sink saw %d trains and %d cells, want 1 and %d", k.bursts, k.cells, k.echo+1)
 	}
 }

@@ -13,10 +13,11 @@
 // per link regardless of length — the batching that lets site-scale runs
 // model hundreds of concurrent streams.
 //
-// A train in flight is an atm.Train descriptor, not cells: links queue
-// and deliver it by value, a switch rewrites its VCI with one store and
-// fans it out by copying the descriptor, and nothing copies, pads or
-// checksums payload bytes. Cells are materialised (Train.Cells) only
+// A train in flight is an atm.Train descriptor, not cells: a link copies
+// it into its flight ring once and hands the sink a pointer into that
+// ring, a switch rewrites its VCI with one store and fans it out by
+// copying the descriptor into each output ring, and nothing copies, pads
+// or checksums payload bytes. Cells are materialised (Train.Cells) only
 // where something looks at them — a cell-accurate link, a sink that
 // only implements Handler, the Recorder. The payload body a train
 // borrows is immutable while any copy of it is in flight.
@@ -67,8 +68,13 @@ type Burst struct {
 // instant, which preserves frame-level timing (AAL5 consumers act on
 // frame completion, which is the last cell) but collapses the
 // intermediate cells' arrival times to that instant.
+//
+// b points into the delivering link's flight ring and is valid for the
+// call only: the slot is cleared when HandleBurst returns and reused by
+// a later send. A handler may write it (a switch rewrites the VCI in
+// place); one that keeps the train copies *b or b.Train.
 type BurstHandler interface {
-	HandleBurst(b Burst)
+	HandleBurst(b *Burst)
 }
 
 // Common link rates (bits per second). The Pegasus testbed ran 100 Mb/s
@@ -85,14 +91,12 @@ type LinkStats struct {
 	Dropped   int64 // cells lost to queue overflow
 }
 
-// delivery is a serialised transmission unit awaiting its arrival event.
-// first and gap are only meaningful for bursts: a single cell's arrival
-// time is its delivery event's fire time.
+// delivery is a serialised transmission unit awaiting its arrival event:
+// a burst when burst.Train is non-empty, else a single cell, whose
+// arrival time is its delivery event's fire time.
 type delivery struct {
 	cell  atm.Cell
-	train atm.Train // non-empty for a burst unit
-	first sim.Time  // arrival time of the first cell at the sink
-	gap   sim.Duration
+	burst Burst
 }
 
 // Link is a unidirectional cell pipe with serialisation delay, propagation
@@ -192,8 +196,9 @@ func (l *Link) slot() *delivery {
 }
 
 // SendTrain queues a whole AAL5 cell train as a single transmission unit
-// costing one event. The train's body is borrowed until the last sink
-// has seen it and must not be written meanwhile (see atm.Train). On a
+// costing one event. The descriptor is copied into the link, so t may be
+// reused at once; the train's body is borrowed until the last sink has
+// seen it and must not be written meanwhile (see atm.Train). On a
 // cell-accurate link it degrades to Send per materialised cell.
 //
 // A capacity limit applies to the train all-or-nothing: the whole burst
@@ -201,7 +206,7 @@ func (l *Link) slot() *delivery {
 // overshooting it by the train length) and dropped whole otherwise —
 // unlike the exact per-cell model, which drops exactly the overflow.
 // Bounded-queue overflow experiments should use cell-accurate mode.
-func (l *Link) SendTrain(t atm.Train) {
+func (l *Link) SendTrain(t *atm.Train) {
 	l.sendBurstShaped(t, l.sim.Now(), 0)
 }
 
@@ -210,7 +215,8 @@ func (l *Link) SendTrain(t atm.Train) {
 // like a train body: the sender must not write it again, and sinks see
 // it read-only — after a switch rewrote the circuit, as a copy.
 func (l *Link) SendBurst(cells []atm.Cell) {
-	l.SendTrain(atm.WrapCells(cells))
+	t := atm.WrapCells(cells)
+	l.SendTrain(&t)
 }
 
 // sendBurstShaped queues a cell train whose cells become available for
@@ -219,7 +225,7 @@ func (l *Link) SendBurst(cells []atm.Cell) {
 // may be in the past relative to the current instant (the train started
 // arriving before its last cell landed); the arithmetic keeps every
 // computed time consistent and every scheduled event in the future.
-func (l *Link) sendBurstShaped(t atm.Train, earliest sim.Time, gap sim.Duration) {
+func (l *Link) sendBurstShaped(t *atm.Train, earliest sim.Time, gap sim.Duration) {
 	if t.Len() == 0 {
 		return
 	}
@@ -247,14 +253,14 @@ func (l *Link) sendBurstShaped(t atm.Train, earliest sim.Time, gap sim.Duration)
 		}
 		return
 	}
-	if due, ok := l.queueBurst(&t, earliest, gap); ok {
+	if due, ok := l.queueBurst(t, earliest, gap); ok {
 		l.sim.Post(due, l.deliverF)
 	}
 }
 
 // queueBurst reserves the link for a cell train — serialisation slot,
-// flight-ring entry, stats — and returns the delivery instant without
-// scheduling the delivery event. ok is false when the train was
+// flight-ring entry (a copy of *t), stats — and returns the delivery
+// instant without scheduling the delivery event. ok is false when the train was
 // dropped at the capacity limit. The caller must arrange for exactly
 // one deliverNext per accepted train at the returned instant (Post
 // l.deliverF, or a coalesced event delivering several links at once);
@@ -281,7 +287,8 @@ func (l *Link) queueBurst(t *atm.Train, earliest sim.Time, gap sim.Duration) (si
 	l.freeAt = end
 	l.pending += n
 	d := l.slot()
-	d.train, d.first, d.gap = *t, firstEnd+l.prop, g
+	d.burst.Train = *t
+	d.burst.First, d.burst.Gap = firstEnd+l.prop, g
 	return end + l.prop, true
 }
 
@@ -289,20 +296,23 @@ func (l *Link) queueBurst(t *atm.Train, earliest sim.Time, gap sim.Duration) (si
 // events fire in FIFO order, so the front of the ring is always the one
 // due now.
 func (l *Link) deliverNext() {
-	d := &l.flight[l.head]
+	i := l.head
 	l.head++
-	if n := d.train.Len(); n > 0 {
+	d := &l.flight[i]
+	if n := d.burst.Train.Len(); n > 0 {
 		l.pending -= n
 		l.Stats.Delivered += int64(n)
-		b := Burst{Train: d.train, First: d.first, Gap: d.gap}
-		d.train = atm.Train{} // marks the slot a single-cell one; drops the borrowed body
 		if l.bsink != nil {
-			l.bsink.HandleBurst(b)
+			l.bsink.HandleBurst(&d.burst)
 		} else {
-			for _, c := range b.Train.Cells() {
+			for _, c := range d.burst.Train.Cells() {
 				l.sink.HandleCell(c)
 			}
 		}
+		// Mark the slot a single-cell one and drop the borrowed body. By
+		// index, not through d: a handler sending on this link may have
+		// grown the ring, and slot() relies on recycled trains being empty.
+		l.flight[i].burst.Train = atm.Train{}
 	} else {
 		l.pending--
 		l.Stats.Delivered++
@@ -316,7 +326,7 @@ func (l *Link) deliverNext() {
 		// Clear vacated slots: slot() reuses them without zeroing and
 		// relies on their trains being empty.
 		for i := n; i < len(l.flight); i++ {
-			l.flight[i].train = atm.Train{}
+			l.flight[i].burst.Train = atm.Train{}
 		}
 		l.flight = l.flight[:n]
 		l.head = 0
@@ -406,7 +416,7 @@ type portIn struct {
 func (p *portIn) HandleCell(c atm.Cell) { p.sw.receive(p, &c) }
 
 // HandleBurst forwards an arriving cell train through the switch.
-func (p *portIn) HandleBurst(b Burst) { p.sw.receiveBurst(p, &b) }
+func (p *portIn) HandleBurst(b *Burst) { p.sw.receiveBurst(p, b) }
 
 // In returns the handler for cells arriving on the given input port; wire
 // it as the sink of the link feeding this switch. Each port has one.
@@ -544,9 +554,9 @@ func (l *Link) sendCellEarliest(c *atm.Cell, earliest sim.Time) {
 	l.sim.Post(end+l.prop, l.deliverF)
 }
 
-// receiveBurst forwards the train in b, which the caller has already
-// copied off the input link: every descriptor below is a value copy of
-// it, never a reference into another link's ring.
+// receiveBurst forwards the train in b, the input link's ring slot. The
+// VCI rewrite writes that slot, which is dead once the delivery returns;
+// each output ring takes its own copy of the descriptor.
 func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 	n := b.Train.Len()
 	leaves := p.routes[b.Train.VCI]
@@ -579,7 +589,7 @@ func (sw *Switch) receiveBurst(p *portIn, b *Burst) {
 		// copy of the descriptor into its ring slot.
 		b.Train.VCI = v.vci
 		if out.cellAccurate {
-			out.sendBurstShaped(b.Train, first, b.Gap)
+			out.sendBurstShaped(&b.Train, first, b.Gap)
 			continue
 		}
 		due, ok := out.queueBurst(&b.Train, first, b.Gap)
@@ -643,7 +653,7 @@ func (r *Recorder) HandleCell(c atm.Cell) {
 
 // HandleBurst records every cell of the train with its arithmetic
 // arrival time.
-func (r *Recorder) HandleBurst(b Burst) {
+func (r *Recorder) HandleBurst(b *Burst) {
 	for i, c := range b.Train.Cells() {
 		r.Cells = append(r.Cells, c)
 		r.Times = append(r.Times, b.First+sim.Time(i)*b.Gap)

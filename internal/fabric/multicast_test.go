@@ -197,7 +197,7 @@ func TestMulticastLeavesSeeOwnVCI(t *testing.T) {
 		for p := 1; p <= 4; p++ {
 			sw.Route(0, inVCI, p, leafVCI[p])
 		}
-		in.SendTrain(train)
+		in.SendTrain(&train)
 		s.Run()
 		for p := 1; p <= 3; p++ {
 			want, _ := atm.Segment(leafVCI[p], 3, payload)

@@ -76,23 +76,37 @@ func TestFrameInFlightNeverSeesLaterStamp(t *testing.T) {
 
 // TestFrameSendAllocatesNothing: a frame's whole life — the source's
 // tick, the uplink, the switch with its VCI rewrite, the downlink, the
-// demux and the scoring sink — allocates nothing, whatever its length.
+// demux and the scoring sink — allocates nothing, whatever its length
+// and whichever wheel its tick re-arms on: 1 ms periods stay on the near
+// wheel, cluster-vod's 125 ms (8 Hz) ones go to the far wheel.
 func TestFrameSendAllocatesNothing(t *testing.T) {
-	for _, frameBytes := range []int{960, 4800} {
-		t.Run(fmt.Sprintf("cells=%d", atm.CellsFor(frameBytes)), func(t *testing.T) {
+	for _, c := range []struct {
+		frameBytes int
+		period     sim.Duration
+	}{
+		{960, sim.Millisecond},
+		{4800, sim.Millisecond},
+		{480, 125 * sim.Millisecond},
+	} {
+		name := fmt.Sprintf("cells=%d", atm.CellsFor(c.frameBytes))
+		if c.period != sim.Millisecond {
+			name += fmt.Sprintf(",period=%v", c.period)
+		}
+		t.Run(name, func(t *testing.T) {
 			s := sim.New()
-			src, tl, want := framePath(s, frameBytes, sim.Millisecond, sim.Microsecond)
+			src, tl, want := framePath(s, c.frameBytes, c.period, sim.Microsecond)
 			src.start(0)
-			// Warm-up grows the event arena and the links' flight rings
-			// and opens the samples' first chunk.
-			s.RunFor(10 * sim.Millisecond)
-			if n := testing.AllocsPerRun(1000, func() { s.RunFor(sim.Millisecond) }); n != 0 {
+			// Warm-up grows the event arena and the links' flight rings,
+			// opens the samples' first chunk and drains a wheel bucket
+			// whose array the next re-arm recycles.
+			s.RunFor(10 * c.period)
+			if n := testing.AllocsPerRun(1000, func() { s.RunFor(c.period) }); n != 0 {
 				t.Fatalf("%v allocations per frame, want 0", n)
 			}
 			if got := tl.framesDelivered.Value(); got < 1000 || tl.latency.Max() != float64(want) {
 				t.Fatalf("%d frames delivered, latency max %v, want %v", got, sim.Duration(tl.latency.Max()), want)
 			}
-			if got, want := tl.cellsDelivered.Value(), tl.framesDelivered.Value()*int64(atm.CellsFor(frameBytes)); got != want {
+			if got, want := tl.cellsDelivered.Value(), tl.framesDelivered.Value()*int64(atm.CellsFor(c.frameBytes)); got != want {
 				t.Fatalf("%d cells delivered, want %d", got, want)
 			}
 		})

@@ -62,8 +62,9 @@ func (s *liveSource) start(phase sim.Duration) {
 func (s *liveSource) tick() {
 	s.sim.After(s.period, s.tickF)
 	for _, vci := range s.vcis {
-		t := stampedTrain(vci, s.payload, s.sim.Now(), s.seq)
-		s.out.SendTrain(t)
+		var t atm.Train
+		stampTrain(&t, vci, s.payload, s.sim.Now(), s.seq)
+		s.out.SendTrain(&t)
 		s.sent.Inc()
 		s.cells.Add(int64(t.Len()))
 		if s.viewers > 1 {

@@ -469,21 +469,20 @@ const (
 	magic      = 0x5045474c // "PEGL"
 )
 
-// stampedTrain describes one frame on the wire: the 16-byte header
+// stampTrain describes one frame on the wire in t: the 16-byte header
 // (stamp, seq, magic) as the train's by-value head over payload's first
 // headerSize bytes, the rest of payload borrowed as its body. Nothing is
 // written into payload — it may be a window of the shared RAM tier — and
 // an earlier frame still in flight never sees this one's stamp.
-func stampedTrain(vci atm.VCI, payload []byte, now sim.Time, seq uint32) atm.Train {
+func stampTrain(t *atm.Train, vci atm.VCI, payload []byte, now sim.Time, seq uint32) {
 	var head [headerSize]byte
 	binary.BigEndian.PutUint64(head[0:], uint64(now))
 	binary.BigEndian.PutUint32(head[8:], seq)
 	binary.BigEndian.PutUint32(head[12:], magic)
-	t, err := atm.NewTrain(vci, devices.UUData, head[:], payload[headerSize:])
-	if err != nil {
+	var err error
+	if *t, err = atm.NewTrain(vci, devices.UUData, head[:], payload[headerSize:]); err != nil {
 		panic("loadgen: frame exceeds AAL5 limit")
 	}
-	return t
 }
 
 // source is a CBR frame generator on one circuit. With cm set, each
@@ -541,7 +540,9 @@ func (s *source) tick() {
 		}
 		payload = data
 	}
-	s.out.SendTrain(stampedTrain(s.vci, payload, s.sim.Now(), s.seq))
+	var t atm.Train
+	stampTrain(&t, s.vci, payload, s.sim.Now(), s.seq)
+	s.out.SendTrain(&t)
 	s.seq++
 	s.sent.Inc()
 	s.ev = s.sim.After(s.period, s.tickF)
@@ -583,7 +584,7 @@ func (k *sink) frameDone(stamp sim.Time, ncells int) {
 }
 
 // HandleBurst scores a whole frame delivered on the batched fast path.
-func (k *sink) HandleBurst(b fabric.Burst) {
+func (k *sink) HandleBurst(b *fabric.Burst) {
 	stamp := sim.Time(binary.BigEndian.Uint64(b.Train.Head()))
 	k.frameDone(stamp, b.Train.Len())
 }

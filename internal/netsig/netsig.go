@@ -32,6 +32,12 @@ var (
 	ErrNoCircuit = errors.New("netsig: no such circuit")
 )
 
+// VCIBase bounds the two VCI ranges of a site: signalled circuits are
+// numbered upward from VCIBase+1, and circuits patched by hand (a
+// site's static device and RPC circuits) must stay below VCIBase, so the
+// two can never name the same circuit on one switch.
+const VCIBase atm.VCI = 1000
+
 // Circuit is one established virtual circuit (data or control).
 type Circuit struct {
 	ID       int
@@ -80,7 +86,7 @@ func NewManager(sw *fabric.Switch, linkRate int64) *Manager {
 		capacity:    make([]int64, sw.Ports()),
 		committedIn: make([]int64, sw.Ports()),
 		capacityIn:  make([]int64, sw.Ports()),
-		nextVCI:     1000,
+		nextVCI:     VCIBase,
 		open:        make(map[int]*Circuit),
 	}
 	for i := range m.capacity {

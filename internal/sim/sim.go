@@ -22,11 +22,16 @@
 //   - a cached next-event slot, so the common schedule-one/fire-one chain
 //     never touches a queue structure at all;
 //   - a same-time FIFO lane for events scheduled at the current instant;
-//   - a calendar wheel of fixed-width buckets covering the near future,
-//     with O(1) insert and near-O(1) extract for the dense cell traffic;
-//   - a binary heap for events beyond the wheel horizon (frame timers,
-//     session timeouts), compared against the wheel on every refill so
-//     ordering is exact;
+//   - two calendar wheels of fixed-width buckets with O(1) insert and
+//     near-O(1) extract: the near wheel (8.192µs buckets, ~8.4ms) for
+//     the dense cell and frame-hop traffic, the far wheel (8.389ms
+//     buckets, ~8.6s) for frame timers and CM rounds. An event is filed
+//     in one level and never cascades; each wheel drains its own
+//     current bucket in sorted order;
+//   - a binary heap for events beyond the far horizon (long session
+//     timeouts);
+//   - a refill that takes the minimum of the four fronts (lane, near,
+//     far, heap), so ordering is exact;
 //   - arena-backed event allocation with a free list that recycles every
 //     fired event, so steady-state runs allocate nothing per event (see
 //     the Event doc for the handle-lifetime contract this relies on).
@@ -35,11 +40,7 @@
 // the single binary heap this replaces.
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-	"slices"
-)
+import "fmt"
 
 // Time is a virtual timestamp in nanoseconds since the start of the run.
 type Time int64
@@ -72,24 +73,29 @@ func (t Time) String() string {
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Calendar-wheel geometry. Buckets are 8.192µs wide — about two cell
-// times on a 100 Mb/s link, so dense cell traffic lands a couple of
-// events per bucket — and the window covers ~8ms of near future (a few
-// thousand queued cells per link); anything further (frame periods,
-// timeouts) waits in the far heap.
+// Wheel geometry. Both levels have nBuckets buckets. A near bucket is
+// 8.192µs wide — about two cell times on a 100 Mb/s link, so dense cell
+// traffic lands a couple of events per bucket — and the near wheel
+// covers ~8.4ms (a few thousand queued cells per link). A far bucket is
+// one near horizon wide, so the far wheel covers ~8.6s: every frame
+// period, CM round and stream timer. An event is filed once, in the
+// finer level whose window holds it, and never migrates; only events
+// beyond the far horizon (long session timeouts) wait in the heap.
 const (
-	bucketShift = 13
+	nearShift   = 13
+	farShift    = nearShift + 10 // log2(nBuckets): a far bucket spans the near wheel
 	nBuckets    = 1024
 	bucketMask  = nBuckets - 1
 	bitmapWords = nBuckets / 64
 )
 
-// Event container tags. Non-negative slots are wheel bucket indices.
+// Event container tags. Non-negative slots are wheel buckets: the near
+// wheel's are [0, nBuckets), the far wheel's [nBuckets, 2*nBuckets).
 const (
 	slotNone int32 = -1 // not queued (fired, cancelled, or fresh)
 	slotNext int32 = -2 // the cached minimum
 	slotFIFO int32 = -3 // same-time lane
-	slotFar  int32 = -4 // far heap
+	slotHeap int32 = -4 // beyond-horizon heap
 )
 
 // Event is a scheduled callback. It is returned by the scheduling methods
@@ -140,19 +146,10 @@ type Sim struct {
 	nowq    []*Event
 	nowHead int
 
-	// Calendar wheel over [now, now + nBuckets<<bucketShift). A bucket
-	// holds events of a single absolute bucket number at a time; only the
-	// bucket being drained (curBN) is kept sorted.
-	buckets   [nBuckets][]*Event
-	liveCount [nBuckets]int32
-	bitmap    [bitmapWords]uint64
-	wheelLive int
-	curBN     int64
-	curHead   int
-	curSorted bool
-
-	// far holds events beyond the wheel horizon, heap-ordered.
-	far []*Event
+	// The two wheel levels, and the heap for events beyond the far
+	// horizon, ordered by (time, seq).
+	near, far wheel
+	heap      []*Event
 
 	// Event allocation: every fired or cancelled event is recycled
 	// through the free list (see the Event doc for the handle-lifetime
@@ -164,7 +161,12 @@ type Sim struct {
 }
 
 // New returns a simulator with the clock at zero and an empty event queue.
-func New() *Sim { return &Sim{} }
+func New() *Sim {
+	s := &Sim{}
+	s.near.shift = nearShift
+	s.far.shift, s.far.tag = farShift, nBuckets
+	return s
+}
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
@@ -251,7 +253,7 @@ func (s *Sim) pushSlow(e *Event) {
 }
 
 // insert places an event (known not to displace the cached minimum) into
-// the same-time lane, the wheel, or the far heap.
+// the same-time lane, a wheel, or the heap.
 func (s *Sim) insert(e *Event) {
 	if e.at == s.now {
 		e.slot = slotFIFO
@@ -259,178 +261,25 @@ func (s *Sim) insert(e *Event) {
 		s.nowq = append(s.nowq, e)
 		return
 	}
-	bn := int64(e.at) >> bucketShift
-	if bn-int64(s.now)>>bucketShift < nBuckets {
-		s.wheelInsert(e, bn)
+	if bn := int64(e.at) >> nearShift; bn-int64(s.now)>>nearShift < nBuckets {
+		s.near.insert(e, bn)
 		return
 	}
-	e.slot = slotFar
-	e.idx = int32(len(s.far))
-	s.far = append(s.far, e)
-	s.farUp(int(e.idx))
+	if bn := int64(e.at) >> farShift; bn-int64(s.now)>>farShift < nBuckets {
+		s.far.insert(e, bn)
+		return
+	}
+	e.slot = slotHeap
+	e.idx = int32(len(s.heap))
+	s.heap = append(s.heap, e)
+	s.heapUp(int(e.idx))
 }
 
-func (s *Sim) wheelInsert(e *Event, bn int64) {
-	bi := int32(bn & bucketMask)
-	e.slot = bi
-	b := s.buckets[bi]
-	if bn == s.curBN && s.curSorted {
-		// Sorted insert into the bucket being drained, after the drain
-		// point. Events below curHead are extracted (nil) slots.
-		lo, hi := s.curHead, len(b)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if less(b[mid], e) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		b = append(b, nil)
-		copy(b[lo+1:], b[lo:])
-		b[lo] = e
-		e.idx = int32(lo)
-		for i := lo + 1; i < len(b); i++ {
-			b[i].idx = int32(i)
-		}
-		s.buckets[bi] = b
-	} else {
-		if bn < s.curBN {
-			// The wheel's drain cursor overshot this event's bucket;
-			// pull it back. Buckets between bn and the old cursor are
-			// empty, so the cursor remains correct.
-			s.curBN = bn
-			s.curHead = 0
-			s.curSorted = false
-		}
-		e.idx = int32(len(b))
-		s.buckets[bi] = append(b, e)
-	}
-	if s.liveCount[bi] == 0 {
-		s.bitmap[bi>>6] |= 1 << uint(bi&63)
-	}
-	s.liveCount[bi]++
-	s.wheelLive++
-}
-
-// wheelFront returns the minimum wheel event without extracting it, or nil
-// when the wheel is empty.
-func (s *Sim) wheelFront() *Event {
-	if s.wheelLive == 0 {
-		return nil
-	}
-	// Resynchronise the drain cursor: if the clock moved past it (the
-	// wheel idled while far-heap timers fired, or this is the first
-	// drain), its masked index may alias a much later absolute bucket.
-	// Live wheel events all have bn >= bn(now), so clamping is safe.
-	if nowBN := int64(s.now) >> bucketShift; s.curBN < nowBN {
-		s.curBN = nowBN
-		s.curHead = 0
-		s.curSorted = false
-	}
-	for {
-		bi := int32(s.curBN & bucketMask)
-		if s.liveCount[bi] == 0 {
-			s.advanceCur(bi)
-			continue
-		}
-		if !s.curSorted {
-			s.sortBucket(bi)
-		}
-		b := s.buckets[bi]
-		for s.curHead < len(b) && b[s.curHead] == nil {
-			s.curHead++
-		}
-		if s.curHead == len(b) {
-			panic("sim: wheel bucket live count inconsistent")
-		}
-		return b[s.curHead]
-	}
-}
-
-// advanceCur moves the drain cursor to the next non-empty bucket. The
-// caller guarantees wheelLive > 0, so a set bit exists.
-func (s *Sim) advanceCur(from int32) {
-	w := int(from >> 6)
-	word := s.bitmap[w] &^ (1<<uint(from&63) - 1)
-	steps := 0
-	for word == 0 {
-		w = (w + 1) % bitmapWords
-		word = s.bitmap[w]
-		steps++
-		if steps > bitmapWords {
-			panic("sim: wheel bitmap inconsistent")
-		}
-	}
-	found := int32(w<<6 + bits.TrailingZeros64(word))
-	s.curBN += int64((found - from) & bucketMask)
-	s.curHead = 0
-	s.curSorted = false
-}
-
-func (s *Sim) sortBucket(bi int32) {
-	b := s.buckets[bi]
-	// Compact cancelled entries, then sort by (time, seq).
-	live := b[:0]
-	for _, e := range b {
-		if e != nil {
-			live = append(live, e)
-		}
-	}
-	if len(live) <= 24 {
-		for i := 1; i < len(live); i++ {
-			e := live[i]
-			j := i - 1
-			for j >= 0 && less(e, live[j]) {
-				live[j+1] = live[j]
-				j--
-			}
-			live[j+1] = e
-		}
-	} else {
-		slices.SortFunc(live, func(a, b *Event) int {
-			if less(a, b) {
-				return -1
-			}
-			return 1
-		})
-	}
-	for i, e := range live {
-		e.idx = int32(i)
-	}
-	// Clear the tail so extracted slots stay nil.
-	for i := len(live); i < len(b); i++ {
-		b[i] = nil
-	}
-	s.buckets[bi] = live
-	s.curHead = 0
-	s.curSorted = true
-}
-
-func (s *Sim) resetBucket(bi int32) {
-	s.buckets[bi] = s.buckets[bi][:0]
-	s.bitmap[bi>>6] &^= 1 << uint(bi&63)
-	s.curHead = 0
-	s.curSorted = false
-}
-
-// extractWheel removes the event wheelFront returned.
-func (s *Sim) extractWheel(e *Event) {
-	bi := int32(s.curBN & bucketMask)
-	s.buckets[bi][s.curHead] = nil
-	s.curHead++
-	s.liveCount[bi]--
-	s.wheelLive--
-	if s.liveCount[bi] == 0 {
-		s.resetBucket(bi)
-	}
-}
-
-// refill selects the global minimum from the same-time lane, the wheel and
-// the far heap, extracts it, and caches it in s.next.
+// refill selects the global minimum from the same-time lane, the two
+// wheels and the heap, extracts it, and caches it in s.next.
 func (s *Sim) refill() {
 	var best *Event
-	src := 0 // 1 = nowq, 2 = wheel, 3 = far
+	src := 0 // 1 = nowq, 2 = near, 3 = far, 4 = heap
 	for s.nowHead < len(s.nowq) && s.nowq[s.nowHead] == nil {
 		s.nowHead++
 	}
@@ -442,13 +291,17 @@ func (s *Sim) refill() {
 		best = s.nowq[s.nowHead]
 		src = 1
 	}
-	if w := s.wheelFront(); w != nil && (best == nil || less(w, best)) {
+	if w := s.near.front(s.now); w != nil && (best == nil || less(w, best)) {
 		best = w
 		src = 2
 	}
-	if len(s.far) > 0 && (best == nil || less(s.far[0], best)) {
-		best = s.far[0]
+	if w := s.far.front(s.now); w != nil && (best == nil || less(w, best)) {
+		best = w
 		src = 3
+	}
+	if len(s.heap) > 0 && (best == nil || less(s.heap[0], best)) {
+		best = s.heap[0]
+		src = 4
 	}
 	if best == nil {
 		return
@@ -458,9 +311,11 @@ func (s *Sim) refill() {
 		s.nowq[s.nowHead] = nil
 		s.nowHead++
 	case 2:
-		s.extractWheel(best)
+		s.near.extract()
 	case 3:
-		s.farRemove(0)
+		s.far.extract()
+	case 4:
+		s.heapRemove(0)
 	}
 	best.slot = slotNext
 	s.next = best
@@ -481,33 +336,12 @@ func (s *Sim) remove(e *Event) {
 		s.next = nil
 	case e.slot == slotFIFO:
 		s.nowq[e.idx] = nil
-	case e.slot == slotFar:
-		s.farRemove(int(e.idx))
+	case e.slot == slotHeap:
+		s.heapRemove(int(e.idx))
+	case e.slot >= nBuckets:
+		s.far.remove(e)
 	case e.slot >= 0:
-		bi := e.slot
-		b := s.buckets[bi]
-		if s.curSorted && bi == int32(s.curBN&bucketMask) {
-			// Keep the sorted drain region contiguous and nil-free.
-			i := int(e.idx)
-			copy(b[i:], b[i+1:])
-			b[len(b)-1] = nil
-			s.buckets[bi] = b[:len(b)-1]
-			for j := i; j < len(b)-1; j++ {
-				b[j].idx = int32(j)
-			}
-		} else {
-			b[e.idx] = nil
-		}
-		s.liveCount[bi]--
-		s.wheelLive--
-		if s.liveCount[bi] == 0 {
-			s.buckets[bi] = s.buckets[bi][:0]
-			s.bitmap[bi>>6] &^= 1 << uint(bi&63)
-			if bi == int32(s.curBN&bucketMask) {
-				s.curHead = 0
-				s.curSorted = false
-			}
-		}
+		s.near.remove(e)
 	}
 	e.slot = slotNone
 	s.npend--
@@ -526,61 +360,61 @@ func (s *Sim) Cancel(e *Event) bool {
 	return true
 }
 
-// Far-heap operations: a binary min-heap ordered by (time, seq) with
-// index maintenance for O(log n) removal.
+// Heap operations: a binary min-heap ordered by (time, seq) with index
+// maintenance for O(log n) removal.
 
-func (s *Sim) farUp(i int) {
-	f := s.far
-	e := f[i]
+func (s *Sim) heapUp(i int) {
+	h := s.heap
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less(e, f[p]) {
+		if !less(e, h[p]) {
 			break
 		}
-		f[i] = f[p]
-		f[i].idx = int32(i)
+		h[i] = h[p]
+		h[i].idx = int32(i)
 		i = p
 	}
-	f[i] = e
+	h[i] = e
 	e.idx = int32(i)
 }
 
-func (s *Sim) farDown(i int) {
-	f := s.far
-	n := len(f)
-	e := f[i]
+func (s *Sim) heapDown(i int) {
+	h := s.heap
+	n := len(h)
+	e := h[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if c+1 < n && less(f[c+1], f[c]) {
+		if c+1 < n && less(h[c+1], h[c]) {
 			c++
 		}
-		if !less(f[c], e) {
+		if !less(h[c], e) {
 			break
 		}
-		f[i] = f[c]
-		f[i].idx = int32(i)
+		h[i] = h[c]
+		h[i].idx = int32(i)
 		i = c
 	}
-	f[i] = e
+	h[i] = e
 	e.idx = int32(i)
 }
 
-func (s *Sim) farRemove(i int) {
-	f := s.far
-	n := len(f) - 1
-	last := f[n]
-	f[n] = nil
-	s.far = f[:n]
+func (s *Sim) heapRemove(i int) {
+	h := s.heap
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	s.heap = h[:n]
 	if i == n {
 		return
 	}
-	f[i] = last
+	h[i] = last
 	last.idx = int32(i)
-	s.farDown(i)
-	s.farUp(i)
+	s.heapDown(i)
+	s.heapUp(i)
 }
 
 // Step fires the earliest pending event, advancing the clock to its
