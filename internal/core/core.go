@@ -108,23 +108,15 @@ type Site struct {
 	cmNodes    map[*fileserver.CMService]string
 	cmSessions map[*fileserver.CMStream]*Session
 
-	hosted   bool // built by NewSiteOn: kernel, registry owned elsewhere
 	nextPort int
 	nextVCI  atm.VCI
 }
 
-// NewSite builds an empty site.
+// NewSite builds an empty standalone site: it owns its event kernel
+// and telemetry registry, so the kernel's gauges are the site's too.
 func NewSite(cfg SiteConfig) *Site {
-	if cfg.Name == "" {
-		cfg.Name = "site"
-	}
-	st := &Site{Config: cfg, Sim: sim.New(), nextVCI: firstStaticVCI}
-	st.Switch = fabric.NewSwitch(st.Sim, cfg.Name, cfg.Ports, cfg.FabricDelay)
-	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
-	st.Metrics = telemetry.NewRegistry()
-	st.cmNodes = make(map[*fileserver.CMService]string)
-	st.cmSessions = make(map[*fileserver.CMStream]*Session)
-	st.registerSiteGauges()
+	st := NewSiteOn(sim.New(), telemetry.NewRegistry(), cfg)
+	st.Metrics.KernelGauges(st.Sim)
 	return st
 }
 
@@ -137,10 +129,9 @@ func NewSiteOn(s *sim.Sim, reg *telemetry.Registry, cfg SiteConfig) *Site {
 	if cfg.Name == "" {
 		cfg.Name = "site"
 	}
-	st := &Site{Config: cfg, Sim: s, nextVCI: firstStaticVCI, hosted: true}
+	st := &Site{Config: cfg, Sim: s, Metrics: reg, nextVCI: firstStaticVCI}
 	st.Switch = fabric.NewSwitch(s, cfg.Name, cfg.Ports, cfg.FabricDelay)
 	st.Signalling = netsig.NewManager(st.Switch, cfg.LinkRate)
-	st.Metrics = reg
 	st.cmNodes = make(map[*fileserver.CMService]string)
 	st.cmSessions = make(map[*fileserver.CMStream]*Session)
 	st.registerSiteGauges()
@@ -248,10 +239,6 @@ type Workstation struct {
 	Net       *Endpoint
 	Transport *rpc.Transport
 
-	// CPU wraps the workstation's kernel as a stream-admissible
-	// protocol-processing CPU; nil until EnableCPU.
-	CPU *NodeCPU
-
 	cameraN, displayN, audioN int
 }
 
@@ -278,20 +265,6 @@ func (st *Site) NewWorkstation(name string) *Workstation {
 	// catch-all binding, so a misrouted cell surfaces as an unhandled
 	// VCI instead of being silently swallowed by the transport.
 	return w
-}
-
-// EnableCPU adopts the workstation's existing kernel/EDF/QoS trio as a
-// stream-admissible CPU, so sessions terminating here can carry a CPU
-// leg (receive-side protocol processing) in their admission
-// conjunction. An explicit config Cap replaces the QoS manager's (a
-// zero Cap keeps whatever the manager already uses); SwitchCost stays
-// whatever the kernel was built with. Idempotent.
-func (w *Workstation) EnableCPU(cfg CPUConfig) *NodeCPU {
-	if w.CPU == nil {
-		w.CPU = wrapNodeCPU(w.Kernel, w.EDF, w.QoS, cfg)
-		w.Site.instrumentCPU(w.Name, w.CPU)
-	}
-	return w.CPU
 }
 
 // BindRPC binds the workstation's transport to a circuit so RPC frames

@@ -1,10 +1,9 @@
 package core
 
 // This file puts the §3.3 CPU guarantee on the stream plane: each
-// serving node (and optionally each workstation) owns a Nemesis kernel,
-// and every admitted stream holds a per-stream protocol-processing
-// domain there under an EDF {slice, period} contract derived from the
-// stream's rate. The paper's QoS manager hands out processor time "on
+// serving node owns a Nemesis kernel, and every admitted stream holds a
+// per-stream protocol-processing domain there under an EDF {slice,
+// period} contract derived from the stream's rate. The paper's QoS manager hands out processor time "on
 // the same footing" as network and disk bandwidth; NodeCPU is that
 // footing — OpenSession charges it in the same atomic conjunction as
 // the link and disk budgets, and Renegotiate/Degrade/Restore reshape
@@ -93,20 +92,6 @@ func NewNodeCPU(s *sim.Sim, cfg CPUConfig) *NodeCPU {
 		SingleAddressSpace: true,
 	}, edf)
 	qos := sched.NewQoSManager(s, edf)
-	qos.Cap = cfg.Cap
-	return &NodeCPU{Kernel: k, EDF: edf, QoS: qos, cfg: cfg}
-}
-
-// wrapNodeCPU adopts an existing kernel/EDF/QoS trio (a workstation's)
-// as a stream-admissible CPU. The manager's cap is replaced only when
-// the config names one explicitly: a workstation tuned to a lower cap
-// must not have it silently raised to the default by enabling stream
-// admission.
-func wrapNodeCPU(k *nemesis.Kernel, edf *sched.EDFShares, qos *sched.QoSManager, cfg CPUConfig) *NodeCPU {
-	if cfg.Cap == 0 {
-		cfg.Cap = qos.Cap
-	}
-	cfg.setDefaults()
 	qos.Cap = cfg.Cap
 	return &NodeCPU{Kernel: k, EDF: edf, QoS: qos, cfg: cfg}
 }

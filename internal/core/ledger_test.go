@@ -182,24 +182,22 @@ func (ls *ledgerSite) trace(t *testing.T, seed int64, ops int) {
 		case op < 8: // open a session
 			ss := ls.servers[pick(2)]
 			sp := SessionSpec{
-				Class:    []QoSClass{Guaranteed, Adaptive, Adaptive, BestEffort}[pick(4)],
-				InPort:   ss.Net.Port,
-				OutPorts: []int{ls.viewers[pick(len(ls.viewers))]},
+				Class:       []QoSClass{Guaranteed, Adaptive, Adaptive}[pick(3)],
+				InPort:      ss.Net.Port,
+				OutPorts:    []int{ls.viewers[pick(len(ls.viewers))]},
+				PeakRate:    ledgerRate,
+				MinRateFrac: []float64{0, 0.1, 0.6}[pick(3)],
 			}
-			if sp.Class != BestEffort {
-				sp.PeakRate = ledgerRate
-				sp.MinRateFrac = []float64{0, 0.1, 0.6}[pick(3)]
-				if pick(4) > 0 {
-					sp.CM, sp.Title = ss.CM, fmt.Sprintf("title%d", pick(ledgerTitles))
-					sp.FrameBytes, sp.FrameHz = ledgerFrameBytes, ledgerFrameHz
-				}
-				if pick(2) == 0 {
-					sp.CPU = ss.CPU
-				}
-				if sp.CM == nil && pick(2) == 0 { // a spilled session's home leg
-					sp.InPort = ls.trunkIn
-					sp.TrunkUp, sp.TrunkDown = &ls.trunk.UpBudget, &ls.trunk.DownBudget
-				}
+			if pick(4) > 0 {
+				sp.CM, sp.Title = ss.CM, fmt.Sprintf("title%d", pick(ledgerTitles))
+				sp.FrameBytes, sp.FrameHz = ledgerFrameBytes, ledgerFrameHz
+			}
+			if pick(2) == 0 {
+				sp.CPU = ss.CPU
+			}
+			if sp.CM == nil && pick(2) == 0 { // a spilled session's home leg
+				sp.InPort = ls.trunkIn
+				sp.TrunkUp, sp.TrunkDown = &ls.trunk.UpBudget, &ls.trunk.DownBudget
 			}
 			_, _ = st.OpenSession(sp)
 		case op < 12 && len(sessions) > 0: // renegotiate

@@ -69,9 +69,9 @@ func (l Leg) String() string {
 	return "leg(?)"
 }
 
-// LegReport is one leg's share of an admission probe.
+// LegReport is one leg's share of an admission probe; its leg is its
+// index in AdmissionReport.Legs.
 type LegReport struct {
-	Leg Leg
 	// Present reports whether the spec exercises this leg at all: a
 	// link-only session has no disk leg, a site without uplink
 	// budgeting has no uplink leg. Absent legs are trivially OK with
@@ -93,9 +93,6 @@ type AdmissionReport struct {
 	// when OK is false — the report describes the full-quality
 	// conjunction.)
 	OK bool
-	// CacheServed reports that the disk leg would be skipped: the
-	// stream rides the RAM tier and charges no disk round budget.
-	CacheServed bool
 	// FirstRefusal is the first refusing leg in conjunction order
 	// (link, uplink, disk, cpu, trunk); meaningful only when OK is false.
 	FirstRefusal Leg
@@ -104,7 +101,15 @@ type AdmissionReport struct {
 }
 
 // Leg returns one leg's report.
-func (r AdmissionReport) Leg(l Leg) LegReport { return r.Legs[l] }
+func (r *AdmissionReport) Leg(l Leg) LegReport { return r.Legs[l] }
+
+// CacheServed reports that the disk leg would be skipped: the cache
+// leg is present and OK, so the stream rides the RAM tier and charges
+// no disk round budget.
+func (r *AdmissionReport) CacheServed() bool {
+	lr := &r.Legs[LegCache]
+	return lr.Present && lr.OK
+}
 
 // Bottleneck reports the tightest present *veto* leg's (leg, headroom)
 // — the node-load figure placement ranks by. The cache leg is excluded:
@@ -112,21 +117,23 @@ func (r AdmissionReport) Leg(l Leg) LegReport { return r.Legs[l] }
 // through to the disks), so it must not make an idle node look
 // committed. A report with no present legs has full headroom
 // everywhere.
-func (r AdmissionReport) Bottleneck() (Leg, float64) {
+func (r *AdmissionReport) Bottleneck() (Leg, float64) {
 	leg, h := LegLink, 1.0
-	for _, lr := range r.Legs {
-		if lr.Present && lr.Leg != LegCache && lr.Headroom < h {
-			leg, h = lr.Leg, lr.Headroom
+	for l := range r.Legs {
+		if lr := &r.Legs[l]; lr.Present && Leg(l) != LegCache && lr.Headroom < h {
+			leg, h = Leg(l), lr.Headroom
 		}
 	}
 	return leg, h
 }
 
-func headroomFrac(free, capacity int64) float64 {
+// headroomFrac is a budget's free fraction, (capacity−committed) /
+// capacity clamped to [0, 1].
+func headroomFrac(committed, capacity int64) float64 {
 	if capacity <= 0 {
 		return 0
 	}
-	f := float64(free) / float64(capacity)
+	f := float64(capacity-committed) / float64(capacity)
 	if f < 0 {
 		return 0
 	}

@@ -63,8 +63,8 @@ func TestProbeCacheEquivalenceProperty(t *testing.T) {
 					return false
 				}
 				if err == nil {
-					if r.CacheServed != s.CacheServed() {
-						t.Logf("probe CacheServed=%v, session=%v", r.CacheServed, s.CacheServed())
+					if r.CacheServed() != s.CacheServed() {
+						t.Logf("probe CacheServed=%v, session=%v", r.CacheServed(), s.CacheServed())
 						return false
 					}
 					if s.CacheServed() && s.CM().Cost() != 0 {
@@ -170,8 +170,8 @@ func TestProbeCacheFollowerSkipsDisk(t *testing.T) {
 
 	site.Sim.RunFor(2 * sRound) // the leader's first windows land in the wake
 	r = site.Probe(spec(ss, eps[1], core.Guaranteed, "title0"))
-	if !r.OK || !r.CacheServed {
-		t.Fatalf("warm-cache probe: OK=%v CacheServed=%v, want cache-served admit", r.OK, r.CacheServed)
+	if !r.OK || !r.CacheServed() {
+		t.Fatalf("warm-cache probe: OK=%v CacheServed=%v, want cache-served admit", r.OK, r.CacheServed())
 	}
 	fol, err := site.OpenSession(spec(ss, eps[1], core.Guaranteed, "title0"))
 	if err != nil {
@@ -198,4 +198,40 @@ func TestProbeCacheFollowerSkipsDisk(t *testing.T) {
 		t.Fatalf("budgets nonzero after close-all: disk=%v pinned=%d",
 			ss.CM.Committed(), ss.CM.CachePinned())
 	}
+}
+
+// TestReshapeOffRAMTierTracesDemotion: a renegotiation that moves a
+// cache-served follower onto the disks is a demotion like any other —
+// the trace records a "demoted" event carrying the session's id, just
+// as it does when the follower's wake evaporates.
+func TestReshapeOffRAMTierTracesDemotion(t *testing.T) {
+	site, ss, eps := cacheSessionSite(t, 2, 1, 1<<20)
+	tr := site.EnableTrace()
+	lead, err := site.OpenSession(spec(ss, eps[0], core.Guaranteed, "title0"))
+	if err != nil {
+		t.Fatalf("leader open: %v", err)
+	}
+	defer lead.Close()
+	site.Sim.RunFor(2 * sRound) // the leader's first windows land in the wake
+	fol, err := site.OpenSession(spec(ss, eps[1], core.Guaranteed, "title0"))
+	if err != nil {
+		t.Fatalf("follower open: %v", err)
+	}
+	if !fol.CacheServed() {
+		t.Fatal("follower not cache-served")
+	}
+	// The leader leaves too little disk budget for the follower at half
+	// rate; its floor tier fits.
+	if err := fol.Renegotiate(sPeakRate / 4); err != nil {
+		t.Fatalf("renegotiate off the RAM tier: %v", err)
+	}
+	if fol.CacheServed() {
+		t.Fatal("follower still cache-served at its floor tier")
+	}
+	for _, ev := range tr.Events() {
+		if ev.Event == "demoted" && ev.Session == int64(fol.ID()) {
+			return
+		}
+	}
+	t.Fatalf("no demoted event for session %d in the trace", fol.ID())
 }

@@ -54,12 +54,8 @@ func (g *geometry) floorFrac() float64 {
 
 // rateAt is the admitted bit rate at quality factor f. Rounded to
 // nearest so a factor derived from a requested rate (Renegotiate)
-// round-trips to exactly that rate. Best-effort flows (no PeakRate)
-// have no admitted rate at any tier.
+// round-trips to exactly that rate.
 func (g *geometry) rateAt(f float64) int64 {
-	if g.PeakRate <= 0 {
-		return 0
-	}
 	return max(int64(float64(g.PeakRate)*f+0.5), 1)
 }
 
@@ -142,54 +138,53 @@ type reservation struct {
 // as straight-line code rather than an array of per-leg func values
 // because arguments to an indirect call escape (every Probe would
 // heap-allocate its spec) and because a tier move is a handful of
-// nanoseconds that per-leg dispatch would double.
+// nanoseconds that per-leg dispatch would double. Every admission rule
+// lives in its budget: probe asks the budget's own predicate, so a
+// probe and the admit after it cannot disagree.
 //
-//	leg     probe reads           admit / resize / release            refuses with
-//	link    netsig port budgets   Establish[Tree] / ModifyRate /      netsig.ErrAdmission
-//	uplink  netsig uplink budget    TearDown (one call covers both)   netsig.ErrUplink
-//	disk    CM round budget       AdmitCached, else AdmitDegraded /   fileserver.ErrOverCommit
-//	                                Reshape / Release
-//	cpu     NodeCPU reservation   AdmitStream / Reshape / Release     sched.ErrOverCommit
-//	cache   wake + pin budget     — (never vetoes; excuses disk)      —
-//	trunk   fabric.Budget ×2      trunkHold.move, up then down        ErrTrunk
+//	leg     probe asks                 admit / resize / release            refuses with
+//	link    netsig LinkFits            Establish[Tree] / ModifyRate /      netsig.ErrAdmission
+//	uplink  netsig UplinkFits            TearDown (one call covers both)   netsig.ErrUplink
+//	disk    CMService.CanServe         AdmitCached, else AdmitDegraded /   fileserver.ErrOverCommit
+//	                                     Reshape / Release
+//	cpu     NodeCPU.CanServe           AdmitStream / Reshape / Release     sched.ErrOverCommit
+//	cache   CMService.CanServeCached   — (never vetoes; excuses disk)      —
+//	trunk   fabric.Budget.Can ×2       trunkHold.move, up then down        ErrTrunk
 
 // probe evaluates the conjunction for r at full quality, holding
 // nothing: every leg's report, then the verdict — every present veto
 // leg must admit, a cache-servable stream excusing the disk leg — in
 // commit order, so FirstRefusal names the leg whose error admit would
-// surface.
+// surface. Each OK is the budget's own verdict; only the headroom
+// fractions are computed here.
 func (r *reservation) probe() (rep AdmissionReport) {
 	for l := range rep.Legs {
-		rep.Legs[l] = LegReport{Leg: Leg(l), OK: true, Headroom: 1}
+		rep.Legs[l] = LegReport{OK: true, Headroom: 1}
 	}
 	m, rate := r.site.Signalling, r.PeakRate
 	if lr := &rep.Legs[LegLink]; len(r.outPorts) > 0 {
 		lr.Present = true
 		for _, p := range r.outPorts {
-			free := m.Capacity(p) - m.Committed(p)
-			lr.Headroom = min(lr.Headroom, headroomFrac(free, m.Capacity(p)))
-			lr.OK = lr.OK && rate <= free
+			lr.Headroom = min(lr.Headroom, headroomFrac(m.Committed(p), m.Capacity(p)))
+			lr.OK = lr.OK && m.LinkFits(p, rate)
 		}
 	}
+	// A zero-rate spec (a load probe) crosses no uplink budget.
 	if m.UplinkAdmission() && rate > 0 {
-		free := m.UplinkCapacity(r.inPort) - m.CommittedUplink(r.inPort)
-		rep.Legs[LegUplink] = LegReport{Leg: LegUplink, Present: true,
-			OK: rate <= free, Headroom: headroomFrac(free, m.UplinkCapacity(r.inPort))}
+		rep.Legs[LegUplink] = LegReport{Present: true, OK: m.UplinkFits(r.inPort, rate),
+			Headroom: headroomFrac(m.CommittedUplink(r.inPort), m.UplinkCapacity(r.inPort))}
 	}
 	if svc := r.cmSvc; svc != nil {
-		free := int64(svc.Capacity() - svc.Committed())
-		cost, err := svc.StreamCost(r.FrameBytes, r.FrameHz)
-		rep.Legs[LegDisk] = LegReport{Leg: LegDisk, Present: true,
-			OK: err == nil && int64(cost) <= free, Headroom: headroomFrac(free, int64(svc.Capacity()))}
+		rep.Legs[LegDisk] = LegReport{Present: true, OK: svc.CanServe(r.FrameBytes, r.FrameHz),
+			Headroom: headroomFrac(int64(svc.Committed()), int64(svc.Capacity()))}
 		if svc.CacheEnabled() {
-			rep.CacheServed = svc.CanServeCached(r.title, r.FrameBytes, r.FrameHz)
-			rep.Legs[LegCache] = LegReport{Leg: LegCache, Present: true, OK: rep.CacheServed,
-				Headroom: headroomFrac(svc.CacheCapacity()-svc.CachePinned(), svc.CacheCapacity())}
+			rep.Legs[LegCache] = LegReport{Present: true, OK: svc.CanServeCached(r.title, r.FrameBytes, r.FrameHz),
+				Headroom: headroomFrac(svc.CachePinned(), svc.CacheCapacity())}
 		}
 	}
 	if cpu := r.cpuSvc; cpu != nil {
 		fb, hz := r.cpuGeometryAt(1)
-		rep.Legs[LegCPU] = LegReport{Leg: LegCPU, Present: true,
+		rep.Legs[LegCPU] = LegReport{Present: true,
 			OK: cpu.CanServe(fb, hz), Headroom: max(1-cpu.CommittedFrac(), 0)}
 	}
 	for _, b := range [...]*fabric.Budget{r.up.budget, r.down.budget} {
@@ -199,8 +194,8 @@ func (r *reservation) probe() (rep AdmissionReport) {
 		}
 	}
 	rep.OK = true
-	for l, lr := range rep.Legs {
-		if lr.Present && !lr.OK && Leg(l) != LegCache && !(Leg(l) == LegDisk && rep.CacheServed) {
+	for l := range rep.Legs {
+		if lr := &rep.Legs[l]; lr.Present && !lr.OK && Leg(l) != LegCache && !(Leg(l) == LegDisk && rep.CacheServed()) {
 			rep.OK, rep.FirstRefusal = false, Leg(l)
 			break
 		}
@@ -408,8 +403,8 @@ func (r *reservation) VCI() atm.VCI {
 // Callers must not tear it down behind the owner's back — Close does.
 func (r *reservation) Circuit() *netsig.Circuit { return r.circ }
 
-// Rate reports the currently admitted rate in bits/s (0 for
-// best-effort and closed flows).
+// Rate reports the currently admitted rate in bits/s (0 for closed
+// flows).
 func (r *reservation) Rate() int64 {
 	if r.closed {
 		return 0

@@ -44,10 +44,6 @@ const (
 	// quality instead of refusing outright — the §3.3 QoS-manager
 	// policy applied to links, disks and CPUs.
 	Adaptive
-	// BestEffort sessions carry no reservation at all: a zero-rate
-	// circuit in the class ordinary data travels in, never admitted
-	// against any budget and never guaranteed anything.
-	BestEffort
 )
 
 // String names the class for scoreboards and errors.
@@ -57,8 +53,6 @@ func (c QoSClass) String() string {
 		return "guaranteed"
 	case Adaptive:
 		return "adaptive"
-	case BestEffort:
-		return "best-effort"
 	}
 	return fmt.Sprintf("qos(%d)", int(c))
 }
@@ -77,8 +71,7 @@ type SessionSpec struct {
 	OutPorts []int
 
 	// PeakRate is the full-quality peak rate in bits/s, the rate the
-	// link half admits. Required for Guaranteed and Adaptive; must be
-	// zero for BestEffort.
+	// link half admits. Required.
 	PeakRate int64
 
 	// MinRateFrac bounds degradation: the session's rate (and served
@@ -91,8 +84,7 @@ type SessionSpec struct {
 	// CM, when non-nil, makes the session disk-backed: Title is
 	// admitted against the serving node's per-disk round budget at
 	// FrameBytes×FrameHz, and the session owns the resulting
-	// reservation. BestEffort sessions must leave CM nil — there is no
-	// such thing as a best-effort disk guarantee.
+	// reservation.
 	CM         *fileserver.CMService
 	Title      string
 	FrameBytes int
@@ -106,7 +98,6 @@ type SessionSpec struct {
 	// contract's period is one frame time (FrameHz, or DefaultCPUHz
 	// for link-only streams) and its slice scales with the served
 	// bytes, so degrading a session frees processor time for real.
-	// BestEffort sessions must leave CPU nil.
 	CPU *NodeCPU
 
 	// TrunkUp and TrunkDown, when non-nil, are inter-site trunk
@@ -204,23 +195,11 @@ func (s *Session) CacheServed() bool { return s.cm != nil && s.cm.CacheServed() 
 // when every contender (newcomer included) is at its floor and the
 // budgets still refuse does the open fail.
 func (st *Site) OpenSession(spec SessionSpec) (*Session, error) {
-	switch spec.Class {
-	case BestEffort:
-		if spec.CM != nil {
-			return nil, errors.New("core: best-effort sessions carry no disk reservation; spec.CM must be nil")
-		}
-		if spec.CPU != nil {
-			return nil, errors.New("core: best-effort sessions carry no CPU reservation; spec.CPU must be nil")
-		}
-		if spec.PeakRate != 0 {
-			return nil, errors.New("core: best-effort sessions have no admitted rate; spec.PeakRate must be 0")
-		}
-	case Guaranteed, Adaptive:
-		if spec.PeakRate <= 0 {
-			return nil, fmt.Errorf("core: %v sessions need a positive PeakRate", spec.Class)
-		}
-	default:
+	if spec.Class != Guaranteed && spec.Class != Adaptive {
 		return nil, fmt.Errorf("core: unknown QoS class %v", spec.Class)
+	}
+	if spec.PeakRate <= 0 {
+		return nil, fmt.Errorf("core: %v sessions need a positive PeakRate", spec.Class)
 	}
 
 	st.traceOpen(&spec)
@@ -355,9 +334,6 @@ func (s *Session) Renegotiate(newRate int64) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	if s.spec.Class == BestEffort {
-		return errors.New("core: best-effort sessions have no reservation to renegotiate")
-	}
 	if newRate <= 0 {
 		return fmt.Errorf("core: renegotiated rate must be positive, got %d", newRate)
 	}
@@ -385,9 +361,6 @@ func (s *Session) Renegotiate(newRate int64) error {
 func (s *Session) Degrade(factor float64) error {
 	if s.closed {
 		return ErrSessionClosed
-	}
-	if s.spec.Class == BestEffort {
-		return nil // nothing reserved, nothing to degrade
 	}
 	if factor <= 0 || factor >= 1 {
 		return fmt.Errorf("core: degrade factor must be in (0,1), got %g", factor)

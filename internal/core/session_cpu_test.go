@@ -237,34 +237,27 @@ func TestAdaptiveDegradesOnCPU(t *testing.T) {
 	}
 }
 
-// TestWorkstationCPULinkOnlySessions: a workstation's own kernel can be
-// the CPU leg of link-only sessions (receive-side protocol processing):
-// EnableCPU keeps the QoS manager's tuned cap, the contract derives
-// from PeakRate at DefaultCPUHz, and refusal/rollback/teardown behave
-// exactly as on a storage node.
+// TestWorkstationCPULinkOnlySessions: a receiving workstation's
+// protocol CPU can be the CPU leg of link-only sessions (receive-side
+// protocol processing): the contract derives from PeakRate at
+// DefaultCPUHz, and refusal/rollback/teardown behave exactly as on a
+// storage node.
 func TestWorkstationCPULinkOnlySessions(t *testing.T) {
 	cfg := core.DefaultSiteConfig()
 	cfg.Ports = 4
 	site := core.NewSite(cfg)
 	w := site.NewWorkstation("ws")
-	w.QoS.Cap = 0.5
 	// 1 MiB/s at DefaultCPUHz: a 4 Mb/s stream charges 500000 bytes/s
 	// → 5000 bytes per 10 ms period → ~4.8 ms + 20 µs ≈ 48% — one
-	// stream fills the workstation's tuned 0.5 cap.
-	cpu := w.EnableCPU(core.CPUConfig{BytesPerSec: 1 << 20})
-	if cpu != w.CPU || cpu.Kernel != w.Kernel || cpu.QoS != w.QoS {
-		t.Fatal("EnableCPU did not wrap the workstation's own trio")
-	}
-	if w.QoS.Cap != 0.5 {
-		t.Fatalf("EnableCPU replaced the tuned cap with %g", w.QoS.Cap)
-	}
+	// stream fills a 0.5 cap.
+	cpu := core.NewNodeCPU(site.Sim, core.CPUConfig{Cap: 0.5, BytesPerSec: 1 << 20})
 	sender := site.Attach("sender")
 	spec := core.SessionSpec{
 		Class:    core.Guaranteed,
 		InPort:   sender.Port,
 		OutPorts: []int{w.Net.Port},
 		PeakRate: 4_000_000,
-		CPU:      w.CPU,
+		CPU:      cpu,
 	}
 	a, err := site.OpenSession(spec)
 	if err != nil {
@@ -282,7 +275,7 @@ func TestWorkstationCPULinkOnlySessions(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.QoS.ReservedUtilization() != 0 {
+	if cpu.QoS.ReservedUtilization() != 0 {
 		t.Fatal("workstation CPU reservation survived the close")
 	}
 }

@@ -94,7 +94,7 @@ func TestSessionTraceInvariantProperty(t *testing.T) {
 				if floor == 0 {
 					floor = core.DefaultMinRateFrac
 				}
-				if s.Class() != core.BestEffort && s.Factor() < floor {
+				if s.Factor() < floor {
 					t.Logf("session %d below its floor: %g", s.ID(), s.Factor())
 					return false
 				}

@@ -279,40 +279,6 @@ func TestAdaptiveRestoresOnClose(t *testing.T) {
 	}
 }
 
-func TestBestEffortSessionHoldsNoBudget(t *testing.T) {
-	site, ss, eps := sessionSite(t, 2, 1)
-	s, err := site.OpenSession(core.SessionSpec{
-		Class:    core.BestEffort,
-		InPort:   eps[0].Port,
-		OutPorts: []int{eps[1].Port},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if site.Signalling.Committed(eps[1].Port) != 0 || site.Signalling.CommittedUplink(eps[0].Port) != 0 {
-		t.Fatal("best-effort session charged a budget")
-	}
-	if err := s.Renegotiate(1_000_000); err == nil {
-		t.Fatal("best-effort renegotiation accepted; want error")
-	}
-	if err := s.Degrade(0.5); err != nil {
-		t.Fatalf("best-effort degrade should be a no-op, got %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A best-effort spec must not smuggle in a disk reservation.
-	if _, err := site.OpenSession(core.SessionSpec{
-		Class:    core.BestEffort,
-		InPort:   ss.Net.Port,
-		OutPorts: []int{eps[0].Port},
-		CM:       ss.CM,
-		Title:    "title0",
-	}); err == nil {
-		t.Fatal("best-effort session with a CM accepted; want error")
-	}
-}
-
 func TestSessionDegradeRestoreVerbs(t *testing.T) {
 	site, ss, eps := sessionSite(t, 1, 1)
 	s, err := site.OpenSession(spec(ss, eps[0], core.Guaranteed, "title0"))

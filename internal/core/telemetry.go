@@ -54,8 +54,10 @@ func (st *Site) AdoptTrace(tr *telemetry.Tracer) { st.tracer = tr }
 func (st *Site) Trace() *telemetry.Tracer { return st.tracer }
 
 // registerSiteGauges wires the site-wide producers into the registry:
-// session verbs, refusals by leg, circuit counts, fabric throughput
-// and the event kernel itself.
+// session verbs, refusals by leg, circuit counts and fabric
+// throughput. The kernel's gauges belong to whoever owns the kernel:
+// NewSite registers them, a metro registers them once for its hosted
+// sites.
 func (st *Site) registerSiteGauges() {
 	reg := st.Metrics
 	q := &st.QoSStats
@@ -86,12 +88,6 @@ func (st *Site) registerSiteGauges() {
 	site("net", "circuits_modified", func() float64 { return float64(m.Modified) })
 	sw := st.Switch
 	site("fabric", "cells_switched", func() float64 { return float64(sw.Stats().Switched) })
-	if !st.hosted {
-		// A hosted site's kernel (and its gauges) belongs to the metro
-		// layer; registering them per site would just re-register the
-		// same keys K times.
-		reg.KernelGauges(st.Sim)
-	}
 }
 
 // instrumentUplink registers a node's uplink budget gauges.
@@ -115,7 +111,7 @@ func (st *Site) instrumentCM(name string, svc *fileserver.CMService) {
 	g("disk", "committed_ns", func() float64 { return float64(svc.Committed()) })
 	g("disk", "capacity_ns", func() float64 { return float64(svc.Capacity()) })
 	g("disk", "headroom", func() float64 {
-		return headroomFrac(int64(svc.Capacity()-svc.Committed()), int64(svc.Capacity()))
+		return headroomFrac(int64(svc.Committed()), int64(svc.Capacity()))
 	})
 	g("disk", "streams", func() float64 { return float64(svc.Open()) })
 	g("disk", "refused", func() float64 { return float64(svc.Stats.Refused) })
@@ -173,13 +169,12 @@ func (st *Site) sessionNode(spec *SessionSpec) string {
 }
 
 // LegSamples lifts the report's present legs into trace form.
-func (rep AdmissionReport) LegSamples() []telemetry.LegSample {
+func (rep *AdmissionReport) LegSamples() []telemetry.LegSample {
 	var out []telemetry.LegSample
-	for _, lr := range rep.Legs {
-		if !lr.Present {
-			continue
+	for l, lr := range rep.Legs {
+		if lr.Present {
+			out = append(out, telemetry.LegSample{Leg: Leg(l).String(), OK: lr.OK, Headroom: lr.Headroom})
 		}
-		out = append(out, telemetry.LegSample{Leg: lr.Leg.String(), OK: lr.OK, Headroom: lr.Headroom})
 	}
 	return out
 }
@@ -243,8 +238,9 @@ func (st *Site) noteRefusal(spec *SessionSpec, err error) {
 		st.QoSStats.RefusedOther++
 	}
 	st.trace(func() telemetry.Event {
+		rep := st.Probe(*spec)
 		return telemetry.Event{Event: "refused", Node: st.sessionNode(spec), Class: spec.Class.String(),
-			Leg: refusalLeg(err), Err: err.Error(), Legs: st.Probe(*spec).LegSamples()}
+			Leg: refusalLeg(err), Err: err.Error(), Legs: rep.LegSamples()}
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mcache"
+	"repro/internal/sim"
 )
 
 // This file is the node's RAM buffer tier: *interval caching* over the
@@ -435,9 +436,18 @@ func (svc *CMService) demoteToDisk(cm *CMStream) bool {
 		return true
 	}
 	cost := svc.CostPerRound(cm.roundBytes)
-	if svc.committed+cost > svc.budget {
+	if !svc.Fits(cost) {
 		return false
 	}
+	svc.demote(cm, cost)
+	return true
+}
+
+// demote moves a cache-served stream, already at its disk geometry,
+// onto the disks at cost per round — the one demotion path, shared by
+// an evaporated wake and a reshape off the RAM tier. The caller has
+// checked that cost fits.
+func (svc *CMService) demote(cm *CMStream, cost sim.Duration) {
 	svc.committed += cost
 	cm.cost = cost
 	cm.cacheServed = false
@@ -448,7 +458,6 @@ func (svc *CMService) demoteToDisk(cm *CMStream) bool {
 	if svc.OnDemote != nil {
 		svc.OnDemote(cm)
 	}
-	return true
 }
 
 // CacheServed reports whether the stream is currently served from the

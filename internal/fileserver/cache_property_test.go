@@ -127,3 +127,89 @@ func TestCMCacheBudgetConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: Fits is the disk admission rule, not a copy of it. Under
+// any interleaving of disk admissions (full and degraded), cache
+// admissions, reshapes, releases and passing rounds, the predicate's
+// verdict before each AdmitDegraded and Reshape equals the op's
+// outcome — a degraded admit is charged its served tier, a reshape of a
+// disk-backed stream its cost difference, a reshape off the RAM tier
+// its whole cost — a refusal is counted exactly once, and evaluating
+// the predicate moves no counter.
+func TestCMFitsMatchesAdmitProperty(t *testing.T) {
+	const (
+		fb, hz   = 960, 100
+		titleLen = 3 * 19200 // 3 rounds of 20×960 B at cmRound
+	)
+	tiers := []int{fb, fb / 2, fb / 4}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := sim.New()
+		sv := newServer(s, 128)
+		loadTitle(t, s, sv, "w", titleLen)
+		svc := fileserver.NewCMService(sv, fileserver.CMConfig{Round: cmRound, CacheBytes: 256 << 10})
+		defer svc.Stop()
+		fits := func(cost sim.Duration) bool {
+			stats := svc.Stats
+			ok := svc.Fits(cost)
+			return ok && svc.Stats == stats
+		}
+		// agrees checks an op's outcome and refusal counter against the
+		// verdict.
+		agrees := func(want bool, err error, before, after int64) bool {
+			if want {
+				return err == nil && after == before
+			}
+			return errors.Is(err, fileserver.ErrOverCommit) && after == before+1
+		}
+		var open []*fileserver.CMStream
+		for i := 0; i < 120; i++ {
+			serve := tiers[rng.Intn(len(tiers))]
+			cost, err := svc.StreamCost(serve, hz)
+			if err != nil {
+				return false
+			}
+			refused, reshapeRefused := svc.Stats.Refused, svc.Stats.ReshapeRefused
+			switch op := rng.Intn(6); {
+			case op <= 1: // admit off the disks at a random tier
+				want := fits(cost)
+				cm, err := svc.AdmitDegraded("w", fb, serve, hz)
+				if !agrees(want, err, refused, svc.Stats.Refused) {
+					return false
+				}
+				if err == nil {
+					open = append(open, cm)
+				}
+			case op == 2: // follower: admit off the wake when one is warm
+				if cm, err := svc.AdmitCached("w", fb, hz); err == nil {
+					open = append(open, cm)
+				}
+			case len(open) == 0:
+			case op == 3: // reshape: off the RAM tier, or by the difference
+				cm := open[rng.Intn(len(open))]
+				need := cost - cm.Cost()
+				if cm.CacheServed() {
+					need = cost
+				}
+				want := fits(need)
+				err := svc.Reshape(cm, serve, hz)
+				if !agrees(want, err, reshapeRefused, svc.Stats.ReshapeRefused) {
+					return false
+				}
+			case op == 4:
+				k := rng.Intn(len(open))
+				open[k].Release()
+				open = append(open[:k], open[k+1:]...)
+			default: // rounds pass: wakes fill, demotions fire
+				s.RunFor(sim.Duration(rng.Intn(3)+1) * cmRound)
+			}
+		}
+		for _, cm := range open {
+			cm.Release()
+		}
+		return svc.Committed() == 0
+	}
+	if err := quick.Check(prop, testutil.Quick(t, 60)); err != nil {
+		t.Fatal(err)
+	}
+}

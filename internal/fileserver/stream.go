@@ -239,7 +239,14 @@ func (svc *CMService) StreamCost(frameBytes, frameHz int) (sim.Duration, error) 
 // per-file validation, holding nothing.
 func (svc *CMService) CanServe(frameBytes, frameHz int) bool {
 	cost, err := svc.StreamCost(frameBytes, frameHz)
-	return err == nil && svc.committed+cost <= svc.budget
+	return err == nil && svc.Fits(cost)
+}
+
+// Fits reports whether cost more per-disk time per round fits the round
+// budget — the disk admission rule, committed+cost ≤ budget, and the
+// only place it is written. It holds nothing.
+func (svc *CMService) Fits(cost sim.Duration) bool {
+	return svc.committed+cost <= svc.budget
 }
 
 // cmBuf is one round window of a stream's double buffer. frameBytes is
@@ -321,7 +328,7 @@ func (svc *CMService) AdmitDegraded(path string, fullFrameBytes, serveFrameBytes
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	cost := svc.CostPerRound(roundBytes)
-	if svc.committed+cost > svc.budget {
+	if !svc.Fits(cost) {
 		svc.Stats.Refused++
 		return nil, fmt.Errorf("%w: %s needs %v/round, %v of %v committed",
 			ErrOverCommit, path, cost, svc.committed, svc.budget)
@@ -371,38 +378,29 @@ func (svc *CMService) Reshape(cm *CMStream, frameBytes, frameHz int) error {
 		return fmt.Errorf("%s: %w", cm.path, err)
 	}
 	cost := svc.CostPerRound(roundBytes)
-	wasCacheServed := cm.cacheServed
-	if wasCacheServed {
-		// The RAM tier serves full quality only: any reshape of a
-		// cache-served stream first demotes it to disk admission at the
-		// requested tier. It holds no reservation to diff against, so
-		// the whole cost must fit.
-		if svc.committed+cost > svc.budget {
-			svc.Stats.ReshapeRefused++
+	// The RAM tier serves full quality only: any reshape of a
+	// cache-served stream demotes it to disk admission at the requested
+	// tier. It holds no disk cost to diff against, so the whole cost
+	// must fit.
+	if d := cost - cm.cost; !svc.Fits(d) {
+		svc.Stats.ReshapeRefused++
+		if cm.cacheServed {
 			return fmt.Errorf("%w: %s reshape off the RAM tier needs %v/round, %v of %v committed",
 				ErrOverCommit, cm.path, cost, svc.committed, svc.budget)
 		}
-		svc.committed += cost
-		cm.cacheServed = false
-		svc.Stats.CacheDemotions++
-	} else {
-		if d := cost - cm.cost; d > 0 && svc.committed+d > svc.budget {
-			svc.Stats.ReshapeRefused++
-			return fmt.Errorf("%w: %s reshape needs %v/round more, %v of %v committed",
-				ErrOverCommit, cm.path, d, svc.committed, svc.budget)
-		}
-		svc.committed += cost - cm.cost
+		return fmt.Errorf("%w: %s reshape needs %v/round more, %v of %v committed",
+			ErrOverCommit, cm.path, d, svc.committed, svc.budget)
 	}
-	cm.frameBytes = frameBytes
-	cm.roundBytes = roundBytes
-	cm.cost = cost
+	cm.frameBytes, cm.roundBytes = frameBytes, roundBytes
 	svc.Stats.Reshaped++
+	if cm.cacheServed {
+		svc.demote(cm, cost)
+		return nil
+	}
+	svc.committed += cost - cm.cost
+	cm.cost = cost
 	if svc.cache != nil {
-		if wasCacheServed {
-			svc.cache.demoted(cm)
-		} else {
-			svc.cache.reshaped(cm)
-		}
+		svc.cache.reshaped(cm)
 	}
 	return nil
 }

@@ -154,3 +154,30 @@ func TestPlayoutNeverWritesTheWake(t *testing.T) {
 		t.Fatalf("only %d cached frames checked", checked)
 	}
 }
+
+// TestSourcesShareOnePayload: every synthetic source borrows the
+// scenario's one payload buffer — a mesh's requests and a live
+// scenario's channel encoders alike — so no source allocates a frame.
+func TestSourcesShareOnePayload(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"mesh": {Pattern: Mesh, Workstations: 4, StreamsPerWS: 3},
+		"live": liveCfg(),
+	} {
+		sc := Build(cfg)
+		var payloads [][]byte
+		for _, r := range sc.requests {
+			payloads = append(payloads, r.src.payload)
+		}
+		for _, ch := range sc.channels {
+			payloads = append(payloads, ch.src.payload)
+		}
+		if len(payloads) < 2 {
+			t.Fatalf("%s: %d sources, want several", name, len(payloads))
+		}
+		for i, p := range payloads {
+			if len(p) != sc.cfg.FrameBytes || &p[0] != &sc.payload[0] {
+				t.Fatalf("%s: source %d has its own %d-byte payload", name, i, len(p))
+			}
+		}
+	}
+}

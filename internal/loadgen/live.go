@@ -128,7 +128,7 @@ func (sc *Scenario) liveChurn() {
 			sim:     sc.sim,
 			out:     cam.ToSwitch,
 			period:  period,
-			payload: make([]byte, cfg.FrameBytes),
+			payload: sc.payload,
 			sent:    sc.traffic().framesSent,
 			cells:   sc.reg.Counter(liveKey("source_cells")),
 			saved:   sc.reg.Counter(liveKey("fanout_saved")),
@@ -150,16 +150,9 @@ func (sc *Scenario) liveChurn() {
 	// Everything is sampled here, in one deterministic pass.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	z := vodsite.NewZipf(cfg.Channels, cfg.ZipfS)
-	window := cfg.Duration / 2
-	if window <= 0 {
-		window = 1
-	}
-	minHold := 4 * period
+	window := max(cfg.Duration/2, 1)
 	for k := 0; k < n*cfg.StreamsPerWS; k++ {
-		hold := sim.Duration(float64(cfg.HoldMean) * rng.ExpFloat64())
-		if hold < minHold {
-			hold = minHold
-		}
+		hold := max(sim.Duration(float64(cfg.HoldMean)*rng.ExpFloat64()), 4*period)
 		sc.livePlan = append(sc.livePlan, liveJoinPlan{
 			at:   cfg.Duration/20 + sim.Duration(rng.Int63n(int64(window))),
 			hold: hold,

@@ -642,6 +642,11 @@ type Scenario struct {
 	channels []*liveChannel
 	livePlan []liveJoinPlan
 
+	// payload is the one synthesized frame every synthetic source
+	// borrows: stampTrain never writes it, so one read-only buffer
+	// serves them all.
+	payload []byte
+
 	admitted, rejected, tornDown int
 	tl                           *traffic
 	sampler                      *telemetry.Sampler
@@ -726,7 +731,7 @@ func Build(cfg Config) *Scenario {
 	if err != nil {
 		panic(err.Error())
 	}
-	sc := &Scenario{cfg: cfg, mode: m}
+	sc := &Scenario{cfg: cfg, mode: m, payload: make([]byte, cfg.FrameBytes)}
 	m.topology(sc)
 	m.workload(sc)
 	return sc

@@ -258,7 +258,7 @@ func (sc *Scenario) newRequest(from *core.Endpoint, server *core.StorageServer, 
 		viewers: viewers,
 		phase:   sim.Duration(int64(idx)*7919) % period,
 		src: &source{sim: sc.sim, sent: sc.traffic().framesSent, period: period,
-			payload: make([]byte, sc.cfg.FrameBytes)},
+			payload: sc.payload},
 	}
 	sc.requests = append(sc.requests, r)
 	if sc.admit(r) != nil {

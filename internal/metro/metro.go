@@ -457,7 +457,7 @@ func (m *Controller) admit(s *Session) error {
 			return true
 		}
 		leg := m.homeLeg(hm, sm, s.ViewerPort)
-		if !hm.Site.Probe(leg).Leg(core.LegTrunk).OK {
+		if !hm.Site.Probe(leg).Legs[core.LegTrunk].OK {
 			trunkShort = true
 			return true
 		}
@@ -546,7 +546,7 @@ func (m *Controller) traceSpill(s *Session, rep core.AdmissionReport) {
 	if tr == nil {
 		return
 	}
-	rep.Legs[core.LegTrunk] = core.LegReport{Leg: core.LegTrunk, Present: true, OK: true,
+	rep.Legs[core.LegTrunk] = core.LegReport{Present: true, OK: true,
 		Headroom: min(m.members[s.Served].Trunk.Headroom(), m.members[s.Home].Trunk.Headroom())}
 	tr.Record(telemetry.Event{
 		T:       m.sim.Now(),

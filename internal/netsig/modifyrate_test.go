@@ -98,6 +98,9 @@ func TestModifyRateAdjustsUplink(t *testing.T) {
 	}
 }
 
+// TestModifyRateRejectsBestEffortAndUnknown: an unknown circuit is
+// ErrNoCircuit, and a zero (best-effort) rate is refused both at
+// Establish and as a renegotiation target.
 func TestModifyRateRejectsBestEffortAndUnknown(t *testing.T) {
 	s := sim.New()
 	sw, _ := newSwitch(s, fabric.NewRecorder(s))
@@ -105,12 +108,8 @@ func TestModifyRateRejectsBestEffortAndUnknown(t *testing.T) {
 	if err := m.ModifyRate(99, 1_000_000); !errors.Is(err, netsig.ErrNoCircuit) {
 		t.Fatalf("unknown circuit err = %v", err)
 	}
-	c, err := m.Establish(0, []int{1}, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ModifyRate(c.ID, 1_000_000); err == nil {
-		t.Fatal("best-effort circuit renegotiated; want error")
+	if _, err := m.Establish(0, []int{1}, 0, false); err == nil {
+		t.Fatal("zero-rate circuit established; want error")
 	}
 	g, err := m.Establish(0, []int{1}, 1_000_000, false)
 	if err != nil {

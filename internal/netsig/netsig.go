@@ -130,37 +130,66 @@ func (m *Manager) CommittedUplink(port int) int64 { return m.committedIn[port] }
 // UplinkCapacity reports an input port's uplink capacity.
 func (m *Manager) UplinkCapacity(port int) int64 { return m.capacityIn[port] }
 
+// LinkFits reports whether an output port can take rate more bits/s —
+// the link admission rule, committed+rate ≤ capacity, and the only
+// place it is written. It holds nothing.
+func (m *Manager) LinkFits(port int, rate int64) bool {
+	return m.committed[port]+rate <= m.capacity[port]
+}
+
+// UplinkFits reports whether an input port's uplink can take rate more
+// bits/s — the uplink admission rule, the same test against the input
+// port's budget, true while uplink admission is off. It holds nothing.
+func (m *Manager) UplinkFits(port int, rate int64) bool {
+	return !m.uplink || m.committedIn[port]+rate <= m.capacityIn[port]
+}
+
+// admitLinks refuses (ErrAdmission, counted in Refused) when any of
+// ports cannot take rate more bits/s, naming the first that cannot.
+func (m *Manager) admitLinks(ports []int, rate int64) error {
+	for _, p := range ports {
+		if !m.LinkFits(p, rate) {
+			m.Refused++
+			return fmt.Errorf("%w: port %d committed %d + %d > %d",
+				ErrAdmission, p, m.committed[p], rate, m.capacity[p])
+		}
+	}
+	return nil
+}
+
+// admitUplink refuses (ErrUplink, counted in Refused) when port's
+// uplink cannot take rate more bits/s.
+func (m *Manager) admitUplink(port int, rate int64) error {
+	if m.UplinkFits(port, rate) {
+		return nil
+	}
+	m.Refused++
+	return fmt.Errorf("%w: uplink %d committed %d + %d > %d",
+		ErrUplink, port, m.committedIn[port], rate, m.capacityIn[port])
+}
+
 // Establish sets up a circuit from inPort to one or more output ports
-// at the given peak rate, allocating a fresh VCI. With zero peakRate
-// the circuit is best-effort (no admission, no guarantee) — the class
-// ordinary data travels in.
+// at the given peak rate, allocating a fresh VCI. Admission: every
+// leaf's output link — and, when uplink budgeting is on, the sender's
+// link into the switch — must have headroom, the leaves checked first.
 func (m *Manager) Establish(inPort int, outPorts []int, peakRate int64, ctrl bool) (*Circuit, error) {
 	if len(outPorts) == 0 {
 		return nil, errors.New("netsig: circuit needs at least one leaf")
 	}
-	// Admission: every leaf's output link — and, when uplink budgeting
-	// is on, the sender's link into the switch — must have headroom.
-	uplinked := false
-	if peakRate > 0 {
-		for _, p := range outPorts {
-			if m.committed[p]+peakRate > m.capacity[p] {
-				m.Refused++
-				return nil, fmt.Errorf("%w: port %d committed %d + %d > %d",
-					ErrAdmission, p, m.committed[p], peakRate, m.capacity[p])
-			}
-		}
-		if m.uplink {
-			if m.committedIn[inPort]+peakRate > m.capacityIn[inPort] {
-				m.Refused++
-				return nil, fmt.Errorf("%w: uplink %d committed %d + %d > %d",
-					ErrUplink, inPort, m.committedIn[inPort], peakRate, m.capacityIn[inPort])
-			}
-			m.committedIn[inPort] += peakRate
-			uplinked = true
-		}
-		for _, p := range outPorts {
-			m.committed[p] += peakRate
-		}
+	if peakRate <= 0 {
+		return nil, errors.New("netsig: a circuit needs a positive peak rate")
+	}
+	if err := m.admitLinks(outPorts, peakRate); err != nil {
+		return nil, err
+	}
+	if err := m.admitUplink(inPort, peakRate); err != nil {
+		return nil, err
+	}
+	if m.uplink {
+		m.committedIn[inPort] += peakRate
+	}
+	for _, p := range outPorts {
+		m.committed[p] += peakRate
 	}
 	m.nextVCI++
 	vci := m.nextVCI
@@ -171,7 +200,7 @@ func (m *Manager) Establish(inPort int, outPorts []int, peakRate int64, ctrl boo
 	c := &Circuit{
 		ID: m.nextID, VCI: vci, InPort: inPort,
 		OutPorts: append([]int(nil), outPorts...),
-		PeakRate: peakRate, Ctrl: ctrl, uplinked: uplinked,
+		PeakRate: peakRate, Ctrl: ctrl, uplinked: m.uplink,
 	}
 	m.open[c.ID] = c
 	m.Established++
@@ -188,34 +217,31 @@ func (m *Manager) EstablishTree(inPort int, peakRate int64) (*Circuit, error) {
 	if peakRate <= 0 {
 		return nil, errors.New("netsig: a multicast tree needs a positive peak rate")
 	}
-	uplinked := false
+	if err := m.admitUplink(inPort, peakRate); err != nil {
+		return nil, err
+	}
 	if m.uplink {
-		if m.committedIn[inPort]+peakRate > m.capacityIn[inPort] {
-			m.Refused++
-			return nil, fmt.Errorf("%w: uplink %d committed %d + %d > %d",
-				ErrUplink, inPort, m.committedIn[inPort], peakRate, m.capacityIn[inPort])
-		}
 		m.committedIn[inPort] += peakRate
-		uplinked = true
 	}
 	m.nextVCI++
 	m.nextID++
 	c := &Circuit{
 		ID: m.nextID, VCI: m.nextVCI, InPort: inPort,
-		PeakRate: peakRate, uplinked: uplinked,
+		PeakRate: peakRate, uplinked: m.uplink,
 	}
 	m.open[c.ID] = c
 	m.Established++
 	return c, nil
 }
 
-// JoinTree grows a multicast tree by one branch: the new leaf's output
-// link is admission-controlled at the tree's current rate (the uplink
-// is not touched — it was charged once at EstablishTree) and the switch
-// route is installed. A port can carry at most one branch per tree:
-// viewers behind an already-joined port share its cells for free, so a
-// duplicate join is the caller's bookkeeping bug, not an admission
-// question. Rollback is trivial — a refused join holds nothing.
+// JoinTree grows a multicast tree (or any circuit) by one branch: the
+// new leaf's output link is admission-controlled at the circuit's
+// current rate (the uplink is not touched — it was charged once when
+// the circuit was established) and the switch route is installed. A
+// port can carry at most one branch per tree: viewers behind an
+// already-joined port share its cells for free, so a duplicate join is
+// the caller's bookkeeping bug, not an admission question. Rollback is
+// trivial — a refused join holds nothing.
 func (m *Manager) JoinTree(id, outPort int) error {
 	c, ok := m.open[id]
 	if !ok {
@@ -226,14 +252,10 @@ func (m *Manager) JoinTree(id, outPort int) error {
 			return fmt.Errorf("netsig: port %d is already a branch of tree %d", outPort, id)
 		}
 	}
-	if c.PeakRate > 0 {
-		if m.committed[outPort]+c.PeakRate > m.capacity[outPort] {
-			m.Refused++
-			return fmt.Errorf("%w: port %d committed %d + %d > %d",
-				ErrAdmission, outPort, m.committed[outPort], c.PeakRate, m.capacity[outPort])
-		}
-		m.committed[outPort] += c.PeakRate
+	if err := m.admitLinks([]int{outPort}, c.PeakRate); err != nil {
+		return err
 	}
+	m.committed[outPort] += c.PeakRate
 	m.sw.Route(c.InPort, c.VCI, outPort, c.VCI)
 	c.OutPorts = append(c.OutPorts, outPort)
 	return nil
@@ -253,9 +275,7 @@ func (m *Manager) LeaveTree(id, outPort int) error {
 			continue
 		}
 		m.sw.UnrouteLeaf(c.InPort, c.VCI, outPort, c.VCI)
-		if c.PeakRate > 0 {
-			m.committed[outPort] -= c.PeakRate
-		}
+		m.committed[outPort] -= c.PeakRate
 		c.OutPorts = append(c.OutPorts[:i], c.OutPorts[i+1:]...)
 		return nil
 	}
@@ -278,25 +298,6 @@ func (m *Manager) EstablishPair(inPort int, outPorts []int, dataRate, ctrlRate i
 	return data, ctrl, nil
 }
 
-// AddLeaf extends a circuit point-to-multipoint (the TV-director fan
-// out), admitting the new leaf's rate.
-func (m *Manager) AddLeaf(id, outPort int) error {
-	c, ok := m.open[id]
-	if !ok {
-		return ErrNoCircuit
-	}
-	if c.PeakRate > 0 {
-		if m.committed[outPort]+c.PeakRate > m.capacity[outPort] {
-			m.Refused++
-			return ErrAdmission
-		}
-		m.committed[outPort] += c.PeakRate
-	}
-	m.sw.Route(c.InPort, c.VCI, outPort, c.VCI)
-	c.OutPorts = append(c.OutPorts, outPort)
-	return nil
-}
-
 // ModifyRate renegotiates an established circuit's admitted peak rate
 // in place: no teardown, no re-route, no VCI change, so there is no
 // instant at which the stream is unprotected or the budget double
@@ -304,11 +305,8 @@ func (m *Manager) AddLeaf(id, outPort int) error {
 // immediately. Growing is admission-controlled against every leaf's
 // output link and — when the circuit was charged against its sender's
 // uplink — that uplink too; a refusal (ErrAdmission) leaves the circuit
-// and every budget exactly as they were.
-//
-// Both rates must be positive: a best-effort circuit (PeakRate 0) has
-// no reservation to renegotiate, and a guaranteed circuit leaves its
-// class only by teardown.
+// and every budget exactly as they were. The new rate must be positive:
+// a circuit leaves its reservation only by teardown.
 func (m *Manager) ModifyRate(id int, newRate int64) error {
 	c, ok := m.open[id]
 	if !ok {
@@ -317,25 +315,18 @@ func (m *Manager) ModifyRate(id int, newRate int64) error {
 	if newRate <= 0 {
 		return fmt.Errorf("netsig: circuit %d: renegotiated rate must be positive, got %d", id, newRate)
 	}
-	if c.PeakRate <= 0 {
-		return fmt.Errorf("netsig: circuit %d is best-effort; no reservation to renegotiate", id)
-	}
 	delta := newRate - c.PeakRate
 	if delta == 0 {
 		return nil
 	}
 	if delta > 0 {
-		for _, p := range c.OutPorts {
-			if m.committed[p]+delta > m.capacity[p] {
-				m.Refused++
-				return fmt.Errorf("%w: port %d committed %d + %d > %d",
-					ErrAdmission, p, m.committed[p], delta, m.capacity[p])
-			}
+		if err := m.admitLinks(c.OutPorts, delta); err != nil {
+			return err
 		}
-		if c.uplinked && m.committedIn[c.InPort]+delta > m.capacityIn[c.InPort] {
-			m.Refused++
-			return fmt.Errorf("%w: uplink %d committed %d + %d > %d",
-				ErrUplink, c.InPort, m.committedIn[c.InPort], delta, m.capacityIn[c.InPort])
+		if c.uplinked {
+			if err := m.admitUplink(c.InPort, delta); err != nil {
+				return err
+			}
 		}
 	}
 	for _, p := range c.OutPorts {
@@ -357,13 +348,11 @@ func (m *Manager) TearDown(id int) error {
 	}
 	delete(m.open, id)
 	m.sw.Unroute(c.InPort, c.VCI)
-	if c.PeakRate > 0 {
-		for _, p := range c.OutPorts {
-			m.committed[p] -= c.PeakRate
-		}
-		if c.uplinked {
-			m.committedIn[c.InPort] -= c.PeakRate
-		}
+	for _, p := range c.OutPorts {
+		m.committed[p] -= c.PeakRate
+	}
+	if c.uplinked {
+		m.committedIn[c.InPort] -= c.PeakRate
 	}
 	m.TornDown++
 	return nil

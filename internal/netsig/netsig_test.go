@@ -58,20 +58,6 @@ func TestAdmissionRefusesOverCommit(t *testing.T) {
 	}
 }
 
-func TestBestEffortBypassesAdmission(t *testing.T) {
-	s := sim.New()
-	sw, _ := newSwitch(s, fabric.NewRecorder(s))
-	m := netsig.NewManager(sw, fabric.Rate100M)
-	for i := 0; i < 50; i++ {
-		if _, err := m.Establish(0, []int{1}, 0, false); err != nil {
-			t.Fatalf("best-effort circuit refused: %v", err)
-		}
-	}
-	if m.Committed(1) != 0 {
-		t.Fatal("best-effort circuits consumed guaranteed capacity")
-	}
-}
-
 func TestTearDownReleasesRateAndRoute(t *testing.T) {
 	s := sim.New()
 	rec := fabric.NewRecorder(s)
@@ -137,7 +123,10 @@ func TestEstablishPairRollsBackOnCtrlRefusal(t *testing.T) {
 	}
 }
 
-func TestAddLeafMulticastsAndAdmits(t *testing.T) {
+// TestJoinTreeMulticastsAndAdmits: JoinTree extends an established
+// circuit point-to-multipoint (the TV-director fan out), admitting the
+// new leaf's rate on its output link.
+func TestJoinTreeMulticastsAndAdmits(t *testing.T) {
 	s := sim.New()
 	recA := fabric.NewRecorder(s)
 	recB := fabric.NewRecorder(s)
@@ -153,11 +142,11 @@ func TestAddLeafMulticastsAndAdmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Port 2's capacity (5 Mb/s) cannot take the 10 Mb/s leaf.
-	if err := m.AddLeaf(c.ID, 2); !errors.Is(err, netsig.ErrAdmission) {
+	if err := m.JoinTree(c.ID, 2); !errors.Is(err, netsig.ErrAdmission) {
 		t.Fatalf("err = %v, want ErrAdmission", err)
 	}
 	m.SetPortCapacity(2, 50_000_000)
-	if err := m.AddLeaf(c.ID, 2); err != nil {
+	if err := m.JoinTree(c.ID, 2); err != nil {
 		t.Fatal(err)
 	}
 	in.Send(atm.Cell{VCI: c.VCI})

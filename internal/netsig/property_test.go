@@ -1,7 +1,9 @@
 package netsig_test
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +14,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// Property: under any sequence of establishes, leaf additions and
+// Property: under any sequence of establishes, branch joins and
 // teardowns, no output port is ever committed beyond its capacity or
 // below zero, and tearing every circuit down returns every port to
 // zero — the invariant that lets the network promise latency bounds.
@@ -44,7 +46,7 @@ func TestAdmissionInvariantProperty(t *testing.T) {
 				}
 			case 2:
 				if len(ids) > 0 {
-					_ = m.AddLeaf(ids[rng.Intn(len(ids))], rng.Intn(ports))
+					_ = m.JoinTree(ids[rng.Intn(len(ids))], rng.Intn(ports))
 				}
 			case 3:
 				if len(ids) > 0 {
@@ -195,6 +197,101 @@ func TestTreeBudgetConservationProperty(t *testing.T) {
 		return m.Open() == 0 && sw.RouteEntries() == 0
 	}
 	if err := quick.Check(prop, testutil.Quick(t, 150)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: LinkFits and UplinkFits are the admission rules, not a
+// copy of them. Under any random trace of Establish, EstablishTree,
+// JoinTree, LeaveTree, ModifyRate and TearDown — with uplink budgeting
+// on and off — the predicates' verdict before each admitting op equals
+// the op's outcome, a refusal is counted exactly once, and evaluating a
+// predicate moves neither Refused nor Established.
+func TestRulePredicatesMatchAdmitsProperty(t *testing.T) {
+	const ports = 5
+	const linkRate = 100
+	prop := func(seed int64, uplink bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sw := fabric.NewSwitch(sim.New(), "prop", ports, 0)
+		m := netsig.NewManager(sw, linkRate)
+		if uplink {
+			m.EnableUplinkAdmission()
+		}
+		var open []*netsig.Circuit
+		// fits evaluates the predicates for rate on in (uplink, when
+		// charged) and outs, checking that doing so holds nothing.
+		fits := func(in int, outs []int, rate int64, charged bool) bool {
+			refused, established := m.Refused, m.Established
+			ok := !charged || m.UplinkFits(in, rate)
+			for _, p := range outs {
+				ok = ok && m.LinkFits(p, rate)
+			}
+			return ok && m.Refused == refused && m.Established == established
+		}
+		// agrees checks an admitting op's outcome against the verdict.
+		agrees := func(want bool, refusedBefore int64, err error) bool {
+			if want {
+				return err == nil && m.Refused == refusedBefore
+			}
+			return errors.Is(err, netsig.ErrAdmission) && m.Refused == refusedBefore+1
+		}
+		for i := 0; i < 200; i++ {
+			rate := int64(1 + rng.Intn(60))
+			in := rng.Intn(ports)
+			refused := m.Refused
+			switch op := rng.Intn(6); {
+			case op == 0: // point-to-multipoint circuit to distinct leaves
+				outs := rng.Perm(ports)[:1+rng.Intn(2)]
+				want := fits(in, outs, rate, uplink)
+				c, err := m.Establish(in, outs, rate, false)
+				if !agrees(want, refused, err) {
+					return false
+				}
+				if err == nil {
+					open = append(open, c)
+				}
+			case op == 1: // a tree with no branches yet
+				want := fits(in, nil, rate, uplink)
+				c, err := m.EstablishTree(in, rate)
+				if !agrees(want, refused, err) {
+					return false
+				}
+				if err == nil {
+					open = append(open, c)
+				}
+			case len(open) == 0:
+			case op == 2: // join a branch that is not one yet
+				c, p := open[rng.Intn(len(open))], rng.Intn(ports)
+				if slices.Contains(c.OutPorts, p) {
+					continue
+				}
+				want := fits(c.InPort, []int{p}, c.PeakRate, false)
+				if !agrees(want, refused, m.JoinTree(c.ID, p)) {
+					return false
+				}
+			case op == 3: // leave a branch
+				c := open[rng.Intn(len(open))]
+				if len(c.OutPorts) > 0 && m.LeaveTree(c.ID, c.OutPorts[rng.Intn(len(c.OutPorts))]) != nil {
+					return false
+				}
+			case op == 4: // renegotiate; only a grow is admitted
+				c := open[rng.Intn(len(open))]
+				delta := rate - c.PeakRate
+				want := delta <= 0 || fits(c.InPort, c.OutPorts, delta, uplink)
+				if !agrees(want, refused, m.ModifyRate(c.ID, rate)) {
+					return false
+				}
+			default: // tear down
+				k := rng.Intn(len(open))
+				if m.TearDown(open[k].ID) != nil {
+					return false
+				}
+				open = append(open[:k], open[k+1:]...)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, testutil.Quick(t, 100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -438,7 +438,7 @@ func (c *Controller) probeReplicas(t *Title, viewer []int) []*replicaProbe {
 		p := &c.probeStore[len(out)]
 		p.n, p.r = n, c.site.Probe(c.specFor(t, n, viewer))
 		_, h := p.r.Bottleneck()
-		p.cached, p.score = p.r.OK && p.r.CacheServed, 1-h
+		p.cached, p.score = p.r.OK && p.r.CacheServed(), 1-h
 		out = append(out, p)
 	}
 	c.probes = out

@@ -11,16 +11,18 @@
 # smoke with -json, and prints "name sha256" of each scoreboard minus
 # its host-time columns (wall_seconds, events_per_sec, cells_per_sec);
 # the telemetry, metro and live smokes also print "name.trace sha256"
-# of their -trace-out artifact. Two trees behave the same on the smokes
-# iff their --digest outputs are identical, so "scoreboards
-# byte-identical to the parent" is
+# of their -trace-out artifact. Each run keeps its -check/-expect-*
+# assertions: a smoke that fails them stops the digest with "smoke
+# NAME: pegload exited N" and a non-zero exit. Two trees behave the same
+# on the smokes iff their --digest outputs are identical, so
+# "scoreboards byte-identical to the parent" is
 #
 #   diff <(scripts/smokes.sh --digest ../parent) <(scripts/smokes.sh --digest)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# name|pegload flags. The short CI lane runs the first nine, the bench
-# lane the last three.
+# name|pegload flags. CI runs every row once, in its behaviour-digest
+# step.
 smokes() {
     cat <<'TABLE'
 cluster|-cluster -ws 24 -streams 2 -servers 4 -titles 8 -zipf 1.6 -bytes 4800 -round 0.5 -title-rounds 2 -seconds 8 -check -min-active-nodes 3 -expect-replication
@@ -51,10 +53,14 @@ digest() {
     trap 'rm -rf "$tmp"' EXIT
     go build -C "$src" -o "$tmp/pegload" ./cmd/pegload
     one() { # name flags...
-        local n=$1
+        local n=$1 status=0
         shift
-        "$tmp/pegload" "$@" -json -trace-out "$tmp/trace" |
-            jq -cS 'del(.wall_seconds, .events_per_sec, .cells_per_sec)' |
+        "$tmp/pegload" "$@" -json -trace-out "$tmp/trace" >"$tmp/board" || status=$?
+        if [ "$status" -ne 0 ]; then
+            echo "smoke $n: pegload exited $status" >&2
+            exit 1
+        fi
+        jq -cS 'del(.wall_seconds, .events_per_sec, .cells_per_sec)' <"$tmp/board" |
             sha256sum | awk -v n="$n" '{ print n, $1 }'
         case $n in
         telemetry | metro | live) sha256sum <"$tmp/trace" | awk -v n="$n.trace" '{ print n, $1 }' ;;
@@ -70,7 +76,7 @@ case ${1:-} in
 --list) smokes | cut -d'|' -f1 ;;
 --digest) digest "${2:-}" ;;
 "" | -*)
-    sed -n '2,19s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,22s/^# \{0,1\}//p' "$0" >&2
     exit 2
     ;;
 *)
