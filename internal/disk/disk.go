@@ -98,9 +98,16 @@ type Disk struct {
 	// only replaced.
 	pages [][]byte
 
-	queue   []request
-	busy    bool
-	headPos int64 // byte position after the last transfer
+	// queue[head:] are the requests waiting, oldest first; the slice
+	// is reused from the start once it drains.
+	queue []request
+	head  int
+	// cur is the request in service while busy; completeF, bound once,
+	// finishes it.
+	cur       request
+	completeF func()
+	busy      bool
+	headPos   int64 // byte position after the last transfer
 
 	failed bool
 
@@ -117,7 +124,9 @@ func New(s *sim.Sim, p Params, size int64) *Disk {
 	}
 	// One entry past the last whole page: the partial tail page, or the
 	// page an empty read at off == size names.
-	return &Disk{sim: s, params: p, size: size, pages: make([][]byte, size/pageSize+1)}
+	d := &Disk{sim: s, params: p, size: size, pages: make([][]byte, size/pageSize+1)}
+	d.completeF = d.complete
+	return d
 }
 
 // pageSize is the granule of the sparse image. 16 KiB is the smallest
@@ -217,10 +226,11 @@ func (d *Disk) Failed() bool { return d.failed }
 // fail too) — the single-component failure of the paper's RAID story.
 func (d *Disk) Fail() {
 	d.failed = true
-	for _, r := range d.queue {
+	for _, r := range d.queue[d.head:] {
 		d.sim.At(d.sim.Now(), func() { r.done(nil, ErrFailed) })
 	}
-	d.queue = nil
+	clear(d.queue)
+	d.queue, d.head = d.queue[:0], 0
 }
 
 // Repair replaces the disk with a blank one (contents lost, as with a
@@ -263,6 +273,12 @@ func (d *Disk) submit(r request) {
 		d.sim.At(d.sim.Now(), func() { r.done(nil, ErrBounds) })
 		return
 	}
+	if len(d.queue) == cap(d.queue) && d.head*2 >= len(d.queue) {
+		// Full and at least half served: slide the waiting requests
+		// down instead of growing.
+		n := copy(d.queue, d.queue[d.head:])
+		d.queue, d.head = d.queue[:n], 0
+	}
 	d.queue = append(d.queue, r)
 	if !d.busy {
 		d.next()
@@ -270,13 +286,16 @@ func (d *Disk) submit(r request) {
 }
 
 func (d *Disk) next() {
-	if len(d.queue) == 0 {
+	if d.head == len(d.queue) {
+		d.queue, d.head = d.queue[:0], 0
 		d.busy = false
 		return
 	}
 	d.busy = true
-	r := d.queue[0]
-	d.queue = d.queue[1:]
+	r := d.queue[d.head]
+	d.queue[d.head] = request{} // drop the done func (and a write's buffers) with it
+	d.head++
+	d.cur = r
 
 	var cost sim.Duration
 	if r.off != d.headPos {
@@ -295,24 +314,29 @@ func (d *Disk) next() {
 	cost += xfer
 	d.Stats.TransferTime += xfer
 
-	d.sim.After(cost, func() {
-		if d.failed {
-			r.done(nil, ErrFailed)
-			d.next()
-			return
-		}
-		d.headPos = r.off + int64(r.n)
-		if r.write {
-			d.Stats.Writes++
-			d.Stats.BytesWrite += int64(r.n)
-			r.done(nil, nil)
-		} else {
-			d.Stats.Reads++
-			d.Stats.BytesRead += int64(r.n)
-			r.done(d.view(r.off, r.n), nil)
-		}
+	d.sim.After(cost, d.completeF)
+}
+
+// complete finishes the request in service and starts the next.
+func (d *Disk) complete() {
+	r := d.cur
+	d.cur = request{}
+	if d.failed {
+		r.done(nil, ErrFailed)
 		d.next()
-	})
+		return
+	}
+	d.headPos = r.off + int64(r.n)
+	if r.write {
+		d.Stats.Writes++
+		d.Stats.BytesWrite += int64(r.n)
+		r.done(nil, nil)
+	} else {
+		d.Stats.Reads++
+		d.Stats.BytesRead += int64(r.n)
+		r.done(d.view(r.off, r.n), nil)
+	}
+	d.next()
 }
 
 // String summarises the disk for reports.

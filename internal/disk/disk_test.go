@@ -168,3 +168,51 @@ func TestFIFOOrdering(t *testing.T) {
 		}
 	}
 }
+
+// A queue that never drains reuses its slice and keeps FIFO order, and
+// a Fail part-way through reports every waiting request exactly once
+// and never one already served.
+func TestSustainedBacklogStaysFIFO(t *testing.T) {
+	s := sim.New()
+	d := disk.New(s, disk.DefaultParams(), 10*MB)
+	var served []int
+	failed := map[int]int{}
+	issued := 0
+	var submit func()
+	submit = func() {
+		i := issued
+		issued++
+		d.Read(int64(i%64)<<10, 4<<10, func(_ []byte, err error) {
+			if err != nil {
+				failed[i]++
+				return
+			}
+			served = append(served, i)
+			if len(served) == 2000 {
+				d.Fail()
+				return
+			}
+			submit()
+			if i%3 == 0 {
+				submit() // the backlog grows by one every third read
+			}
+		})
+	}
+	for k := 0; k < 4; k++ {
+		submit()
+	}
+	s.Run()
+	for k, i := range served {
+		if i != k {
+			t.Fatalf("read %d completed in position %d", i, k)
+		}
+	}
+	if len(served) != 2000 || len(served)+len(failed) != issued {
+		t.Fatalf("%d served + %d failed of %d issued", len(served), len(failed), issued)
+	}
+	for i, n := range failed {
+		if i < 2000 || n != 1 {
+			t.Fatalf("read %d failed %d times", i, n)
+		}
+	}
+}

@@ -75,18 +75,29 @@ func TestUnwrittenReadsAsZeros(t *testing.T) {
 	}
 }
 
-// A read inside one write's pages queues a request and a completion
-// event and nothing else: no payload buffer. A disk's image costs its
-// page table until something is written.
+// A read inside one write's pages allocates nothing on a warmed disk:
+// no payload buffer, no completion closure, and the request queue is
+// reused from its start, one read at a time or a backlog of them. A
+// disk's image costs its page table until something is written.
 func TestReadAllocatesNoPayload(t *testing.T) {
 	s := sim.New()
 	d := disk.New(s, disk.DefaultParams(), 10*MB)
 	syncWrite(t, s, d, 0, fill(4, 64<<10))
 	done := func([]byte, error) {}
 	for _, r := range [][2]int{{4 << 10, 8 << 10}, {4 << 10, 48 << 10}} {
-		if a := testing.AllocsPerRun(100, func() { d.Read(int64(r[0]), r[1], done); s.Run() }); a > 2 {
-			t.Errorf("Read(%d, %d): %v allocations, want <= 2", r[0], r[1], a)
+		if a := testing.AllocsPerRun(100, func() { d.Read(int64(r[0]), r[1], done); s.Run() }); a != 0 {
+			t.Errorf("Read(%d, %d): %v allocations, want 0", r[0], r[1], a)
 		}
+	}
+	backlog := func() {
+		for k := 0; k < 8; k++ {
+			d.Read(int64(k)<<10, 8<<10, done)
+		}
+		s.Run()
+	}
+	backlog()
+	if a := testing.AllocsPerRun(100, backlog); a != 0 {
+		t.Errorf("a backlog of 8 reads: %v allocations, want 0", a)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -50,6 +50,26 @@ import (
 // admission.
 var ErrNoWake = errors.New("fileserver: no cached wake can serve the stream")
 
+// errCacheOff is the refusal of a service without a RAM tier, built
+// once: every admission asks the cache first.
+var errCacheOff = fmt.Errorf("%w: interval caching disabled", ErrNoWake)
+
+// noWake is an ErrNoWake refusal of path whose text is formatted only
+// when it is read: the cache leg's probe only tests for one, and
+// admission falls through it to the disks. format names path as %[1]s
+// and the figures a and b as %[2]d and %[3]d.
+type noWake struct {
+	format string
+	path   string
+	a, b   int64
+}
+
+func (e *noWake) Error() string {
+	return ErrNoWake.Error() + ": " + fmt.Sprintf(e.format, e.path, e.a, e.b)
+}
+
+func (e *noWake) Unwrap() error { return ErrNoWake }
+
 // wakeKey names one round window of one title in the wake store.
 type wakeKey struct {
 	path string
@@ -305,30 +325,30 @@ func (ic *intervalCache) resident(path string, rb, size int64) bool {
 
 // cachePlan decides whether a full-quality stream of path could be
 // admitted cache-served right now, and the protect span the new
-// follower would need. It holds nothing. Refusals that disk admission
-// can cure return ErrNoWake; geometry errors surface as ErrBadStream /
-// ErrBadRound exactly like Admit's.
-func (svc *CMService) cachePlan(path string, frameBytes, frameHz int) (span int64, err error) {
+// follower would need. It holds nothing. A refusal that disk admission
+// can cure comes back as miss (miss.format set), unformatted; geometry
+// errors surface as err, ErrBadStream / ErrBadRound exactly like
+// Admit's.
+func (svc *CMService) cachePlan(path string, frameBytes, frameHz int) (span int64, miss noWake, err error) {
 	ic := svc.cache
 	if ic == nil {
-		return 0, fmt.Errorf("%w: interval caching disabled", ErrNoWake)
+		return 0, miss, errCacheOff
 	}
 	st, ok := svc.sv.files[path]
 	if !ok || !st.continuous {
-		return 0, fmt.Errorf("%w: %s", ErrBadStream, path)
+		return 0, miss, fmt.Errorf("%w: %s", ErrBadStream, path)
 	}
 	rb, err := svc.streamRoundBytes(frameBytes, frameHz)
 	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
+		return 0, miss, fmt.Errorf("%s: %w", path, err)
 	}
 	if st.size < rb || st.size%rb != 0 {
-		return 0, fmt.Errorf("%w: %s: %d bytes is not a whole number of %d-byte rounds",
+		return 0, miss, fmt.Errorf("%w: %s: %d bytes is not a whole number of %d-byte rounds",
 			ErrBadStream, path, st.size, rb)
 	}
 	tw := ic.titles[path]
 	if tw != nil && tw.rb != rb {
-		return 0, fmt.Errorf("%w: %s: wake geometry is %d bytes/round, stream needs %d",
-			ErrNoWake, path, tw.rb, rb)
+		return 0, noWake{"%[1]s: wake geometry is %[2]d bytes/round, stream needs %[3]d", path, tw.rb, rb}, nil
 	}
 	span = -1
 	// Plan A — trail the nearest feeder: every window from the title's
@@ -363,7 +383,7 @@ func (svc *CMService) cachePlan(path string, frameBytes, frameHz int) (span int6
 		span = st.size
 	}
 	if span < 0 {
-		return 0, fmt.Errorf("%w: %s: wake not resident", ErrNoWake, path)
+		return 0, noWake{format: "%[1]s: wake not resident", path: path}, nil
 	}
 	// The pin guard: the cache must be able to keep what this follower
 	// will rely on, on top of everything already promised.
@@ -376,18 +396,17 @@ func (svc *CMService) cachePlan(path string, frameBytes, frameHz int) (span int6
 		old = tw.protect
 	}
 	if ic.pinned+(newProtect-old) > ic.lru.Capacity() {
-		return 0, fmt.Errorf("%w: %s: pin budget exhausted (%d of %d pinned)",
-			ErrNoWake, path, ic.pinned, ic.lru.Capacity())
+		return 0, noWake{"%[1]s: pin budget exhausted (%[2]d of %[3]d pinned)", path, ic.pinned, ic.lru.Capacity()}, nil
 	}
-	return span, nil
+	return span, miss, nil
 }
 
 // CanServeCached reports whether AdmitCached would accept a
 // full-quality stream of path right now — the cache leg's probe,
 // holding nothing.
 func (svc *CMService) CanServeCached(path string, frameBytes, frameHz int) bool {
-	_, err := svc.cachePlan(path, frameBytes, frameHz)
-	return err == nil
+	_, miss, err := svc.cachePlan(path, frameBytes, frameHz)
+	return err == nil && miss.format == ""
 }
 
 // AdmitCached admits a full-quality stream served from the RAM tier:
@@ -397,9 +416,13 @@ func (svc *CMService) CanServeCached(path string, frameBytes, frameHz int) bool 
 // fall back to Admit. Cache-served streams reshape by demoting to disk
 // admission first, and demote automatically if their wake evaporates.
 func (svc *CMService) AdmitCached(path string, frameBytes, frameHz int) (*CMStream, error) {
-	_, err := svc.cachePlan(path, frameBytes, frameHz)
+	_, miss, err := svc.cachePlan(path, frameBytes, frameHz)
 	if err != nil {
 		return nil, err
+	}
+	if miss.format != "" {
+		refused := miss // escapes only here, not on every call
+		return nil, &refused
 	}
 	st := svc.sv.files[path]
 	rb, _ := svc.streamRoundBytes(frameBytes, frameHz)

@@ -213,3 +213,37 @@ func TestCMFitsMatchesAdmitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A cache refusal that only a boolean or errors.Is reads is never
+// formatted: the probe of a cold wake and the cache-first admit on a
+// service without a RAM tier allocate nothing, and the refusals still
+// read as before when printed.
+func TestCacheRefusalsAllocateNothing(t *testing.T) {
+	const fb, hz = 960, 100
+	s := sim.New()
+	sv := newServer(s, 128)
+	loadTitle(t, s, sv, "cold", 3*19200)
+	cached := fileserver.NewCMService(sv, fileserver.CMConfig{Round: cmRound, CacheBytes: 256 << 10})
+	defer cached.Stop()
+	plain := fileserver.NewCMService(sv, fileserver.CMConfig{Round: cmRound})
+	defer plain.Stop()
+
+	if a := testing.AllocsPerRun(100, func() { cached.CanServeCached("cold", fb, hz) }); a != 0 {
+		t.Errorf("CanServeCached of a cold wake: %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = plain.AdmitCached("cold", fb, hz) }); a != 0 {
+		t.Errorf("AdmitCached without a RAM tier: %v allocations, want 0", a)
+	}
+	for _, c := range []struct {
+		svc  *fileserver.CMService
+		want string
+	}{
+		{cached, "fileserver: no cached wake can serve the stream: cold: wake not resident"},
+		{plain, "fileserver: no cached wake can serve the stream: interval caching disabled"},
+	} {
+		_, err := c.svc.AdmitCached("cold", fb, hz)
+		if !errors.Is(err, fileserver.ErrNoWake) || err.Error() != c.want {
+			t.Errorf("AdmitCached refused with %v, want %q", err, c.want)
+		}
+	}
+}

@@ -300,6 +300,20 @@ func (svc *CMService) Admit(path string, frameBytes, frameHz int) (*CMStream, er
 	return svc.AdmitDegraded(path, frameBytes, frameBytes, frameHz)
 }
 
+// overCommit is AdmitDegraded's ErrOverCommit refusal, formatted only
+// when it is read: the replica, spill and retry paths only test it.
+type overCommit struct {
+	path                    string
+	cost, committed, budget sim.Duration
+}
+
+func (e *overCommit) Error() string {
+	return fmt.Sprintf("%v: %s needs %v/round, %v of %v committed",
+		ErrOverCommit, e.path, e.cost, e.committed, e.budget)
+}
+
+func (e *overCommit) Unwrap() error { return ErrOverCommit }
+
 // AdmitDegraded admits a stream whose *stored* geometry is
 // fullFrameBytes×frameHz but which is served at serveFrameBytes per
 // frame — the degraded tier of a scalable stream, admitted degraded
@@ -330,8 +344,7 @@ func (svc *CMService) AdmitDegraded(path string, fullFrameBytes, serveFrameBytes
 	cost := svc.CostPerRound(roundBytes)
 	if !svc.Fits(cost) {
 		svc.Stats.Refused++
-		return nil, fmt.Errorf("%w: %s needs %v/round, %v of %v committed",
-			ErrOverCommit, path, cost, svc.committed, svc.budget)
+		return nil, &overCommit{path, cost, svc.committed, svc.budget}
 	}
 	svc.committed += cost
 	svc.Stats.Admitted++

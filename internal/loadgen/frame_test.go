@@ -2,12 +2,15 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/atm"
 	"repro/internal/devices"
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -25,7 +28,7 @@ func framePath(s *sim.Sim, frameBytes int, period, prop sim.Duration) (src *sour
 	}
 	sw := fabric.NewSwitch(s, "sw", 2, fabricDelay)
 	dm := devices.NewDemux()
-	dm.Register(20, &sink{sim: s, tl: tl, period: period})
+	dm.Register(20, tl.newSink(s, period))
 	down := fabric.NewLink(s, fabric.Rate100M, prop, 0, dm)
 	sw.AttachOutput(1, down)
 	up := fabric.NewLink(s, fabric.Rate100M, prop, 0, sw.In(0))
@@ -61,6 +64,7 @@ func TestFrameInFlightNeverSeesLaterStamp(t *testing.T) {
 		src, tl, want := framePath(s, 960, period, prop)
 		src.start(0)
 		s.RunFor(frames * period)
+		tl.flush()
 		if got := tl.framesDelivered.Value(); got < frames-4 {
 			t.Fatalf("%d frames delivered, want at least %d", got, frames-4)
 		}
@@ -96,13 +100,14 @@ func TestFrameSendAllocatesNothing(t *testing.T) {
 			s := sim.New()
 			src, tl, want := framePath(s, c.frameBytes, c.period, sim.Microsecond)
 			src.start(0)
-			// Warm-up grows the event arena and the links' flight rings,
-			// opens the samples' first chunk and drains a wheel bucket
-			// whose array the next re-arm recycles.
+			// Warm-up grows the event arena and the links' flight rings
+			// and drains a wheel bucket whose array the next re-arm
+			// recycles.
 			s.RunFor(10 * c.period)
 			if n := testing.AllocsPerRun(1000, func() { s.RunFor(c.period) }); n != 0 {
 				t.Fatalf("%v allocations per frame, want 0", n)
 			}
+			tl.flush()
 			if got := tl.framesDelivered.Value(); got < 1000 || tl.latency.Max() != float64(want) {
 				t.Fatalf("%d frames delivered, latency max %v, want %v", got, sim.Duration(tl.latency.Max()), want)
 			}
@@ -178,6 +183,70 @@ func TestSourcesShareOnePayload(t *testing.T) {
 			if len(p) != sc.cfg.FrameBytes || &p[0] != &sc.payload[0] {
 				t.Fatalf("%s: source %d has its own %d-byte payload", name, i, len(p))
 			}
+		}
+	}
+}
+
+// TestSinkRunsMatchPerFrameSample: a sink holds its latest latency and
+// jitter as pending runs and hands a run on only when the value
+// changes. After flush the scoreboard's samples must answer every
+// quantile exactly as samples fed one value per frame do — including
+// for a sink abandoned mid-run, with its runs still pending, as unwire
+// leaves one.
+func TestSinkRunsMatchPerFrameSample(t *testing.T) {
+	const period = sim.Millisecond
+	s := sim.New()
+	reg := telemetry.NewRegistry()
+	tl := &traffic{
+		framesDelivered: reg.Counter(trafficKey("frames_delivered")),
+		cellsDelivered:  reg.Counter(trafficKey("cells_delivered")),
+		latency:         reg.Sample(trafficKey("latency_ns")),
+		jitter:          reg.Sample(trafficKey("jitter_ns")),
+	}
+	sinks := []*sink{tl.newSink(s, period), tl.newSink(s, period), tl.newSink(s, period)}
+	var latency, jitter stats.Sample
+	last := make([]sim.Time, len(sinks))
+	rng := rand.New(rand.NewSource(7))
+	delay := []sim.Duration{40 * sim.Microsecond, 40 * sim.Microsecond, 41 * sim.Microsecond}
+	for i := 1; i <= 3000; i++ {
+		for j, k := range sinks {
+			if j == 1 && i > 1700 {
+				continue // abandoned: its frames stop arriving
+			}
+			// Mostly a constant delay, now and then a step to another
+			// one, and a late frame every so often.
+			if rng.Intn(100) == 0 {
+				delay[j] = sim.Duration(30+rng.Intn(4)) * sim.Microsecond
+			}
+			at := sim.Time(i)*period + delay[j]
+			if rng.Intn(40) == 0 {
+				at += sim.Duration(1+rng.Intn(3)) * 100 * sim.Microsecond
+			}
+			stamp := at - delay[j]
+			s.At(at, func() { k.frameDone(stamp, 1) })
+			latency.Add(float64(at - stamp))
+			if last[j] > 0 {
+				jitter.Add(math.Abs(float64(at - last[j] - period)))
+			}
+			last[j] = at
+		}
+	}
+	s.Run()
+	tl.flush()
+	for _, c := range []struct {
+		name     string
+		got, ref *stats.Sample
+	}{{"latency", tl.latency, &latency}, {"jitter", tl.jitter, &jitter}} {
+		if c.got.N() != c.ref.N() {
+			t.Fatalf("%s: %d observations, want %d", c.name, c.got.N(), c.ref.N())
+		}
+		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got, want := c.got.Quantile(q), c.ref.Quantile(q); got != want {
+				t.Fatalf("%s: Q(%v) = %v, want %v", c.name, q, got, want)
+			}
+		}
+		if c.got.Max() != c.ref.Max() || c.got.Min() != c.ref.Min() {
+			t.Fatalf("%s: min/max %v/%v, want %v/%v", c.name, c.got.Min(), c.got.Max(), c.ref.Min(), c.ref.Max())
 		}
 	}
 }

@@ -139,7 +139,7 @@ func (sc *Scenario) liveChurn() {
 			// viewer endpoint can carry it, so the sinks register once up
 			// front and branches route cells to them as joins come and go.
 			for _, vp := range viewers {
-				vp.Demux.Register(b.VCI(), &sink{sim: sc.sim, tl: sc.traffic(), period: period})
+				vp.Demux.Register(b.VCI(), sc.traffic().newSink(sc.sim, period))
 			}
 		}
 		sc.channels[c] = &liveChannel{b: b, src: src}
@@ -187,7 +187,7 @@ func (sc *Scenario) liveJoin(p liveJoinPlan) {
 		return
 	}
 	if sc.cfg.Unicast {
-		ep.Demux.Register(j.VCI(), &sink{sim: sc.sim, tl: sc.traffic(), period: lc.src.period})
+		ep.Demux.Register(j.VCI(), sc.traffic().newSink(sc.sim, lc.src.period))
 		lc.src.vcis = append(lc.src.vcis, j.VCI())
 	} else {
 		lc.src.viewers = lc.b.Viewers()

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/atm"
@@ -552,13 +553,19 @@ func (s *source) tick() {
 // burst-aware (one callback per frame on the fast path) and falls back
 // to per-cell reassembly bookkeeping in cell-accurate mode; both paths
 // observe identical frame-completion times.
+//
+// A reserved circuit delivers frame after frame at the same delay, so
+// the sink scores into pending runs and hands a run to the scoreboard's
+// samples only when the value changes (and at collect): per frame, a
+// compare and an increment.
 type sink struct {
 	sim    *sim.Sim
 	tl     *traffic
 	period sim.Duration
 
-	haveLast sim.Time
-	started  bool
+	haveLast        sim.Time
+	latency, jitter pending
+	started         bool
 
 	// cell-accurate reassembly state: emission stamp of the frame in
 	// progress (cells arrive in order on a VC).
@@ -567,17 +574,39 @@ type sink struct {
 	cells    int
 }
 
+// pending is a run of n equal observations not yet in a sample.
+type pending struct {
+	x float64
+	n int
+}
+
+// add scores x, first handing the run to s if x ends it.
+func (p *pending) add(x float64, s *stats.Sample) {
+	if p.n > 0 && math.Float64bits(p.x) != math.Float64bits(x) {
+		s.AddN(p.x, p.n)
+		p.n = 0
+	}
+	p.x = x
+	p.n++
+}
+
+// flush hands the run to s.
+func (p *pending) flush(s *stats.Sample) {
+	s.AddN(p.x, p.n)
+	p.n = 0
+}
+
 func (k *sink) frameDone(stamp sim.Time, ncells int) {
 	now := k.sim.Now()
 	k.tl.framesDelivered.Inc()
 	k.tl.cellsDelivered.Add(int64(ncells))
-	k.tl.latency.Add(float64(now - stamp))
+	k.latency.add(float64(now-stamp), k.tl.latency)
 	if k.started {
 		j := float64((now - k.haveLast) - k.period)
 		if j < 0 {
 			j = -j
 		}
-		k.tl.jitter.Add(j)
+		k.jitter.add(j, k.tl.jitter)
 	}
 	k.started = true
 	k.haveLast = now
@@ -663,6 +692,24 @@ type traffic struct {
 	framesDelivered *telemetry.Counter
 	cellsDelivered  *telemetry.Counter
 	latency, jitter *stats.Sample
+	// sinks is every sink ever made, registered or not: each may hold
+	// pending runs that flush hands to latency and jitter.
+	sinks []*sink
+}
+
+// newSink makes a sink scoring into tl.
+func (tl *traffic) newSink(s *sim.Sim, period sim.Duration) *sink {
+	k := &sink{sim: s, tl: tl, period: period}
+	tl.sinks = append(tl.sinks, k)
+	return k
+}
+
+// flush hands every sink's pending runs to the samples.
+func (tl *traffic) flush() {
+	for _, k := range tl.sinks {
+		k.latency.flush(tl.latency)
+		k.jitter.flush(tl.jitter)
+	}
 }
 
 func trafficKey(name string) telemetry.Key {
@@ -773,7 +820,9 @@ func (sc *Scenario) Run() Result {
 func (sc *Scenario) collect(wall time.Duration) Result {
 	// The scoreboard is a view over the registry. A chained sampler's own
 	// tick events are subtracted back out of the events-fired score so
-	// telemetry on vs off yields byte-identical scoreboards.
+	// telemetry on vs off yields byte-identical scoreboards. The sinks'
+	// pending runs go into the samples first.
+	sc.traffic().flush()
 	latency := sc.reg.Sample(trafficKey("latency_ns"))
 	jitter := sc.reg.Sample(trafficKey("jitter_ns"))
 	var ticks int64

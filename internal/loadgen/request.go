@@ -302,7 +302,7 @@ func (sc *Scenario) wire(r *request) {
 	r.src.vci = r.h.SourceVCI()
 	r.vci = r.h.ViewerVCI()
 	for _, v := range r.viewers {
-		v.Demux.Register(r.vci, &sink{sim: sc.sim, tl: sc.traffic(), period: r.src.period})
+		v.Demux.Register(r.vci, sc.traffic().newSink(sc.sim, r.src.period))
 	}
 	sc.admitted += len(r.viewers)
 	if cm := r.h.CM(); cm != nil {

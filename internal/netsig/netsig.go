@@ -14,6 +14,7 @@ package netsig
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/fabric"
@@ -172,12 +173,19 @@ func (m *Manager) admitUplink(port int, rate int64) error {
 // at the given peak rate, allocating a fresh VCI. Admission: every
 // leaf's output link — and, when uplink budgeting is on, the sender's
 // link into the switch — must have headroom, the leaves checked first.
+// A port named twice as a leaf is refused before anything is charged,
+// counted in neither Refused nor Established.
 func (m *Manager) Establish(inPort int, outPorts []int, peakRate int64, ctrl bool) (*Circuit, error) {
 	if len(outPorts) == 0 {
 		return nil, errors.New("netsig: circuit needs at least one leaf")
 	}
 	if peakRate <= 0 {
 		return nil, errors.New("netsig: a circuit needs a positive peak rate")
+	}
+	for i, p := range outPorts {
+		if slices.Contains(outPorts[:i], p) {
+			return nil, fmt.Errorf("netsig: port %d is a leaf twice", p)
+		}
 	}
 	if err := m.admitLinks(outPorts, peakRate); err != nil {
 		return nil, err

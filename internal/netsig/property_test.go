@@ -239,7 +239,7 @@ func TestRulePredicatesMatchAdmitsProperty(t *testing.T) {
 			rate := int64(1 + rng.Intn(60))
 			in := rng.Intn(ports)
 			refused := m.Refused
-			switch op := rng.Intn(6); {
+			switch op := rng.Intn(7); {
 			case op == 0: // point-to-multipoint circuit to distinct leaves
 				outs := rng.Perm(ports)[:1+rng.Intn(2)]
 				want := fits(in, outs, rate, uplink)
@@ -258,6 +258,21 @@ func TestRulePredicatesMatchAdmitsProperty(t *testing.T) {
 				}
 				if err == nil {
 					open = append(open, c)
+				}
+			case op == 6: // a leaf named twice: refused up front, holding and counting nothing
+				p := rng.Intn(ports)
+				outs := append(rng.Perm(ports)[:rng.Intn(2)], p)
+				outs = append(outs, outs[rng.Intn(len(outs))])
+				snapshot := func() (s []int64) {
+					for q := 0; q < ports; q++ {
+						s = append(s, m.Committed(q), m.CommittedUplink(q))
+					}
+					return append(s, m.Refused, m.Established)
+				}
+				before := snapshot()
+				c, err := m.Establish(in, outs, rate, false)
+				if c != nil || err == nil || errors.Is(err, netsig.ErrAdmission) || !slices.Equal(snapshot(), before) {
+					return false
 				}
 			case len(open) == 0:
 			case op == 2: // join a branch that is not one yet

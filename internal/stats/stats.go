@@ -1,12 +1,16 @@
 // Package stats provides the small set of streaming statistics used by the
 // experiment harnesses: online mean/variance (Welford), exact quantiles
 // over retained samples, fixed-width histograms and throughput meters.
+// A retained sample stores runs of repeated values, so its memory follows
+// how often the observed value changes, not how many observations it
+// holds.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Welford accumulates count, mean, variance, min and max online.
@@ -63,79 +67,107 @@ func (w *Welford) String() string {
 		w.n, w.Mean(), w.Std(), w.min, w.max)
 }
 
-// sampleChunk is the number of observations per storage block: 32 KB,
-// large enough that the block list stays short for millions of points,
-// small enough that an almost-empty Sample costs little.
-const sampleChunk = 4096
-
-// Sample retains every observation for exact quantile queries. It is meant
-// for experiment-sized data (up to a few million points).
+// Sample retains every observation for exact quantile queries. Its
+// memory follows how often the observed value changes, not how many
+// observations there are: a constant-rate stream's delay, the same
+// value frame after frame, costs one run however long it plays.
 //
-// Observations are kept in arrival order as xs followed by chunks.
-// Adding fills fixed-size chunks, so growth never re-copies what is
-// already stored; the first read concatenates everything into xs once
-// (flat), and quantiles sort it there.
+// Observations are kept in arrival order as runs: a value and how many
+// times in a row it was observed. Quantiles sort the runs in place (and
+// merge the equal neighbours the sort brings together); every read
+// sees exactly the sequence of observations a one-float-per-observation
+// store would hold, so Mean sums them in the same order, bit for bit.
 type Sample struct {
-	xs     []float64
-	chunks [][]float64
+	runs   []run
 	n      int
-	sorted bool // no chunks, and xs is in ascending order
+	sorted bool // runs are in ascending order
 }
 
-// Add appends an observation.
-func (s *Sample) Add(x float64) {
-	last := len(s.chunks) - 1
-	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
-		s.chunks = append(s.chunks, make([]float64, 0, sampleChunk))
-		last++
+// run is one value observed n times in a row.
+type run struct {
+	x float64
+	n int
+}
+
+// Add records one observation.
+func (s *Sample) Add(x float64) { s.AddN(x, 1) }
+
+// AddN records n observations of x at once; n == 0 records nothing.
+// An x that repeats the last run's value bit for bit extends it.
+func (s *Sample) AddN(x float64, n int) {
+	if n < 0 {
+		panic("stats: negative observation count")
 	}
-	s.chunks[last] = append(s.chunks[last], x)
-	s.n++
+	if n == 0 {
+		return
+	}
+	s.n += n
+	if last := len(s.runs) - 1; last >= 0 && math.Float64bits(s.runs[last].x) == math.Float64bits(x) {
+		s.runs[last].n += n
+		return
+	}
+	if len(s.runs) == cap(s.runs) {
+		// Double, where append grows a large slice by a quarter: when
+		// every value differs this re-copies half as much.
+		s.runs = slices.Grow(s.runs, len(s.runs)+1)
+	}
+	s.runs = append(s.runs, run{x, n})
 	s.sorted = false
 }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return s.n }
 
-// flat returns every observation as one slice, in arrival order since
-// the last sort, moving the chunks filled since the last read onto xs.
-func (s *Sample) flat() []float64 {
-	if len(s.chunks) > 0 {
-		if s.xs == nil {
-			s.xs = make([]float64, 0, s.n)
-		}
-		for _, c := range s.chunks {
-			s.xs = append(s.xs, c...)
-		}
-		s.chunks = nil
+// sort puts the runs in sort.Float64s order (NaN first) and merges
+// neighbours that hold the same value.
+func (s *Sample) sort() {
+	if s.sorted {
+		return
 	}
-	return s.xs
+	slices.SortFunc(s.runs, func(a, b run) int { return cmp.Compare(a.x, b.x) })
+	out := s.runs[:0]
+	for _, r := range s.runs {
+		if last := len(out) - 1; last >= 0 && math.Float64bits(out[last].x) == math.Float64bits(r.x) {
+			out[last].n += r.n
+		} else {
+			out = append(out, r)
+		}
+	}
+	s.runs = out
+	s.sorted = true
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) by linear interpolation
 // between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Quantile(q float64) float64 {
-	xs := s.flat()
-	if len(xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(xs)
-		s.sorted = true
-	}
+	s.sort()
 	if q <= 0 {
-		return xs[0]
+		return s.runs[0].x
 	}
 	if q >= 1 {
-		return xs[len(xs)-1]
+		return s.runs[len(s.runs)-1].x
 	}
-	pos := q * float64(len(xs)-1)
+	pos := q * float64(s.n-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
-	if lo+1 >= len(xs) {
-		return xs[lo]
+	// Find the runs holding ranks lo and lo+1.
+	i, end := 0, s.runs[0].n
+	for end <= lo {
+		i++
+		end += s.runs[i].n
 	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
+	x := s.runs[i].x
+	if lo+1 >= s.n {
+		return x
+	}
+	next := x
+	if lo+1 == end {
+		next = s.runs[i+1].x
+	}
+	return x*(1-frac) + next*frac
 }
 
 // Median returns the 50th percentile.
@@ -143,27 +175,27 @@ func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
-	xs := s.flat()
-	if len(xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, x := range xs {
-		sum += x
+	for _, r := range s.runs {
+		for range r.n {
+			sum += r.x
+		}
 	}
-	return sum / float64(len(xs))
+	return sum / float64(s.n)
 }
 
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
-	xs := s.flat()
-	if len(xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
+	m := s.runs[0].x
+	for _, r := range s.runs[1:] {
+		if r.x > m {
+			m = r.x
 		}
 	}
 	return m
@@ -171,14 +203,13 @@ func (s *Sample) Max() float64 {
 
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
-	xs := s.flat()
-	if len(xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
+	m := s.runs[0].x
+	for _, r := range s.runs[1:] {
+		if r.x < m {
+			m = r.x
 		}
 	}
 	return m

@@ -118,8 +118,8 @@ func TestSampleEmpty(t *testing.T) {
 	}
 }
 
-// refSample is Sample as it was before chunked storage — one slice,
-// append, sort on read — the reference the chunked one must match
+// refSample is Sample as one float per observation — one slice,
+// append, sort on read — the reference the run-length one must match
 // exactly, summation order included.
 type refSample struct{ xs []float64 }
 
@@ -142,9 +142,10 @@ func (r *refSample) mean() float64 {
 	return sum / float64(len(r.xs))
 }
 
-// TestSampleChunkedMatchesReference drives Sample across several chunk
-// boundaries, interleaving adds and reads, and compares every
-// read with the single-slice reference bit for bit.
+// TestSampleChunkedMatchesReference drives Sample through distinct
+// values, runs of repeated ones (by Add and by AddN, equal runs apart
+// from each other) and adds after sorted reads, and compares every
+// read with the one-float-per-observation reference bit for bit.
 func TestSampleChunkedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var s Sample
@@ -174,12 +175,58 @@ func TestSampleChunkedMatchesReference(t *testing.T) {
 			ref.xs = append(ref.xs, x)
 		}
 	}
+	// runs adds k runs of up to 300 repeats of one of a few values, so
+	// equal runs recur apart from each other; every other run goes in
+	// by one AddN.
+	values := []float64{1.5e6, 1.5e6 + 1, 2.25e6, 7e5, 0.1}
+	runs := func(k int) {
+		for i := 0; i < k; i++ {
+			x, n := values[rng.Intn(len(values))], 1+rng.Intn(300)
+			if i%2 == 0 {
+				s.AddN(x, n)
+			} else {
+				for j := 0; j < n; j++ {
+					s.Add(x)
+				}
+			}
+			for j := 0; j < n; j++ {
+				ref.xs = append(ref.xs, x)
+			}
+		}
+	}
 	add(1)
 	compare("one observation")
-	add(sampleChunk - 1)
-	compare("exactly one chunk")
-	add(2*sampleChunk + 17)
+	add(4095)
+	compare("distinct values")
+	runs(40)
+	compare("runs of repeated values")
+	last := ref.xs[len(ref.xs)-1]
+	s.AddN(last, 17)
+	s.AddN(last, 0)
+	for j := 0; j < 17; j++ {
+		ref.xs = append(ref.xs, last)
+	}
+	compare("a run extending the largest value after a sorted read")
+	runs(25)
+	add(2*4096 + 17)
+	runs(25)
 	compare("adds after a sorted read")
+}
+
+// TestSampleRetainsRunsNotObservations: a million observations of 64
+// values in runs of a thousand are held as a thousand runs, and as 64
+// once a sorted read merges the equal ones.
+func TestSampleRetainsRunsNotObservations(t *testing.T) {
+	var s Sample
+	for i := 0; i < 1_000_000; i++ {
+		s.Add(float64(i / 1000 % 64))
+	}
+	if s.N() != 1_000_000 || len(s.runs) > 1000 {
+		t.Fatalf("%d observations held as %d runs, want at most 1000", s.N(), len(s.runs))
+	}
+	if got := s.Quantile(1); got != 63 || len(s.runs) != 64 {
+		t.Fatalf("after sorting: max %v over %d runs, want 63 over 64", got, len(s.runs))
+	}
 }
 
 func TestHistogram(t *testing.T) {
